@@ -17,7 +17,8 @@ from .errors import (ConstraintSyntaxError, ConvergenceError, DescriptorError,
 from .momentlab import (MomentExperiment, decay_experiment, moment_rhs,
                         truncated_twisted_L)
 from .series import (EvalParams, EvalReport, compare, default_exponent_bound,
-                     direct_sum, euler_product, local_factor)
+                     direct_sum, direct_sum_and_half, euler_product,
+                     euler_product_and_half, local_factor)
 from .system import (AddMultiple, LaurentMonomialSystem, Negate, RowOperation,
                      SupportSearch, Swap, apply_row_op, block_compose,
                      hnf_rows, make_system, negate_system, normalize,

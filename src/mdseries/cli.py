@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -42,15 +41,6 @@ def _load_system(args, *, need_s=False):
     return system, families, s
 
 
-def _threads(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    n = getattr(args, "threads", None)
-    if n is None:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _cx(z: complex) -> list:
     return [z.real, z.imag]
 
@@ -58,17 +48,14 @@ def _cx(z: complex) -> list:
 def cmd_eval(args) -> int:
     system, families, s = _load_system(args, need_s=True)
     t0 = time.perf_counter()
-    value = series.direct_sum(system, families, s, args.N,
-                              override_convergence=args.override_convergence)
-    tail = None
-    if args.N >= 2:
-        half = series.direct_sum(system, families, s, args.N // 2,
-                                 override_convergence=args.override_convergence)
-        tail = abs(value - half)
-    warnings = []
+    warnings = list(series.check_series_point(s, system.t, args.override_convergence))
+    value, half = series.direct_sum_and_half(
+        system, families, s, args.N, override_convergence=args.override_convergence)
+    tail = abs(value - half) if args.N >= 2 else None
     if system.empty_variety_flag:
         warnings.append("empty variety: a zero row has omega != omega'")
-        _warn(warnings[-1])
+    for w in warnings:
+        _warn(w)
     _emit({
         "direct": _cx(value),
         "tail_estimate": tail,
@@ -83,8 +70,7 @@ def cmd_compare(args) -> int:
     system, families, s = _load_system(args, need_s=True)
     params = series.EvalParams(N=args.N, P=args.P, B=args.B)
     report = series.compare(system, families, s, params,
-                            override_convergence=args.override_convergence,
-                            threads=_threads(args))
+                            override_convergence=args.override_convergence)
     for w in report.warnings:
         _warn(w)
     _emit(report.to_dict())
@@ -203,10 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=int, help="variable count for --constraints")
         if N is not None:
             p.add_argument("--N", type=int, default=N, help="box bound")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: available cores)")
+        # every run is single-process and bit-reproducible; the two flags
+        # stay accepted so existing command lines keep working
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; no effect")
         p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded ordered reduction")
+                       help="accepted for compatibility; no effect")
 
     p = sub.add_parser("eval", help="direct truncated sum")
     add_common(p, N=1000)
@@ -250,7 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is
+        # reserved for a witness, so a usage error is reported as an error
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
     except MDSeriesError as exc:

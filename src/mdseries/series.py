@@ -4,7 +4,10 @@ truncated Euler product, and compare the two.
 The direct sum truncates by the box [1,N]^t; the Euler product truncates
 by a prime bound P and a per-prime exponent bound B.  The two truncations
 never select the same finite term set, so comparisons are tolerance-based
-and both sides carry Richardson-style tail estimates.
+and both sides carry Richardson-style tail estimates |v(N) - v(N/2)| and
+|v(P) - v(P/2)|.  Each tail comes from the same single serial pass as its
+value: the N/2 sum is the subsequence of box points with every coordinate
+<= N/2, and the P/2 product is the running product at the last prime <= P/2.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-import warnings as _warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,7 +22,7 @@ from .arith import primes_up_to
 from .coefficients import all_trivial, eval_product_coefficient
 from .errors import ConvergenceError
 from .system import LaurentMonomialSystem
-from .variety import enumerate_box, local_solutions
+from .variety import enumerate_box, local_solutions, monomial_rhs_at
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ def check_series_point(s: Sequence[complex], t: int, override: bool) -> tuple:
     """Validate s against the variable count; Re s_j <= 1 needs the override.
 
     Returns a warning tuple (nonempty only for overridden requests, which
-    are formal truncations rather than approximations of a limit).
+    are formal truncations rather than approximations of a limit).  The
+    label is returned as data only; callers that report warnings carry it.
     """
     if len(s) != t:
         raise ValueError(f"series point has {len(s)} entries, system has t={t}")
@@ -109,9 +111,7 @@ def check_series_point(s: Sequence[complex], t: int, override: bool) -> tuple:
             raise ConvergenceError(
                 f"min Re s = {sigma} <= 1; pass override_convergence to evaluate "
                 "a formal truncation")
-        msg = f"formal truncation only: min Re s = {sigma} <= 1"
-        _warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        return (msg,)
+        return (f"formal truncation only: min Re s = {sigma} <= 1",)
     return ()
 
 
@@ -123,16 +123,28 @@ def default_exponent_bound(s: Sequence[complex]) -> int:
     return min(64, math.ceil(15 / (sigma * math.log10(2.0))) + 1)
 
 
-def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
-               *, override_convergence: bool = False, work_cap=None) -> complex:
-    """Sum a(n) / prod n_j^{s_j} over the box solutions, in lexicographic
-    point order with compensated accumulation."""
+def _checked_point(S: LaurentMonomialSystem, c, s, override_convergence: bool) -> tuple:
     s = tuple(complex(z) for z in s)
     check_series_point(s, S.t, override_convergence)
     if len(c) != S.t:
         raise ValueError(f"coefficient tuple has {len(c)} families, t={S.t}")
+    return s
+
+
+def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
+                        *, override_convergence: bool = False,
+                        work_cap=None) -> tuple:
+    """The direct sums over [1,N]^t and [1,max(1,N//2)]^t from one box
+    enumeration.
+
+    Terms a(n) / prod n_j^{s_j} are accumulated in lexicographic point order
+    with compensation.  The half-box points are the lexicographic subsequence
+    with max(n) <= N//2, so the half sum has the bits of a separate run.
+    """
+    s = _checked_point(S, c, s, override_convergence)
+    half_N = max(1, N // 2)
     trivial = all_trivial(c)
-    acc = _CompensatedSum()
+    acc, half_acc = _CompensatedSum(), _CompensatedSum()
     for pt in enumerate_box(S, N, work_cap=work_cap):
         expo = 0j
         for z, n in zip(s, pt.coords):
@@ -142,7 +154,17 @@ def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
         if not trivial:
             term *= eval_product_coefficient(c, pt.coords)
         acc.add(term)
-    return acc.total()
+        if max(pt.coords, default=1) <= half_N:
+            half_acc.add(term)
+    return acc.total(), half_acc.total()
+
+
+def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
+               *, override_convergence: bool = False, work_cap=None) -> complex:
+    """Sum a(n) / prod n_j^{s_j} over the box solutions, in lexicographic
+    point order with compensated accumulation."""
+    return direct_sum_and_half(S, c, s, N, override_convergence=override_convergence,
+                               work_cap=work_cap)[0]
 
 
 def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int,
@@ -151,110 +173,92 @@ def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int,
     a(p^alpha) * p^(-sum_j s_j alpha_j)."""
     s = tuple(complex(z) for z in s)
     sols = _solutions if _solutions is not None else local_solutions(S, p, B).solutions
-    # power tables p^(-s_j * e) for e = 0..B
+    # tables[j][e] = c_j(p^e) * p^(-s_j * e), filled only at the exponents
+    # the solutions use, so a family need not define the others
     tables = []
-    for z in s:
+    for z, fam, column in zip(s, c, zip(*sols)):
         x = cmath.exp(-z * math.log(p))
-        row = [1 + 0j] * (B + 1)
-        for e in range(1, B + 1):
-            row[e] = row[e - 1] * x
+        used = set(column)
+        row = [1 + 0j] * (max(column) + 1)
+        power = 1 + 0j
+        for e in range(1, len(row)):
+            power *= x
+            if e in used:
+                row[e] = power * fam.prime_power(p, e)
         tables.append(row)
-    trivial = all_trivial(c)
     acc = _CompensatedSum()
     for alpha in sols:
         term = 1 + 0j
-        for j, e in enumerate(alpha):
+        for row, e in zip(tables, alpha):
             if e:
-                term *= tables[j][e]
-        if not trivial:
-            for fam, e in zip(c, alpha):
-                if e:
-                    term *= fam.prime_power(p, e)
+                term *= row[e]
         acc.add(term)
     return acc.total()
 
 
-def _euler_chunk(args):
-    S, c, s, B, primes, sols_by_rhs_key = args
-    out = []
-    for p, key in primes:
-        out.append(local_factor(S, c, p, s, B, _solutions=sols_by_rhs_key[key]))
-    return out
+def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
+                           B: Optional[int] = None,
+                           *, override_convergence: bool = False) -> tuple:
+    """The product of local factors over primes p <= P, in ascending prime
+    order, and the running product after the last prime <= P//2.
 
-
-def euler_product(S: LaurentMonomialSystem, c, s, P: int, B: Optional[int] = None,
-                  *, override_convergence: bool = False, threads: int = 1) -> complex:
-    """Product of local factors over primes p <= P, in ascending prime order.
-
+    The second value is None when no prime is <= P//2 or a twist prime
+    exceeds P//2, since the product over p <= P//2 is then not defined.
     Every prime dividing a twist must be <= P.  The local solution sets are
     shared across all primes with the same twist-valuation right-hand side,
     so the generic prime costs one cached enumeration.
     """
-    from .variety import monomial_rhs_at
-
-    s = tuple(complex(z) for z in s)
-    check_series_point(s, S.t, override_convergence)
-    if len(c) != S.t:
-        raise ValueError(f"coefficient tuple has {len(c)} families, t={S.t}")
+    s = _checked_point(S, c, s, override_convergence)
     if B is None:
         B = default_exponent_bound(s)
     for tp in S.twist_primes():
         if tp > P:
             raise ValueError(f"twist prime {tp} exceeds the prime bound P={P}")
-    primes = primes_up_to(P)
+    half_P = P // 2
     sols_by_rhs = {}
-    keyed = []
-    for p in primes:
-        key = monomial_rhs_at(S, p)
-        if key not in sols_by_rhs:
-            sols_by_rhs[key] = local_solutions(S, p, B).solutions
-        keyed.append((p, key))
-    if threads > 1 and len(keyed) >= 64:
-        nchunks = min(threads * 4, len(keyed))
-        chunks = [keyed[i::nchunks] for i in range(nchunks)]
-        # interleaved chunks are re-sorted below; factors multiply ascending
-        factors = {}
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            for chunk, vals in zip(
-                chunks,
-                ex.map(_euler_chunk, [(S, c, s, B, ch, sols_by_rhs) for ch in chunks]),
-            ):
-                for (p, _), v in zip(chunk, vals):
-                    factors[p] = v
-        ordered = [factors[p] for p in primes]
-    else:
-        ordered = [local_factor(S, c, p, s, B, _solutions=sols_by_rhs[key])
-                   for p, key in keyed]
     out = 1 + 0j
-    for v in ordered:
-        out *= v
-    return out
+    half = None
+    for p in primes_up_to(P):
+        key = monomial_rhs_at(S, p)
+        sols = sols_by_rhs.get(key)
+        if sols is None:
+            sols = sols_by_rhs[key] = local_solutions(S, p, B).solutions
+        out *= local_factor(S, c, p, s, B, _solutions=sols)
+        if p <= half_P:
+            half = out
+    if any(tp > half_P for tp in S.twist_primes()):
+        half = None
+    return out, half
+
+
+def euler_product(S: LaurentMonomialSystem, c, s, P: int, B: Optional[int] = None,
+                  *, override_convergence: bool = False) -> complex:
+    """Product of local factors over primes p <= P, in ascending prime order.
+
+    Every prime dividing a twist must be <= P.
+    """
+    return euler_product_and_half(S, c, s, P, B,
+                                  override_convergence=override_convergence)[0]
 
 
 def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
-            *, override_convergence: bool = False, threads: int = 1) -> EvalReport:
+            *, override_convergence: bool = False) -> EvalReport:
     """Run both evaluators and report values, gap, and tail estimates
-    |v(N) - v(N/2)| and |v(P) - v(P/2)|."""
+    |v(N) - v(N/2)| and |v(P) - v(P/2)|, each from its evaluator's one pass."""
     s = tuple(complex(z) for z in s)
     warnings = list(check_series_point(s, S.t, override_convergence))
     if S.empty_variety_flag:
         warnings.append("empty variety: a zero row has omega != omega'")
     B = params.B if params.B is not None else default_exponent_bound(s)
     t0 = time.perf_counter()
-    direct = direct_sum(S, c, s, params.N, override_convergence=override_convergence)
-    euler = euler_product(S, c, s, params.P, B,
-                          override_convergence=override_convergence, threads=threads)
+    direct, direct_half = direct_sum_and_half(
+        S, c, s, params.N, override_convergence=override_convergence)
+    euler, euler_half = euler_product_and_half(
+        S, c, s, params.P, B, override_convergence=override_convergence)
     direct_tail = euler_tail = None
     if params.tail_estimates:
-        half_N = max(1, params.N // 2)
-        direct_half = direct_sum(S, c, s, half_N,
-                                 override_convergence=override_convergence)
         direct_tail = abs(direct - direct_half)
-        half_P = params.P // 2
-        if half_P >= 2 and all(tp <= half_P for tp in S.twist_primes()):
-            euler_half = euler_product(S, c, s, half_P, B,
-                                       override_convergence=override_convergence,
-                                       threads=threads)
+        if euler_half is not None:
             euler_tail = abs(euler - euler_half)
         else:
             warnings.append("euler tail estimate skipped: P/2 below a twist prime")

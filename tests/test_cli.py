@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mdseries
 from mdseries.cli import main
 from mdseries.descriptor import (family_from_record, parse_descriptor,
                                  record_from_family, serialize_descriptor)
@@ -134,6 +137,18 @@ class TestCliEval:
         assert main(["eval", "--system", str(path), "--N", "10",
                      "--override-convergence"]) == 0
 
+    def test_override_label_in_json(self, tmp_path, capsys, recwarn):
+        doc = dict(DIAG_DOC, s=[[1, 0], [1, 0]])
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(doc))
+        label = "formal truncation only: min Re s = 1.0 <= 1"
+        for argv in (["eval", "--N", "10"], ["compare", "--N", "10", "--P", "10"]):
+            assert main(argv + ["--system", str(path), "--override-convergence"]) == 0
+            captured = capsys.readouterr()
+            assert label in json.loads(captured.out)["warnings"]
+            assert captured.err.count(label) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestCliCompare:
     def test_product_system(self, tmp_path, capsys):
@@ -175,6 +190,30 @@ class TestCliCompare:
         out = json.loads(capsys.readouterr().out)
         assert out["abs_diff"] < 1e-4
         assert wall < 60.0
+
+
+class TestCliUsage:
+    def test_usage_errors_exit_1(self, diag_file, capsys):
+        # 2 is reserved for a witness, so argparse's own exit code is not used
+        assert main(["compare", "--system", diag_file, "--bogus"]) == 1
+        assert main(["eval", "--system", diag_file, "--N", "abc"]) == 1
+        assert main([]) == 1
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["compare", "--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
+    def test_compatibility_flags_have_no_effect(self, diag_file, capsys):
+        docs = []
+        for extra in ([], ["--threads", "2"], ["--deterministic"]):
+            assert main(["compare", "--system", diag_file, "--N", "200",
+                         "--P", "200"] + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("wall_time")
+            docs.append(doc)
+        assert docs[0] == docs[1] == docs[2]
 
 
 class TestCliCheckS:
@@ -279,10 +318,14 @@ class TestWorkCapEnv:
 
 class TestConsoleScript:
     def test_module_invocation(self, diag_file):
+        # the child imports the same package as this process, also when it
+        # is found only through pytest's `pythonpath` setting
+        src = str(Path(mdseries.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mdseries.cli", "eval",
              "--system", diag_file, "--N", "100"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["direct"][0] - math.pi**4 / 90) < 1e-3

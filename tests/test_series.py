@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from mdseries.coefficients import HeckeGL2Family, TauFamily, trivial_tuple
+from mdseries.arith import character_table, primes_up_to
+from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
+                                   TableFamily, TauFamily, TrivialFamily,
+                                   trivial_tuple)
 from mdseries.errors import ConvergenceError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, euler_product, local_factor)
@@ -13,6 +16,14 @@ from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)
+# n3 = 6 n1 n2 and 3 n4 = 5 n2 n3: twist primes 2, 3, 5, one family per kind
+TWISTED = make_system([[1, 1, -1, 0], [0, 1, 1, -1]], omega=(6, 5), omega_prime=(1, 3))
+
+
+def twisted_families():
+    lam = {p: math.cos(p * 1.0) * 1.8 for p in primes_up_to(1000)}
+    return (TrivialFamily(), CharacterFamily(character_table(7), 2),
+            HeckeGL2Family(lam), TauFamily(1000))
 
 
 def random_system(rng, tmax=3, mmax=2, amax=3, wmax=4):
@@ -102,10 +113,23 @@ class TestEulerProduct:
         with pytest.raises(ValueError, match="101"):
             euler_product(S, trivial_tuple(1), (2,), 50, 10)
 
-    def test_threads_match_serial(self):
-        v1 = euler_product(DIAG, TRIV2, (2, 2), 3000, 30, threads=1)
-        v2 = euler_product(DIAG, TRIV2, (2, 2), 3000, 30, threads=2)
-        assert v1 == v2
+    def test_repeat_runs_bitwise(self):
+        fams = twisted_families()
+        for S, c in ((DIAG, TRIV2), (TWISTED, fams)):
+            runs = [euler_product(S, c, (2,) * S.t, 1000, 26) for _ in range(3)]
+            assert runs[0] == runs[1] == runs[2]
+
+    def test_table_family_with_gaps(self):
+        # n2 = n1^2, so column 2 uses only even exponents; the table has no
+        # odd ones and neither evaluator may ask for them
+        S = make_system([[2, -1]])
+        P, B = 50, 20
+        table = {(p, e): (-0.5) ** (e // 2)
+                 for p in primes_up_to(P) for e in range(2, B + 1, 2)}
+        fams = (TrivialFamily(), TableFamily(table))
+        e = euler_product(S, fams, (2, 2), P, B)
+        d = direct_sum(S, fams, (2, 2), P * P)
+        assert e.real < 1 and abs(d - e) < 1e-8
 
     def test_default_bound_used(self):
         v = euler_product(DIAG, TRIV2, (2, 2), 1000)
@@ -154,6 +178,27 @@ class TestCompare:
         rep = compare(S, TRIV2, (2, 2), EvalParams(N=10, P=10, B=5))
         assert rep.direct == rep.euler == 0
         assert any("empty variety" in w for w in rep.warnings)
+
+    def test_tails_match_separate_runs_bitwise(self):
+        fams = twisted_families()
+        s = (2, 2.5, 2, 3)
+        N, P, B = 400, 100, 20
+        rep = compare(TWISTED, fams, s, EvalParams(N=N, P=P, B=B))
+        direct = direct_sum(TWISTED, fams, s, N)
+        euler = euler_product(TWISTED, fams, s, P, B)
+        assert rep.direct == direct and rep.euler == euler
+        assert rep.direct_tail == abs(direct - direct_sum(TWISTED, fams, s, N // 2))
+        assert rep.euler_tail == abs(euler - euler_product(TWISTED, fams, s, P // 2, B))
+        assert rep.direct_tail > 0 and rep.euler_tail > 0
+
+    def test_euler_tail_skipped_below_twist_prime(self):
+        S = make_system([[1, -1]], omega=(1,), omega_prime=(7,))
+        # P/2 below the twist prime 7, and P/2 below the first prime
+        for system, P in ((S, 10), (S, 13), (DIAG, 3)):
+            rep = compare(system, TRIV2, (2, 2), EvalParams(N=50, P=P, B=10))
+            assert rep.euler_tail is None and rep.direct_tail is not None
+            assert rep.euler == euler_product(system, TRIV2, (2, 2), P, 10)
+            assert "euler tail estimate skipped: P/2 below a twist prime" in rep.warnings
 
     def test_gap_below_sum_of_tails(self):
         for S, t in ((DIAG, 2), (make_system([[1, 1, -1]]), 3)):
