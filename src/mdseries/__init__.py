@@ -6,16 +6,15 @@ and character-moment reconstruction experiments.
 """
 
 from .arith import (CharacterTable, char_eval, character_table, factorize,
-                    is_prime, primes_up_to, valuation)
+                    iroot, is_prime, primes_up_to, valuation)
 from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
-                           TableFamily, TauFamily, TrivialFamily, eval_family,
+                           TableFamily, TauFamily, TrivialFamily,
                            eval_product_coefficient, hecke_prime_power,
                            ramanujan_tau_table, trivial_tuple)
 from .errors import (ConstraintSyntaxError, ConvergenceError, DescriptorError,
                      MDSeriesError, MissingPrimePowerError, TwistOverflowError,
                      WorkCapExceeded)
-from .momentlab import (MomentExperiment, decay_experiment, moment_rhs,
-                        truncated_twisted_L)
+from .momentlab import MomentExperiment, decay_experiment, moment_rhs
 from .series import (EvalParams, EvalReport, compare, default_exponent_bound,
                      direct_sum, direct_sum_and_half, euler_product,
                      euler_product_and_half, local_factor)

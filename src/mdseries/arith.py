@@ -142,6 +142,29 @@ def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
     return tuple(out)
 
 
+def iroot(v: int, k: int) -> int:
+    """floor(v ** (1/k)) for integers v >= 0 and k >= 1, in exact arithmetic.
+
+    Floats are never used: inputs reach far beyond 2^53.  k = 2 is
+    math.isqrt; larger k run integer Newton iteration from a power of two
+    above the root, which decreases strictly until it reaches the floor.
+    """
+    if k < 1:
+        raise ValueError(f"iroot requires k >= 1, got {k}")
+    if v < 0:
+        raise ValueError(f"iroot requires v >= 0, got {v}")
+    if k == 1 or v < 2:
+        return v
+    if k == 2:
+        return math.isqrt(v)
+    x = 1 << -(-v.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + v // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def valuation(p: int, x: int) -> int:
     """p-adic valuation v_p(x): the largest k with p^k | x.  p must be prime."""
     if not is_prime(p):

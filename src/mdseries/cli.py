@@ -51,7 +51,11 @@ def cmd_eval(args) -> int:
     warnings = list(series.check_series_point(s, system.t, args.override_convergence))
     value, half = series.direct_sum_and_half(
         system, families, s, args.N, override_convergence=args.override_convergence)
-    tail = abs(value - half) if args.N >= 2 else None
+    tail = None
+    if half is not None:
+        tail = abs(value - half)
+    else:
+        warnings.append(series.direct_tail_skip_reason(args.N))
     if system.empty_variety_flag:
         warnings.append("empty variety: a zero row has omega != omega'")
     for w in warnings:

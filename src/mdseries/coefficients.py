@@ -182,19 +182,15 @@ class TauFamily(CoefficientFamily):
 CoefficientTuple = Sequence[CoefficientFamily]
 
 
-def eval_family(f: CoefficientFamily, n: int) -> complex:
-    if n < 1:
-        raise ValueError("family arguments are positive integers")
-    return f.value(n)
-
-
 def eval_product_coefficient(c: CoefficientTuple, n: Sequence[int]) -> complex:
-    """a(n) = prod_j c_j(n_j); requires len(n) == len(c)."""
+    """a(n) = prod_j c_j(n_j); requires len(n) == len(c) and every n_j >= 1."""
     if len(c) != len(n):
         raise ValueError(f"coefficient tuple has {len(c)} families, point has {len(n)}")
     out = 1 + 0j
     for fam, nj in zip(c, n):
-        out *= eval_family(fam, nj)
+        if nj < 1:
+            raise ValueError("family arguments are positive integers")
+        out *= fam.value(nj)
     return out
 
 

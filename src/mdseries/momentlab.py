@@ -13,29 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .arith import CharacterTable, character_table, is_prime, _unit_roots
 from .coefficients import CoefficientFamily, TrivialFamily
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 from .series import EvalParams, check_series_point, compare, default_exponent_bound
 from .system import LaurentMonomialSystem
-
-
-def truncated_twisted_L(f: CoefficientFamily, table: CharacterTable, k: int,
-                        s: complex, N: int) -> complex:
-    """sum_{n <= N} lambda(n) chi_k(n) n^{-s}; terms with q | n vanish."""
-    q = table.q
-    total = 0j
-    trivial = isinstance(f, TrivialFamily)
-    for n in range(1, N + 1):
-        chi = table.char_value(k, n)
-        if chi == 0:
-            continue
-        term = chi * n ** (-s)
-        if not trivial:
-            term *= f.value(n)
-        total += term
-    return total
 
 
 def _log_class_sums(f: CoefficientFamily, table: CharacterTable, s: complex,
@@ -46,18 +31,16 @@ def _log_class_sums(f: CoefficientFamily, table: CharacterTable, s: complex,
     root-of-unity contraction, so the character-tuple average costs O(q)
     per L-value instead of O(N)."""
     q = table.q
-    T = [0j] * (q - 1)
-    trivial = isinstance(f, TrivialFamily)
-    log = table.log
-    for n in range(1, N + 1):
-        a = log[n % q]
-        if a < 0:
-            continue
-        term = n ** (-s)
-        if not trivial:
-            term = term * f.value(n)
-        T[a] += term
-    return T
+    n = np.arange(1, N + 1)
+    terms = np.exp(-s * np.log(n))
+    if not isinstance(f, TrivialFamily):
+        terms *= np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
+    classes = np.asarray(table.log)[n % q]
+    keep = classes >= 0   # q | n has no discrete log and drops out
+    classes = classes[keep]
+    re = np.bincount(classes, weights=terms.real[keep], minlength=q - 1)
+    im = np.bincount(classes, weights=terms.imag[keep], minlength=q - 1)
+    return (re + 1j * im).tolist()
 
 
 def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,

@@ -6,8 +6,16 @@ by a prime bound P and a per-prime exponent bound B.  The two truncations
 never select the same finite term set, so comparisons are tolerance-based
 and both sides carry Richardson-style tail estimates |v(N) - v(N/2)| and
 |v(P) - v(P/2)|.  Each tail comes from the same single serial pass as its
-value: the N/2 sum is the subsequence of box points with every coordinate
-<= N/2, and the P/2 product is the running product at the last prime <= P/2.
+value: the N/2 sum keeps the box points with every coordinate <= N/2, and
+the P/2 product is the running product at the last prime <= P/2.  A tail
+that is not defined (N < 2, or no prime or not every twist prime <= P/2) is
+None, with a warning that names the cause.
+
+Sums, of box terms and of local-factor terms alike, are math.fsum on the
+real and imaginary parts: correctly rounded and independent of the order of
+the terms, so a value depends only on the term set.  Box points come from
+exact membership (see variety), so row operations, which keep the solution
+set, keep every direct sum bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .arith import primes_up_to
 from .coefficients import all_trivial, eval_product_coefficient
@@ -68,34 +78,6 @@ class EvalReport:
         }
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulation, separately on Re and Im."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex):
-        x = z.real
-        t = self.re + x
-        if abs(self.re) >= abs(x):
-            self.cre += (self.re - t) + x
-        else:
-            self.cre += (x - t) + self.re
-        self.re = t
-        y = z.imag
-        t = self.im + y
-        if abs(self.im) >= abs(y):
-            self.cim += (self.im - t) + y
-        else:
-            self.cim += (y - t) + self.im
-        self.im = t
-
-    def total(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
 def check_series_point(s: Sequence[complex], t: int, override: bool) -> tuple:
     """Validate s against the variable count; Re s_j <= 1 needs the override.
 
@@ -131,38 +113,64 @@ def _checked_point(S: LaurentMonomialSystem, c, s, override_convergence: bool) -
     return s
 
 
+def direct_tail_skip_reason(N: int) -> Optional[str]:
+    """Why |v(N) - v(N/2)| is not defined, or None when it is."""
+    if N < 2:
+        return "direct tail estimate skipped: N < 2 leaves the N/2 box empty"
+    return None
+
+
+def euler_tail_skip_reason(S: LaurentMonomialSystem, P: int) -> Optional[str]:
+    """Why |v(P) - v(P/2)| is not defined, or None when it is."""
+    half_P = P // 2
+    if half_P < 2:
+        return "euler tail estimate skipped: P/2 < 2, so no prime is <= P/2"
+    if any(tp > half_P for tp in S.twist_primes()):
+        return "euler tail estimate skipped: P/2 below a twist prime"
+    return None
+
+
+def _fsum(z) -> complex:
+    """Correctly rounded sum of complex terms, real and imaginary parts apart.
+
+    The result depends only on the multiset of terms, not on their order."""
+    z = np.asarray(z, dtype=complex)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
                         *, override_convergence: bool = False,
                         work_cap=None) -> tuple:
-    """The direct sums over [1,N]^t and [1,max(1,N//2)]^t from one box
-    enumeration.
+    """The direct sums over [1,N]^t and [1,N//2]^t from one box enumeration.
 
-    Terms a(n) / prod n_j^{s_j} are accumulated in lexicographic point order
-    with compensation.  The half-box points are the lexicographic subsequence
-    with max(n) <= N//2, so the half sum has the bits of a separate run.
+    The box points form one K x t array; the terms a(n) / prod n_j^{s_j}
+    are exp(-(log n) . s), times the coefficient product unless every
+    family is trivial.  The half-box points are those with max(n) <= N//2.
+    Both sums are correctly rounded (math.fsum), so the half sum has the
+    bits of a separate run at N//2 and reordering the points changes
+    nothing.  The second value is None when N < 2, where the half box is
+    empty.
     """
     s = _checked_point(S, c, s, override_convergence)
-    half_N = max(1, N // 2)
-    trivial = all_trivial(c)
-    acc, half_acc = _CompensatedSum(), _CompensatedSum()
-    for pt in enumerate_box(S, N, work_cap=work_cap):
-        expo = 0j
-        for z, n in zip(s, pt.coords):
-            if n != 1:
-                expo += z * math.log(n)
-        term = cmath.exp(-expo)
-        if not trivial:
-            term *= eval_product_coefficient(c, pt.coords)
-        acc.add(term)
-        if max(pt.coords, default=1) <= half_N:
-            half_acc.add(term)
-    return acc.total(), half_acc.total()
+    points = enumerate_box(S, N, work_cap=work_cap)
+    X = np.array([pt.coords for pt in points], dtype=np.int64).reshape(len(points), S.t)
+    logX = np.log(X)
+    expo = np.zeros(len(points), dtype=complex)
+    for j, z in enumerate(s):
+        expo += logX[:, j] * z
+    terms = np.exp(-expo)
+    if not all_trivial(c):
+        terms *= np.array([eval_product_coefficient(c, pt.coords) for pt in points],
+                          dtype=complex)
+    half = None
+    if direct_tail_skip_reason(N) is None:
+        half = _fsum(terms[X.max(axis=1, initial=1) <= N // 2])
+    return _fsum(terms), half
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
                *, override_convergence: bool = False, work_cap=None) -> complex:
-    """Sum a(n) / prod n_j^{s_j} over the box solutions, in lexicographic
-    point order with compensated accumulation."""
+    """Sum a(n) / prod n_j^{s_j} over the box solutions, correctly rounded."""
     return direct_sum_and_half(S, c, s, N, override_convergence=override_convergence,
                                work_cap=work_cap)[0]
 
@@ -170,7 +178,7 @@ def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
 def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int,
                  *, _solutions=None) -> complex:
     """The Euler factor at p: sum over admissible exponent tuples alpha of
-    a(p^alpha) * p^(-sum_j s_j alpha_j)."""
+    a(p^alpha) * p^(-sum_j s_j alpha_j), correctly rounded."""
     s = tuple(complex(z) for z in s)
     sols = _solutions if _solutions is not None else local_solutions(S, p, B).solutions
     # tables[j][e] = c_j(p^e) * p^(-s_j * e), filled only at the exponents
@@ -186,14 +194,14 @@ def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int,
             if e in used:
                 row[e] = power * fam.prime_power(p, e)
         tables.append(row)
-    acc = _CompensatedSum()
+    terms = []
     for alpha in sols:
         term = 1 + 0j
         for row, e in zip(tables, alpha):
             if e:
                 term *= row[e]
-        acc.add(term)
-    return acc.total()
+        terms.append(term)
+    return _fsum(terms)
 
 
 def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
@@ -203,7 +211,8 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     order, and the running product after the last prime <= P//2.
 
     The second value is None when no prime is <= P//2 or a twist prime
-    exceeds P//2, since the product over p <= P//2 is then not defined.
+    exceeds P//2, since the product over p <= P//2 is then not defined
+    (euler_tail_skip_reason names the cause).
     Every prime dividing a twist must be <= P.  The local solution sets are
     shared across all primes with the same twist-valuation right-hand side,
     so the generic prime costs one cached enumeration.
@@ -226,7 +235,7 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         out *= local_factor(S, c, p, s, B, _solutions=sols)
         if p <= half_P:
             half = out
-    if any(tp > half_P for tp in S.twist_primes()):
+    if euler_tail_skip_reason(S, P) is not None:
         half = None
     return out, half
 
@@ -257,11 +266,14 @@ def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
         S, c, s, params.P, B, override_convergence=override_convergence)
     direct_tail = euler_tail = None
     if params.tail_estimates:
-        direct_tail = abs(direct - direct_half)
+        if direct_half is not None:
+            direct_tail = abs(direct - direct_half)
+        else:
+            warnings.append(direct_tail_skip_reason(params.N))
         if euler_half is not None:
             euler_tail = abs(euler - euler_half)
         else:
-            warnings.append("euler tail estimate skipped: P/2 below a twist prime")
+            warnings.append(euler_tail_skip_reason(S, params.P))
     wall = time.perf_counter() - t0
     return EvalReport(
         direct=direct,

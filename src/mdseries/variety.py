@@ -1,10 +1,14 @@
 """General polynomial varieties and integer-point machinery.
 
 Covers the constraint-expression parser, box enumeration of positive
-integer points (with valuation pruning for Laurent monomial systems),
-per-prime recombination and the Property (S) checker, the local solution
-sets underlying the Euler product, and the prime-by-prime Cartesian
-decomposition test.
+integer points, per-prime recombination and the Property (S) checker, the
+local solution sets underlying the Euler product, and the prime-by-prime
+Cartesian decomposition test.
+
+Membership of a point in a Laurent monomial variety is always decided by
+exact integer arithmetic (cross-multiplication, and an integer k-th root
+for the last box coordinate).  Floating logs only narrow the box search,
+and are widened so that they never exclude a solution.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arith import factorize, primes_up_to, valuation
+from .arith import factorize, iroot, primes_up_to, valuation
 from .errors import ConstraintSyntaxError, WorkCapExceeded
 from .limits import work_cap as _work_cap
 from .system import LaurentMonomialSystem
@@ -238,6 +242,14 @@ class IntegerPoint:
             raise ValueError("coordinates must be positive integers")
         self._facts = None
 
+    @classmethod
+    def _trusted(cls, coords: tuple) -> "IntegerPoint":
+        """Wrap a tuple of positive Python ints without checking it again."""
+        point = cls.__new__(cls)
+        point.coords = coords
+        point._facts = None
+        return point
+
     @property
     def factorizations(self) -> tuple:
         if self._facts is None:
@@ -298,7 +310,10 @@ def monomial_rhs_at(S: LaurentMonomialSystem, p: int) -> tuple:
 
 def on_monomial_variety(S: LaurentMonomialSystem, coords) -> bool:
     """Membership via the valuation identity at every relevant prime:
-    sum_j a_ij * v_p(n_j) = v_p(omega'_i) - v_p(omega_i)."""
+    sum_j a_ij * v_p(n_j) = v_p(omega'_i) - v_p(omega_i).
+
+    Independent of the cross-multiplication kernel, and kept as its oracle;
+    it factorises every coordinate and every twist."""
     point = coords if isinstance(coords, IntegerPoint) else IntegerPoint(coords)
     primes = set(point.support_primes())
     primes.update(_twist_data(S)[0])
@@ -311,17 +326,28 @@ def on_monomial_variety(S: LaurentMonomialSystem, coords) -> bool:
     return True
 
 
+def _row_sides(row, w: int, wp: int, coords) -> tuple:
+    """(omega_i * prod n_j^a_ij over a_ij > 0, omega'_i * prod n_j^-a_ij over
+    a_ij < 0) in exact integers; row i holds iff the two are equal."""
+    lhs, rhs = w, wp
+    for a, n in zip(row, coords):
+        if a > 0:
+            lhs *= n**a
+        elif a < 0:
+            rhs *= n ** (-a)
+    return lhs, rhs
+
+
 def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
-    """Membership by exact rational evaluation of omega_i * prod n_j^a_ij."""
+    """Membership by exact cross-multiplication,
+    omega_i * prod n_j^{a+} == omega'_i * prod n_j^{a-} for every row i.
+
+    This is the one exact-membership kernel: box enumeration, the Property
+    (S) scan and the tests all decide membership with it."""
     cs = coords.coords if isinstance(coords, IntegerPoint) else tuple(coords)
-    for i in range(S.m):
-        num, den = S.omega[i], 1
-        for a, n in zip(S.A[i], cs):
-            if a > 0:
-                num *= n**a
-            elif a < 0:
-                den *= n ** (-a)
-        if num != S.omega_prime[i] * den:
+    for row, w, wp in zip(S.A, S.omega, S.omega_prime):
+        lhs, rhs = _row_sides(row, w, wp, cs)
+        if lhs != rhs:
             return False
     return True
 
@@ -333,17 +359,24 @@ _LOG_SLACK = 1e-6  # relative widening of pruning intervals
 
 
 def _enumerate_monomial(S: LaurentMonomialSystem, N: int, cap: int):
-    """DFS over coordinates with log-space interval pruning.
+    """DFS over the first t-1 coordinates with log-space interval pruning,
+    then an exact solve for the last one.
 
-    Each level intersects the ranges every constraint still allows for the
-    next coordinate.  The intervals are computed in floating logs and
-    rounded outward, so they can only over-admit, never exclude a solution;
-    full tuples are accepted or rejected by the exact valuation test.
+    Each prefix level intersects the ranges every constraint still allows
+    for the next coordinate.  The intervals are computed in floating logs
+    and rounded outward, so they can only over-admit, never exclude a
+    solution.  The last coordinate is never searched when some row uses
+    it: that row fixes x_t^k as an exact quotient of integers, its integer
+    k-th root is the one candidate, and the exact kernel accepts or rejects
+    the full tuple.  When no row uses x_t, membership does not depend on it
+    and the kernel decides once for the whole range 1..N.  Nodes (prefix
+    coordinates tried plus points emitted) count against the work cap.
     """
     t, m = S.t, S.m
     if t == 0:
         return [IntegerPoint(())] if all(w == wp for w, wp in zip(S.omega, S.omega_prime)) else []
     A = S.A
+    last = t - 1
     target_log = [math.log(wp) - math.log(w)
                   for w, wp in zip(S.omega, S.omega_prime)]
     lnN = math.log(N) if N > 1 else 0.0
@@ -372,9 +405,45 @@ def _enumerate_monomial(S: LaurentMonomialSystem, N: int, cap: int):
         f = int(v)
         return f if f >= v else f + 1
 
+    # the row that solves for x_t: the smallest nonzero |a_i,t| gives the
+    # cheapest root
+    solvers = [i for i in range(m) if A[i][last]]
+    if solvers:
+        si = min(solvers, key=lambda i: abs(A[i][last]))
+        s_row, s_w, s_wp = A[si], S.omega[si], S.omega_prime[si]
+        s_a = s_row[last]
+        k = abs(s_a)
+        Nk = N**k
+
     sols = []
     nodes = 0
     coords = [0] * t
+
+    def leaf():
+        nonlocal nodes
+        coords[last] = 1
+        if not solvers:
+            # x_t enters no row, so the kernel decides at x_t = 1 for all x_t
+            if not on_monomial_variety_rational(S, coords):
+                return
+            xs = range(1, N + 1)
+        else:
+            # the solving row reads lhs * x^a == rhs with x_t = 1 in lhs, rhs
+            lhs, rhs = _row_sides(s_row, s_w, s_wp, coords)
+            v, r = divmod(rhs, lhs) if s_a > 0 else divmod(lhs, rhs)
+            if r or v > Nk:
+                return
+            x = iroot(v, k)
+            coords[last] = x
+            if not on_monomial_variety_rational(S, coords):
+                return
+            xs = (x,)
+        for x in xs:
+            nodes += 1
+            if nodes > cap:
+                raise WorkCapExceeded(nodes, cap, "monomial box enumeration")
+            coords[last] = x
+            sols.append(IntegerPoint._trusted(tuple(coords)))
 
     def rec(j, partial_log):
         nonlocal nodes
@@ -396,21 +465,22 @@ def _enumerate_monomial(S: LaurentMonomialSystem, N: int, cap: int):
             hi = min(hi, floor_from_log(xh))
             if lo > hi:
                 return
-        last = j == t - 1
         for x in range(lo, hi + 1):
             nodes += 1
             if nodes > cap:
                 raise WorkCapExceeded(nodes, cap, "monomial box enumeration")
             coords[j] = x
-            if last:
-                if m == 0 or on_monomial_variety(S, tuple(coords)):
-                    sols.append(IntegerPoint(tuple(coords)))
+            if j + 1 == last:
+                leaf()
             else:
                 lnx = math.log(x)
                 rec(j + 1, [pl + A[i][j] * lnx if A[i][j] else pl
                             for i, pl in enumerate(partial_log)])
 
-    rec(0, [0.0] * m)
+    if t == 1:
+        leaf()
+    else:
+        rec(0, [0.0] * m)
     return sols
 
 
@@ -475,7 +545,7 @@ class Witness:
 
 def _on_variety(V, point: IntegerPoint) -> bool:
     if isinstance(V, LaurentMonomialSystem):
-        return on_monomial_variety(V, point)
+        return on_monomial_variety_rational(V, point)
     return V.is_solution(point.coords)
 
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from mdseries.arith import (char_eval, character_table, factorize, is_prime,
-                            primes_up_to, valuation)
+from mdseries.arith import (char_eval, character_table, factorize, iroot,
+                            is_prime, primes_up_to, valuation)
 
 
 def trial_division(n):
@@ -105,6 +105,25 @@ class TestValuation:
             x = rng.randint(1, 10**6)
             y = rng.randint(1, 10**6)
             assert valuation(p, x * y) == valuation(p, x) + valuation(p, y)
+
+
+class TestIroot:
+    def test_small(self):
+        assert [iroot(v, 3) for v in (0, 1, 7, 8, 26, 27)] == [0, 1, 1, 2, 2, 3]
+        assert iroot(10, 1) == 10 and iroot(99, 2) == 9
+
+    def test_beyond_float_precision(self):
+        # a float cube root cannot tell these apart; the integer root can
+        x = 2**63 - 25
+        assert iroot(x**3, 3) == x
+        assert iroot(x**3 - 1, 3) == x - 1
+        assert iroot((x + 1) ** 5 - 1, 5) == x
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            iroot(-1, 2)
+        with pytest.raises(ValueError):
+            iroot(8, 0)
 
 
 class TestPrimes:

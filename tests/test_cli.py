@@ -191,6 +191,20 @@ class TestCliCompare:
         assert out["abs_diff"] < 1e-4
         assert wall < 60.0
 
+    def test_tail_rule_shared_with_eval(self, diag_file, capsys):
+        # N = 1 has no N/2 box in either command; P = 3 has no prime <= P/2,
+        # and the diagonal system has no twist to blame
+        direct = "direct tail estimate skipped: N < 2 leaves the N/2 box empty"
+        assert main(["compare", "--system", diag_file, "--N", "1", "--P", "3",
+                     "--B", "40"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["direct_tail"] is None and out["euler_tail"] is None
+        assert out["warnings"] == [
+            direct, "euler tail estimate skipped: P/2 < 2, so no prime is <= P/2"]
+        assert main(["eval", "--system", diag_file, "--N", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["tail_estimate"] is None and out["warnings"] == [direct]
+
 
 class TestCliUsage:
     def test_usage_errors_exit_1(self, diag_file, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
-                                   TauFamily, TrivialFamily, eval_family,
+                                   TauFamily, TrivialFamily,
                                    eval_product_coefficient, hecke_prime_power,
                                    ramanujan_tau_table, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
@@ -82,33 +82,33 @@ class TestTauTable:
 
 class TestFamilies:
     def test_trivial(self):
-        assert eval_family(TrivialFamily(), 360) == 1
+        assert TrivialFamily().value(360) == 1
 
     def test_hecke_at_4(self):
         c = -0.8 + 0.1j
         fam = HeckeGL2Family({2: c})
-        assert eval_family(fam, 4) == pytest.approx(c * c - 1)
+        assert fam.value(4) == pytest.approx(c * c - 1)
 
     def test_hecke_missing_prime(self):
         fam = HeckeGL2Family({2: 1.0})
         with pytest.raises(MissingPrimePowerError):
-            eval_family(fam, 3)
+            fam.value(3)
 
     def test_character_at_6(self):
         fam = CharacterFamily(character_table(5), 2)
-        assert eval_family(fam, 6) == pytest.approx(1)
+        assert fam.value(6) == pytest.approx(1)
 
     def test_table_family(self):
         fam = TableFamily({(2, 1): 3j, (3, 1): 2.0})
-        assert eval_family(fam, 6) == pytest.approx(6j)
+        assert fam.value(6) == pytest.approx(6j)
         with pytest.raises(MissingPrimePowerError):
-            eval_family(fam, 4)
+            fam.value(4)
 
     def test_tau_normalized_values(self):
         fam = TauFamily(1000)
-        assert eval_family(fam, 2) == pytest.approx(-24 / 2**5.5)
+        assert fam.value(2) == pytest.approx(-24 / 2**5.5)
         tau = fam.table
-        assert eval_family(fam, 12) == pytest.approx(tau[12] / 12**5.5)
+        assert fam.value(12) == pytest.approx(tau[12] / 12**5.5)
 
     def test_tau_hecke_extension_consistent(self):
         # prime powers beyond the table agree with table values of a bigger table
@@ -139,8 +139,8 @@ class TestFamilies:
             if math.gcd(a, b) != 1:
                 continue
             pairs += 1
-            assert eval_family(fam, a * b) == pytest.approx(
-                eval_family(fam, a) * eval_family(fam, b), abs=1e-12)
+            assert fam.value(a * b) == pytest.approx(
+                fam.value(a) * fam.value(b), abs=1e-12)
 
 
 class TestProductCoefficient:
@@ -160,3 +160,8 @@ class TestProductCoefficient:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_product_coefficient(trivial_tuple(2), (1, 2, 3))
+
+    def test_rejects_nonpositive(self):
+        for point in ((0, 2), (3, -1)):
+            with pytest.raises(ValueError, match="positive"):
+                eval_product_coefficient(trivial_tuple(2), point)

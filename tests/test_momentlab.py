@@ -4,15 +4,44 @@ import random
 import pytest
 
 from mdseries.arith import character_table
-from mdseries.coefficients import TauFamily, TrivialFamily, trivial_tuple
+from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
+                                   TrivialFamily, trivial_tuple)
 from mdseries.errors import WorkCapExceeded
-from mdseries.momentlab import (decay_experiment, moment_rhs,
-                                truncated_twisted_L)
+from mdseries.momentlab import decay_experiment, moment_rhs
 from mdseries.series import EvalParams
 from mdseries.system import LaurentMonomialSystem, make_system, negate_system
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)
+
+
+def truncated_twisted_L(f, table, k, s, N):
+    """Oracle: sum_{n <= N} lambda(n) chi_k(n) n^{-s}, term by term; terms
+    with q | n vanish."""
+    total = 0j
+    for n in range(1, N + 1):
+        chi = table.char_value(k, n)
+        if chi != 0:
+            total += chi * f.value(n) * n ** (-complex(s))
+    return total
+
+
+def naive_moment_rhs(S, families, s, q, N):
+    """Oracle: the character-tuple average with every twisted L-sum summed
+    term by term, prod_j L_N(s_j, prod_i chi_i^{a_ij}) times
+    prod_i chi_i(w_i) conj(chi_i(w'_i))."""
+    table = character_table(q)
+    order = q - 1
+    total = 0j
+    for ks in itertools.product(range(order), repeat=S.m):
+        term = 1 + 0j
+        for k, w, wp in zip(ks, S.omega, S.omega_prime):
+            term *= table.char_value(k, w) * table.char_value(k, wp).conjugate()
+        for j in range(S.t):
+            K = sum(k * S.A[i][j] for i, k in enumerate(ks))
+            term *= truncated_twisted_L(families[j], table, K, s[j], N)
+        total += term
+    return total / order**S.m
 
 
 def congruence_sum(S, families, s, q, N):
@@ -64,6 +93,21 @@ class TestTruncatedTwistedL:
 
 
 class TestMomentRhs:
+    def test_matches_naive_twisted_L_average(self):
+        hecke = HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5) for p in range(2, 400)})
+        cases = [
+            (DIAG, TRIV2, (2, 2), 11, 300),
+            (make_system([[1, -2]], omega=(2,), omega_prime=(3,)),
+             (TauFamily(1000), hecke), (2.5 + 1j, 2), 7, 250),
+            (make_system([[1, 1, -1], [0, 2, 1]], omega=(4, 1), omega_prime=(1, 5)),
+             (TrivialFamily(), CharacterFamily(character_table(13), 5), hecke),
+             (2, 3, 2.5), 7, 120),
+        ]
+        for S, fams, s, q, N in cases:
+            got = moment_rhs(S, fams, s, q, N)
+            want = naive_moment_rhs(S, fams, s, q, N)
+            assert abs(got - want) < 1e-12, (S, q, N)
+
     def test_hand_expanded_q3(self):
         v = moment_rhs(DIAG, TRIV2, (2, 2), 3, 2)
         assert v == pytest.approx(1.0625, abs=1e-12)

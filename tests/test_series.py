@@ -9,7 +9,8 @@ from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    trivial_tuple)
 from mdseries.errors import ConvergenceError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
-                             direct_sum, euler_product, local_factor)
+                             direct_sum, direct_sum_and_half, euler_product,
+                             local_factor)
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, make_system,
                              negate_system)
@@ -193,12 +194,25 @@ class TestCompare:
 
     def test_euler_tail_skipped_below_twist_prime(self):
         S = make_system([[1, -1]], omega=(1,), omega_prime=(7,))
-        # P/2 below the twist prime 7, and P/2 below the first prime
-        for system, P in ((S, 10), (S, 13), (DIAG, 3)):
+        twist = "euler tail estimate skipped: P/2 below a twist prime"
+        no_prime = "euler tail estimate skipped: P/2 < 2, so no prime is <= P/2"
+        # P/2 below the twist prime 7, and P/2 below the first prime; the
+        # warning names the cause
+        for system, P, cause in ((S, 10, twist), (S, 13, twist), (DIAG, 3, no_prime)):
             rep = compare(system, TRIV2, (2, 2), EvalParams(N=50, P=P, B=10))
             assert rep.euler_tail is None and rep.direct_tail is not None
             assert rep.euler == euler_product(system, TRIV2, (2, 2), P, 10)
-            assert "euler tail estimate skipped: P/2 below a twist prime" in rep.warnings
+            assert [w for w in rep.warnings if "euler tail" in w] == [cause]
+
+    def test_direct_tail_undefined_below_two(self):
+        # N = 1 has no N/2 box: the tail is None, not 0.0, and says why
+        rep = compare(DIAG, TRIV2, (2, 2), EvalParams(N=1, P=40, B=10))
+        assert rep.direct == 1 and rep.direct_tail is None
+        assert rep.euler_tail is not None
+        assert rep.warnings == (
+            "direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
+        assert direct_sum_and_half(DIAG, TRIV2, (2, 2), 1) == (1, None)
+        assert direct_sum_and_half(DIAG, TRIV2, (2, 2), 2)[1] == 1
 
     def test_gap_below_sum_of_tails(self):
         for S, t in ((DIAG, 2), (make_system([[1, 1, -1]]), 3)):
