@@ -6,7 +6,7 @@ and character-moment reconstruction experiments.
 """
 
 from .arith import (CharacterTable, char_eval, character_table, factorize,
-                    iroot, is_prime, primes_up_to, valuation)
+                    factorize_twist, iroot, is_prime, primes_up_to, valuation)
 from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
                            TableFamily, TauFamily, TrivialFamily,
                            eval_product_coefficient, hecke_prime_power,

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limits import FACTOR_INPUT_LIMIT, LPF_SIEVE_LIMIT
+from .limits import FACTOR_INPUT_LIMIT, LPF_SIEVE_LIMIT, TWIST_LIMIT
 
 # A factorization is ((p1, e1), (p2, e2), ...) with p1 < p2 < ... and e >= 1.
 # The factorization of 1 is the empty tuple.
@@ -140,6 +140,66 @@ def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho with polynomials x^2 + c, c = 1, 2, ... in turn, so the
+    divisor found is the same on every run."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=1024)
+def factorize_twist(n: int) -> Factorization:
+    """Exact prime factorization of a twist, 1 <= n <= TWIST_LIMIT, in the
+    format of `factorize`.
+
+    Twists exceed factorize's input cap, so this splits off small primes by
+    trial division and the rest by Pollard-Brent rho; every factor it keeps
+    is prime by the deterministic Miller-Rabin test `is_prime`.
+    """
+    if n < 1:
+        raise ValueError(f"factorize_twist requires n >= 1, got {n}")
+    if n > TWIST_LIMIT:
+        raise ValueError(f"factorize_twist input {n} exceeds the twist cap {TWIST_LIMIT}")
+    counts = {}
+    for p in primes_up_to(100):
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return tuple(sorted(counts.items()))
 
 
 def iroot(v: int, k: int) -> int:

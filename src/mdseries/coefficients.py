@@ -3,13 +3,27 @@
 A family is defined only by its values at prime powers and extended
 multiplicatively, so multiplicativity holds by construction.  Tuples of
 families give the product coefficient a(n) = prod_j family_j(n_j).
+
+`prime_power_table(primes, exps)` returns a family's values on a grid of
+prime powers as one array, for the Euler product.  The base class loops
+over `prime_power`, so every family has it; the trivial, character, Hecke
+and tau families compute it across primes with the same floating-point
+operations as `prime_power`, so each entry equals the scalar value and a
+missing value raises the same MissingPrimePowerError.
+
+The Ramanujan tau table is exact: it is built in modular int64 arithmetic
+and rebuilt by the Chinese remainder theorem under an a-priori bound on
+every coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .arith import factorize
+import numpy as np
+
+from .arith import _unit_roots, factorize, is_prime
 from .errors import MissingPrimePowerError
 from .limits import TAU_TABLE_LIMIT
 
@@ -27,35 +41,109 @@ def hecke_prime_power(lambda_p: complex, e: int) -> complex:
     return cur
 
 
+def _hecke_table(lam: np.ndarray, exps: Sequence[int]) -> np.ndarray:
+    """hecke_prime_power(lam[i], e) for every i and every e in exps, with the
+    recursion run on all of lam at once.
+
+    Complex products are written out on real and imaginary parts, the
+    operations of Python's complex product; numpy's complex multiply may
+    fuse them, and its bits would then differ from the scalar recursion."""
+    if any(e < 0 for e in exps):
+        raise ValueError("exponent must be >= 0")
+    out = np.ones((len(lam), len(exps)), dtype=complex)
+    lr, li = lam.real, lam.imag
+    pr, pi = np.ones_like(lr), np.zeros_like(lr)   # lambda(p^(e-1))
+    cr, ci = lr.copy(), li.copy()                  # lambda(p^e), from e = 1
+    e = 1
+    for k in sorted(range(len(exps)), key=exps.__getitem__):
+        if exps[k] == 0:
+            continue
+        while e < exps[k]:
+            pr, pi, cr, ci = cr, ci, lr * cr - li * ci - pr, lr * ci + li * cr - pi
+            e += 1
+        out.real[:, k], out.imag[:, k] = cr, ci
+    return out
+
+
+def _jacobi_cube(L: int) -> list:
+    """(degree, coefficient) pairs of Jacobi's series for prod (1-q^k)^3,
+    sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}, truncated below degree L."""
+    out = []
+    k = 0
+    while k * (k + 1) // 2 < L:
+        out.append((k * (k + 1) // 2, (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)))
+        k += 1
+    return out
+
+
+def tau_moduli(N: int) -> tuple:
+    """The primes just below 2^31, largest first, that ramanujan_tau_table(N)
+    computes modulo: as few as make their product exceed 2 * ||g||_1^8, for
+    g Jacobi's series truncated below degree N.
+
+    Every coefficient of g^8 below degree N is at most ||g||_1^8 in absolute
+    value, so its residues modulo these primes determine it."""
+    bound = 2 * sum(abs(c) for _, c in _jacobi_cube(N)) ** 8
+    moduli, product, m = [], 1, 1 << 31
+    while product <= bound:
+        m -= 1
+        if is_prime(m):
+            moduli.append(m)
+            product *= m
+    return tuple(moduli)
+
+
 def ramanujan_tau_table(N: int) -> list[int]:
     """Exact tau(1..N) from the degree-N truncation of q * prod (1-q^k)^24.
 
-    Expands the eta product by exact integer power-series multiplication:
-    the cube of the Euler factor is Jacobi's sparse series
-    sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}, and the 24th power is its 8th
-    power, built by repeated dense-by-sparse passes.  Returns a list with
-    tau[n] at index n (index 0 unused).
+    The cube of the Euler factor is Jacobi's sparse series g, and the 24th
+    power is g^8, built by 7 dense-by-sparse passes.  The passes run in
+    int64 modulo each prime of tau_moduli(N): a pass adds fewer than 2^9
+    products of a residue below 2^31 and a coefficient below 2^10, so
+    nothing overflows.  Garner's mixed-radix form of the Chinese remainder
+    theorem then rebuilds each coefficient in the symmetric range, which
+    is exact because the moduli's product exceeds twice the bound
+    ||g||_1^8 on every coefficient.  Returns a list with tau[n] at index n
+    (index 0 unused).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > TAU_TABLE_LIMIT:
         raise ValueError(f"tau table capped at N <= {TAU_TABLE_LIMIT}")
     L = N  # coefficients of degrees 0..N-1 before the q-shift
-    jac = []
-    k = 0
-    while k * (k + 1) // 2 < L:
-        jac.append((k * (k + 1) // 2, (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)))
-        k += 1
-    cur = [0] * L
+    jac = _jacobi_cube(L)
+    moduli = tau_moduli(N)
+    column = np.array(moduli, dtype=np.int64)[:, None]
+    cur = np.zeros((len(moduli), L), dtype=np.int64)
     for d, c in jac:
-        cur[d] = c
+        cur[:, d] = c
+    cur %= column
+    new, tmp = np.empty_like(cur), np.empty_like(cur)
     for _ in range(7):
-        new = [0] * L
-        for d, c in jac:
-            seg = cur[: L - d]
-            new[d:] = [x + c * y for x, y in zip(new[d:], seg)]
-        cur = new
-    return [0] + cur
+        np.copyto(new, cur)                 # the degree-0 term of g is 1
+        for d, c in jac[1:]:
+            np.multiply(cur[:, :L - d], c, out=tmp[:, :L - d])
+            new[:, d:] += tmp[:, :L - d]
+        new %= column
+        cur, new = new, cur
+    # Garner: row i becomes the i-th mixed-radix digit, so the coefficient
+    # is digit_0 + m_0 * (digit_1 + m_1 * (digit_2 + ...)).
+    for i, m in enumerate(moduli):
+        row = cur[i]
+        for j in range(i):
+            row -= cur[j]
+            row %= m
+            row *= pow(moduli[j], -1, m)
+            row %= m
+    M = math.prod(moduli)
+    out = [0]
+    for lo in range(0, L, 512):
+        for digits in zip(*(row.tolist() for row in cur[::-1, lo:lo + 512])):
+            x = 0
+            for d, m in zip(digits, reversed(moduli)):
+                x = x * m + d
+            out.append(x - M if 2 * x > M else x)
+    return out
 
 
 class CoefficientFamily:
@@ -63,6 +151,15 @@ class CoefficientFamily:
 
     def prime_power(self, p: int, e: int) -> complex:
         raise NotImplementedError
+
+    def prime_power_table(self, primes: Sequence[int], exps: Sequence[int]) -> np.ndarray:
+        """The len(primes) x len(exps) complex array of prime_power(p, e),
+        filled prime by prime, exponents in the given order."""
+        out = np.empty((len(primes), len(exps)), dtype=complex)
+        for i, p in enumerate(primes):
+            for k, e in enumerate(exps):
+                out[i, k] = self.prime_power(p, e)
+        return out
 
     def value(self, n: int) -> complex:
         """Multiplicative extension: prod over p^e || n of prime_power(p, e)."""
@@ -84,6 +181,9 @@ class TrivialFamily(CoefficientFamily):
     def prime_power(self, p, e):
         return 1 + 0j
 
+    def prime_power_table(self, primes, exps):
+        return np.ones((len(primes), len(exps)), dtype=complex)
+
     def value(self, n):
         return 1 + 0j
 
@@ -100,6 +200,17 @@ class CharacterFamily(CoefficientFamily):
 
     def prime_power(self, p, e):
         return self.table.char_value(self.k, pow(p, e, self.table.q))
+
+    def prime_power_table(self, primes, exps):
+        """chi(p^e) by the discrete log: its root-of-unity index is
+        k * e * log(p) mod q-1, the index prime_power reaches through p^e."""
+        order = self.table.q - 1
+        logs = np.array([self.table.log_of(p) for p in primes], dtype=np.int64)
+        e = np.asarray(exps, dtype=np.int64).reshape(len(exps))
+        idx = (self.k * logs % order)[:, None] * e % order
+        out = np.array(_unit_roots(order))[idx]
+        out[(logs < 0)[:, None] & (e > 0)] = 0     # q | p
+        return out
 
     def value(self, n):
         if n == 1:
@@ -122,6 +233,15 @@ class HeckeGL2Family(CoefficientFamily):
         if lam is None:
             raise MissingPrimePowerError(f"no lambda({p}) supplied for hecke_gl2 family")
         return hecke_prime_power(lam, e)
+
+    def prime_power_table(self, primes, exps):
+        if len(exps):
+            for p in primes:
+                if p not in self.lambda_p:
+                    raise MissingPrimePowerError(
+                        f"no lambda({p}) supplied for hecke_gl2 family")
+        lam = np.array([self.lambda_p.get(p, 0j) for p in primes], dtype=complex)
+        return _hecke_table(lam, exps)
 
     def __repr__(self):
         return f"HeckeGL2Family({len(self.lambda_p)} primes)"
@@ -173,6 +293,32 @@ class TauFamily(CoefficientFamily):
             return hecke_prime_power(lam, e)
         raise MissingPrimePowerError(
             f"tau table (bound {self.bound}) cannot reach prime {p}")
+
+    def prime_power_table(self, primes, exps):
+        """The Hecke recursion across primes, then the table entries, where
+        p^e <= bound, written over it; that test is in exact integers."""
+        lam = np.zeros(len(primes), dtype=complex)
+        for i, p in enumerate(primes):
+            if p <= self.bound:
+                lam[i] = self.table[p] / p**5.5
+            elif any(e > 0 for e in exps):
+                raise MissingPrimePowerError(
+                    f"tau table (bound {self.bound}) cannot reach prime {p}")
+        out = _hecke_table(lam, exps)
+        # top[i] = the largest e with p_i^e <= bound; powers are clipped at
+        # bound + 1, so the int64 products stay below (bound + 1)^2
+        cap = self.bound + 1
+        base = np.minimum(np.array(primes, dtype=np.int64), cap)
+        top = np.zeros(len(primes), dtype=np.int64)
+        pe = base
+        for _ in range(cap.bit_length()):
+            top += pe < cap
+            pe = np.minimum(pe * base, cap)
+        e_arr = np.asarray(exps, dtype=np.int64).reshape(len(exps))
+        for i, k in zip(*np.nonzero(e_arr <= top[:, None])):
+            p, e = primes[i], exps[k]
+            out[i, k] = self.table[p**e] / p ** (5.5 * e)
+        return out
 
     def __repr__(self):
         return f"TauFamily(bound={self.bound})"

@@ -11,6 +11,14 @@ the P/2 product is the running product at the last prime <= P/2.  A tail
 that is not defined (N < 2, or no prime or not every twist prime <= P/2) is
 None, with a warning that names the cause.
 
+The Euler product runs per right-hand side of the local equations (the
+twist valuations at p): the primes sharing one share their local solution
+set, and one array kernel evaluates their factors in blocks, with the
+coefficients from each family's prime_power_table.  local_factor is the
+same kernel on one prime.  Complex products in the kernel are written out
+on real and imaginary parts, and every operation acts on one prime's row,
+so a factor has the same bits in any block.
+
 Sums, of box terms and of local-factor terms alike, are math.fsum on the
 real and imaginary parts: correctly rounded and independent of the order of
 the terms, so a value depends only on the term set.  Box points come from
@@ -30,7 +38,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .coefficients import all_trivial, eval_product_coefficient
-from .errors import ConvergenceError
+from .errors import ConvergenceError, MissingPrimePowerError
 from .system import LaurentMonomialSystem
 from .variety import enumerate_box, local_solutions, monomial_rhs_at
 
@@ -175,33 +183,73 @@ def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
                                work_cap=work_cap)[0]
 
 
-def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int,
-                 *, _solutions=None) -> complex:
+# Terms the Euler kernel holds at once: a block of primes times their
+# local solutions.  Any block gives the same bits; this bounds the memory.
+_BLOCK_TERMS = 1 << 13
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """The complex product a * b on real and imaginary parts, in the
+    operations of Python's complex product.  numpy's complex multiply may
+    fuse them, which would make a value's bits depend on its place in an
+    array."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _local_factors(c, s, primes, sols) -> list:
+    """The Euler factors at `primes`, which all have the local solution set
+    `sols` (tuples alpha), in the order of `primes`.
+
+    With E the K x t matrix of `sols`, column j gets the table
+    table_j[p, e] = c_j(p^e) * p^(-s_j e) at the exponents e > 0 that E
+    uses (so a family need not define the others), from prime_power_table
+    and the powers of p^(-s_j) by repeated multiplication; table_j[p, 0] is
+    1.  The terms at p are prod_j table_j[p, E[:, j]], and the factor is
+    their math.fsum.  Primes go in blocks of about _BLOCK_TERMS terms, and
+    every operation acts on one prime's row alone, so a factor has the same
+    bits in any block, a block of one included.
+    """
+    K, t = len(sols), len(s)
+    E = np.array(sols, dtype=np.intp).reshape(K, t)
+    columns = [(j, E[:, j], np.array(sorted(set(E[:, j].tolist()) - {0})))
+               for j in range(t)]
+    columns = [col for col in columns if len(col[2])]
+    top = max((used[-1] for _, _, used in columns), default=0)
+    step = max(1, _BLOCK_TERMS // max(K, 1))
+    out = []
+    for lo in range(0, len(primes), step):
+        block = primes[lo:lo + step]
+        logs = [math.log(p) for p in block]
+        # x[col, i] = p_i^(-s_j) for the col-th column j with exponents > 0,
+        # and pow_*[col, i, e - 1] = x[col, i]^e
+        x = np.array([[cmath.exp(-s[j] * lp) for lp in logs] for j, _, _ in columns],
+                     dtype=complex).reshape(len(columns), len(block))
+        pow_r = np.empty((len(columns), len(block), top))
+        pow_i = np.empty_like(pow_r)
+        pr, pi = np.ones(x.shape), np.zeros(x.shape)
+        for e in range(top):
+            pr, pi = _cmul(pr, pi, x.real, x.imag)
+            pow_r[:, :, e], pow_i[:, :, e] = pr, pi
+        tr, ti = np.ones((len(block), K)), np.zeros((len(block), K))
+        for col, (j, gather, used) in enumerate(columns):
+            coef = c[j].prime_power_table(block, used.tolist())
+            table_r = np.ones((len(block), used[-1] + 1))
+            table_i = np.zeros_like(table_r)
+            table_r[:, used], table_i[:, used] = _cmul(
+                pow_r[col][:, used - 1], pow_i[col][:, used - 1], coef.real, coef.imag)
+            tr, ti = _cmul(tr, ti, table_r[:, gather], table_i[:, gather])
+        out += [complex(math.fsum(r), math.fsum(i)) for r, i in zip(tr.tolist(), ti.tolist())]
+    return out
+
+
+def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int) -> complex:
     """The Euler factor at p: sum over admissible exponent tuples alpha of
-    a(p^alpha) * p^(-sum_j s_j alpha_j), correctly rounded."""
+    a(p^alpha) * p^(-sum_j s_j alpha_j), correctly rounded.
+
+    This is the one-prime call of the kernel that euler_product runs on
+    blocks of primes, so it has the bits of the factor there."""
     s = tuple(complex(z) for z in s)
-    sols = _solutions if _solutions is not None else local_solutions(S, p, B).solutions
-    # tables[j][e] = c_j(p^e) * p^(-s_j * e), filled only at the exponents
-    # the solutions use, so a family need not define the others
-    tables = []
-    for z, fam, column in zip(s, c, zip(*sols)):
-        x = cmath.exp(-z * math.log(p))
-        used = set(column)
-        row = [1 + 0j] * (max(column) + 1)
-        power = 1 + 0j
-        for e in range(1, len(row)):
-            power *= x
-            if e in used:
-                row[e] = power * fam.prime_power(p, e)
-        tables.append(row)
-    terms = []
-    for alpha in sols:
-        term = 1 + 0j
-        for row, e in zip(tables, alpha):
-            if e:
-                term *= row[e]
-        terms.append(term)
-    return _fsum(terms)
+    return _local_factors(c, s, [p], local_solutions(S, p, B).solutions)[0]
 
 
 def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
@@ -213,9 +261,10 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     The second value is None when no prime is <= P//2 or a twist prime
     exceeds P//2, since the product over p <= P//2 is then not defined
     (euler_tail_skip_reason names the cause).
-    Every prime dividing a twist must be <= P.  The local solution sets are
-    shared across all primes with the same twist-valuation right-hand side,
-    so the generic prime costs one cached enumeration.
+    Every prime dividing a twist must be <= P.  Primes are grouped by their
+    twist-valuation right-hand side, which fixes the local solution set:
+    each group costs one enumeration and one array kernel call, the generic
+    primes forming one group and each twist prime its own.
     """
     s = _checked_point(S, c, s, override_convergence)
     if B is None:
@@ -223,16 +272,26 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     for tp in S.twist_primes():
         if tp > P:
             raise ValueError(f"twist prime {tp} exceeds the prime bound P={P}")
+    primes = primes_up_to(P)
+    groups = {}
+    for p in primes:
+        groups.setdefault(monomial_rhs_at(S, p), []).append(p)
+    sols_by_rhs = {key: local_solutions(S, ps[0], B).solutions
+                   for key, ps in groups.items()}
+    factor = {}
+    try:
+        for key, ps in groups.items():
+            factor.update(zip(ps, _local_factors(c, s, ps, sols_by_rhs[key])))
+    except MissingPrimePowerError:
+        # report the smallest prime whose factor fails, as an ascending pass would
+        for p in primes:
+            _local_factors(c, s, [p], sols_by_rhs[monomial_rhs_at(S, p)])
+        raise
     half_P = P // 2
-    sols_by_rhs = {}
     out = 1 + 0j
     half = None
-    for p in primes_up_to(P):
-        key = monomial_rhs_at(S, p)
-        sols = sols_by_rhs.get(key)
-        if sols is None:
-            sols = sols_by_rhs[key] = local_solutions(S, p, B).solutions
-        out *= local_factor(S, c, p, s, B, _solutions=sols)
+    for p in primes:
+        out *= factor[p]
         if p <= half_P:
             half = out
     if euler_tail_skip_reason(S, P) is not None:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import factorize
+from .arith import factorize_twist
 from .errors import TwistOverflowError, WorkCapExceeded
 from .limits import SUPPORT_COMBO_CAP, TWIST_LIMIT
 
@@ -55,7 +55,7 @@ class LaurentMonomialSystem:
         """Sorted primes dividing any omega_i or omega'_i."""
         ps = set()
         for w in itertools.chain(self.omega, self.omega_prime):
-            for p, _ in factorize(w):
+            for p, _ in factorize_twist(w):
                 ps.add(p)
         return tuple(sorted(ps))
 

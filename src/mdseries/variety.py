@@ -292,6 +292,7 @@ class IntegerPoint:
 # membership tests for monomial systems
 
 @lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _twist_data(S: LaurentMonomialSystem):
     """Per-prime right-hand sides v_p(omega'_i) - v_p(omega_i)."""
     primes = S.twist_primes()

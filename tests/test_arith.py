@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from mdseries.arith import (char_eval, character_table, factorize, iroot,
-                            is_prime, primes_up_to, valuation)
+from mdseries.arith import (char_eval, character_table, factorize,
+                            factorize_twist, iroot, is_prime, primes_up_to,
+                            valuation)
+from mdseries.limits import TWIST_LIMIT
 
 
 def trial_division(n):
@@ -73,6 +75,33 @@ class TestFactorize:
         for _ in range(200):
             n = rng.randint(1, 10**9)
             assert factorize(n) == trial_division(n)
+
+
+class TestFactorizeTwist:
+    def test_agrees_with_factorize_below_its_cap(self):
+        rng = random.Random(12)
+        for n in [1, 2, 97, 2**39, 10**12] + [rng.randint(1, 10**12) for _ in range(300)]:
+            assert factorize_twist(n) == factorize(n)
+
+    @pytest.mark.parametrize("n", [
+        2**20 * 3**13,                       # tiny primes, above factorize's cap
+        2**61 - 1,                           # a prime
+        TWIST_LIMIT,                         # 7^2 * 73 * 127 * 337 * 92737 * 649657
+        (2**31 - 1) * 2147483629,            # two primes near 2^31
+        3037000493**2,                       # the square of a prime near 2^31.5
+        101**9,
+        999999999989 * 7,
+    ])
+    def test_large_twists(self, n):
+        fact = factorize_twist(n)
+        assert math.prod(p**e for p, e in fact) == n
+        assert all(is_prime(p) and e >= 1 for p, e in fact)
+        assert [p for p, _ in fact] == sorted({p for p, _ in fact})
+
+    def test_rejects_out_of_range(self):
+        for n in (0, -5, TWIST_LIMIT + 1):
+            with pytest.raises(ValueError):
+                factorize_twist(n)
 
 
 class TestValuation:

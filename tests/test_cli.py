@@ -343,3 +343,22 @@ class TestConsoleScript:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["direct"][0] - math.pi**4 / 90) < 1e-3
+
+    def test_compare_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma is imported lazily by some numpy calls (np.unique among
+        # them); it costs about 1 MB of peak memory, and compare needs none
+        lam = {str(p): math.cos(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                             41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)}
+        doc = dict(DIAG_DOC, coefficients=[{"type": "hecke_gl2", "lambda": lam},
+                                           {"type": "tau"}])
+        path = tmp_path / "tau_hecke.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(mdseries.__file__).resolve().parent.parent)
+        code = ("import contextlib, io, sys\n"
+                "from mdseries.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main(['compare', '--system', {str(path)!r}, '--N', '97', '--P', '97'])\n"
+                "print(rc, 'numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == ["0", "False"], proc.stderr

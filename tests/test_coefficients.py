@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from mdseries.arith import character_table, primes_up_to
+from mdseries.arith import character_table, is_prime, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
                                    TauFamily, TrivialFamily,
                                    eval_product_coefficient, hecke_prime_power,
-                                   ramanujan_tau_table, trivial_tuple)
+                                   ramanujan_tau_table, tau_moduli, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
+from mdseries.limits import TAU_TABLE_LIMIT
 
 
 def naive_delta_expansion(N):
@@ -21,6 +22,26 @@ def naive_delta_expansion(N):
             for d in range(N, k - 1, -1):
                 coeffs[d] -= coeffs[d - k]
     return [0] + coeffs[: N]  # shift by q
+
+
+def dense_by_sparse_tau(N):
+    """Independent oracle: q * g^8 in exact Python integers, for Jacobi's
+    g = sum_k (-1)^k (2k+1) q^{k(k+1)/2} = prod (1-q^k)^3, by 7 dense-by-sparse
+    passes truncated below degree N."""
+    jac = []
+    k = 0
+    while k * (k + 1) // 2 < N:
+        jac.append((k * (k + 1) // 2, (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)))
+        k += 1
+    cur = [0] * N
+    for d, c in jac:
+        cur[d] = c
+    for _ in range(7):
+        new = [0] * N
+        for d, c in jac:
+            new[d:] = [x + c * y for x, y in zip(new[d:], cur[: N - d])]
+        cur = new
+    return [0] + cur
 
 
 def chebyshev_like(c, e):
@@ -78,6 +99,28 @@ class TestTauTable:
     def test_cap(self):
         with pytest.raises(ValueError):
             ramanujan_tau_table(10**5 + 1)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 500, 2000])
+    def test_equals_dense_by_sparse_oracle(self, N):
+        tau = ramanujan_tau_table(N)
+        assert tau == dense_by_sparse_tau(N)
+        assert all(type(x) is int for x in tau)
+
+    def test_moduli_exceed_coefficient_bound(self):
+        # every coefficient of g^8 is at most ||g||_1^8, so residues modulo
+        # primes whose product exceeds twice that determine it
+        for N in (10**4, TAU_TABLE_LIMIT):
+            g_l1 = sum(2 * k + 1 for k in range(N) if k * (k + 1) // 2 < N)
+            moduli = tau_moduli(N)
+            assert math.prod(moduli) > 2 * g_l1**8
+            assert len(set(moduli)) == len(moduli)
+            assert all(m < 2**31 and is_prime(m) for m in moduli)
+        assert len(tau_moduli(10**4)) == 4 and len(tau_moduli(TAU_TABLE_LIMIT)) == 5
+
+    def test_hecke_relation_at_prime_squares(self):
+        tau = ramanujan_tau_table(10**4)
+        for p in primes_up_to(100):
+            assert tau[p * p] == tau[p] ** 2 - p**11
 
 
 class TestFamilies:

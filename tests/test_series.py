@@ -1,19 +1,22 @@
+import cmath
 import math
 import random
 
 import pytest
 
+from mdseries import series
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
                                    trivial_tuple)
-from mdseries.errors import ConvergenceError
+from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
                              local_factor)
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, make_system,
                              negate_system)
+from mdseries.variety import local_solutions
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)
@@ -25,6 +28,27 @@ def twisted_families():
     lam = {p: math.cos(p * 1.0) * 1.8 for p in primes_up_to(1000)}
     return (TrivialFamily(), CharacterFamily(character_table(7), 2),
             HeckeGL2Family(lam), TauFamily(1000))
+
+
+def scalar_local_factor(S, c, p, s, B):
+    """Oracle: the Euler factor at p by a Python loop over the local
+    solutions, with the powers p^(-s_j e) by repeated multiplication."""
+    sols = local_solutions(S, p, B).solutions
+    tables = []
+    for z, fam, column in zip(s, c, zip(*sols)):
+        x = cmath.exp(-complex(z) * math.log(p))
+        row, power = [1 + 0j], 1 + 0j
+        for e in range(1, max(column) + 1):
+            power *= x
+            row.append(power * fam.prime_power(p, e) if e in column else None)
+        tables.append(row)
+    terms = []
+    for alpha in sols:
+        term = 1 + 0j
+        for row, e in zip(tables, alpha):
+            term *= row[e]
+        terms.append(term)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 def random_system(rng, tmax=3, mmax=2, amax=3, wmax=4):
@@ -135,6 +159,73 @@ class TestEulerProduct:
     def test_default_bound_used(self):
         v = euler_product(DIAG, TRIV2, (2, 2), 1000)
         assert abs(v - math.pi**4 / 90) < 1e-7
+
+    def test_twist_above_factorize_cap_with_small_primes(self):
+        # n1 = w * n2 with w = 2^20 3^13 > 10^12: the series is w^-2 zeta(4)
+        w = 2**20 * 3**13
+        S = make_system([[1, -1]], omega_prime=(w,))
+        assert S.twist_primes() == (2, 3)
+        v = euler_product(S, TRIV2, (2, 2), 10**4, 64)
+        expected = w**-2 * math.pi**4 / 90
+        assert abs(v - expected) <= 1e-12 * expected
+
+    def test_large_prime_twist_names_the_prime_bound(self):
+        S = make_system([[1, -1]], omega=(2**61 - 1,))
+        with pytest.raises(ValueError,
+                           match="twist prime 2305843009213693951 exceeds the prime bound P=100"):
+            euler_product(S, TRIV2, (2, 2), 100, 10)
+
+
+class TestEulerBlocks:
+    """The Euler product runs its kernel on blocks of primes; a factor must
+    have the bits of its one-prime local_factor wherever its block falls."""
+
+    P, B = 2500, 16
+    s = (1.1, 1.2 - 0.5j, 1.1, 1.3)
+
+    @pytest.fixture(scope="class")
+    def fams(self):
+        lam = {p: complex(math.cos(p * 1.0) * 1.8, math.sin(p * 0.3) * 0.2)
+               for p in primes_up_to(self.P)}
+        return (TrivialFamily(), CharacterFamily(character_table(7), 2),
+                HeckeGL2Family(lam), TauFamily(self.P))
+
+    def test_crosses_block_boundaries(self):
+        generic = len(local_solutions(TWISTED, 7, self.B).solutions)
+        per_block = series._BLOCK_TERMS // generic
+        assert len(primes_up_to(self.P // 2)) > 2 * per_block
+        assert len(primes_up_to(self.P)) > 3 * per_block
+
+    def test_product_of_one_prime_factors_bitwise(self, fams):
+        expected = 1 + 0j
+        for p in primes_up_to(self.P):
+            expected *= local_factor(TWISTED, fams, p, self.s, self.B)
+        assert euler_product(TWISTED, fams, self.s, self.P, self.B) == expected
+
+    def test_factors_equal_scalar_loop_bitwise(self, fams):
+        # the kernel does the scalar loop's floating-point operations,
+        # complex products included, so every factor has its bits
+        for p in primes_up_to(self.P)[::3]:
+            assert local_factor(TWISTED, fams, p, self.s, self.B) == \
+                scalar_local_factor(TWISTED, fams, p, self.s, self.B)
+
+    def test_tail_and_repeat_runs_bitwise(self, fams):
+        rep = compare(TWISTED, fams, self.s, EvalParams(N=40, P=self.P, B=self.B))
+        runs = [euler_product(TWISTED, fams, self.s, self.P, self.B) for _ in range(2)]
+        half = euler_product(TWISTED, fams, self.s, self.P // 2, self.B)
+        assert rep.euler == runs[0] == runs[1]
+        assert rep.euler_tail == abs(rep.euler - half) > 0
+
+    def test_missing_value_names_the_smallest_prime(self, fams):
+        # tau (column 4) first fails at 1009, lambda (column 3) at 1013; the
+        # kernel meets column 3 first in their block, but the error must name
+        # 1009, where a prime-by-prime ascending product stops
+        lam = dict(fams[2].lambda_p)
+        del lam[1013]
+        broken = fams[:2] + (HeckeGL2Family(lam), TauFamily(1000))
+        with pytest.raises(MissingPrimePowerError,
+                           match=r"^tau table \(bound 1000\) cannot reach prime 1009$"):
+            euler_product(TWISTED, broken, self.s, self.P, self.B)
 
 
 class TestDefaultExponentBound:
