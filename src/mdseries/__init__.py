@@ -23,7 +23,7 @@ from .system import (AddMultiple, LaurentMonomialSystem, Negate, RowOperation,
                      hnf_rows, make_system, negate_system, normalize,
                      permute_columns, support_reducible)
 from .variety import (CartesianCheck, IntegerPoint, LocalSolutionSet,
-                      PolynomialVariety, Witness, cartesian_check,
+                      PolynomialVariety, Witness, box_array, cartesian_check,
                       check_property_S, enumerate_box, local_solutions,
                       on_monomial_variety, on_monomial_variety_rational,
                       parse_constraints, recombine)

@@ -165,11 +165,11 @@ def cmd_moment(args) -> int:
 
 def cmd_enumerate(args) -> int:
     V = _load_variety(args)
-    points = variety.enumerate_box(V, args.N)
+    points = variety.box_array(V, args.N).tolist()
     _emit({
         "N": args.N,
         "count": len(points),
-        "points": [list(pt.coords) for pt in points],
+        "points": points,
     })
     return EXIT_OK
 

@@ -6,9 +6,17 @@ local solution sets underlying the Euler product, and the prime-by-prime
 Cartesian decomposition test.
 
 Membership of a point in a Laurent monomial variety is always decided by
-exact integer arithmetic (cross-multiplication, and an integer k-th root
-for the last box coordinate).  Floating logs only narrow the box search,
-and are widened so that they never exclude a solution.
+exact integer arithmetic (cross-multiplication on every row).  Floating
+logs only narrow the box search, and are widened so that they never
+exclude a solution; a float k-th root only proposes the last coordinate.
+
+Box enumeration on a monomial system is one array search (box_array): it
+takes the whole frontier of prefixes a level at a time, a window of
+_WINDOW nodes at a time, which bounds its memory, and solves the last
+coordinate for a whole window at once.  Its exact products are int64 when
+no row side can reach 2^63 on the box, and Python ints (object arrays,
+the same code) otherwise.  enumerate_box wraps the rows as IntegerPoints;
+on_monomial_variety_rational is the scalar form of the same exact check.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .arith import factorize, iroot, primes_up_to, valuation
 from .errors import ConstraintSyntaxError, WorkCapExceeded
@@ -292,7 +302,6 @@ class IntegerPoint:
 # membership tests for monomial systems
 
 @lru_cache(maxsize=256)
-@lru_cache(maxsize=64)
 def _twist_data(S: LaurentMonomialSystem):
     """Per-prime right-hand sides v_p(omega'_i) - v_p(omega_i)."""
     primes = S.twist_primes()
@@ -327,9 +336,11 @@ def on_monomial_variety(S: LaurentMonomialSystem, coords) -> bool:
     return True
 
 
-def _row_sides(row, w: int, wp: int, coords) -> tuple:
+def _row_sides(row, w, wp, coords) -> tuple:
     """(omega_i * prod n_j^a_ij over a_ij > 0, omega'_i * prod n_j^-a_ij over
-    a_ij < 0) in exact integers; row i holds iff the two are equal."""
+    a_ij < 0) in exact integers; row i holds iff the two are equal.  Over
+    the first len(coords) coordinates; with arrays (w, wp and the coords of
+    many points), elementwise."""
     lhs, rhs = w, wp
     for a, n in zip(row, coords):
         if a > 0:
@@ -343,8 +354,8 @@ def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
     """Membership by exact cross-multiplication,
     omega_i * prod n_j^{a+} == omega'_i * prod n_j^{a-} for every row i.
 
-    This is the one exact-membership kernel: box enumeration, the Property
-    (S) scan and the tests all decide membership with it."""
+    The scalar form of the check that box enumeration makes on arrays;
+    the Property (S) scan and the tests decide membership with it."""
     cs = coords.coords if isinstance(coords, IntegerPoint) else tuple(coords)
     for row, w, wp in zip(S.A, S.omega, S.omega_prime):
         lhs, rhs = _row_sides(row, w, wp, cs)
@@ -358,154 +369,219 @@ def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
 
 _LOG_SLACK = 1e-6  # relative widening of pruning intervals
 
+# Nodes the box search holds at once in one level: the children of a level
+# are made this many at a time, and each window is searched to the end
+# before the next.  Any window gives the same points in the same order;
+# this bounds the memory of the search.  On A = [[1, -1]] at N = 10^5,
+# 2^12 is as fast as 2^16 with 2.5 MB less peak memory in `mds moment`.
+_WINDOW = 1 << 12
 
-def _enumerate_monomial(S: LaurentMonomialSystem, N: int, cap: int):
-    """DFS over the first t-1 coordinates with log-space interval pruning,
-    then an exact solve for the last one.
+# int64 boxes keep N below this, so that float interval ends are exact
+# integers and a window's child count (at most _WINDOW * N) fits int64
+_INT64_N = 1 << 40
 
-    Each prefix level intersects the ranges every constraint still allows
-    for the next coordinate.  The intervals are computed in floating logs
-    and rounded outward, so they can only over-admit, never exclude a
-    solution.  The last coordinate is never searched when some row uses
-    it: that row fixes x_t^k as an exact quotient of integers, its integer
-    k-th root is the one candidate, and the exact kernel accepts or rejects
-    the full tuple.  When no row uses x_t, membership does not depend on it
-    and the kernel decides once for the whole range 1..N.  Nodes (prefix
-    coordinates tried plus points emitted) count against the work cap.
+
+def _box_dtype(S: LaurentMonomialSystem, N: int):
+    """int64 when no row side omega_i * prod n_j^{a+}, omega'_i * prod
+    n_j^{a-} can reach 2^63 on the box and N < _INT64_N; object (Python
+    ints) otherwise.  The bound is computed in Python ints."""
+    bits = N.bit_length() - 1   # 2^bits <= N
+
+    def fits(c, e):
+        return e * bits < 64 and c * N**e < 2**63
+
+    for row, w, wp in zip(S.A, S.omega, S.omega_prime):
+        if not (fits(w, sum(a for a in row if a > 0))
+                and fits(wp, sum(-a for a in row if a < 0))):
+            return object
+    return np.int64 if N < _INT64_N else object
+
+
+def _ceil_from_log(L, lnN: float):
+    """The least integer x >= 1 with log x >= L, widened down; inf when
+    L > log N.  L is a float array."""
+    e = np.exp(np.minimum(L, lnN + 1.0))
+    return np.where(L <= 0, 1.0, np.where(L > lnN + _LOG_SLACK, np.inf,
+                                          np.ceil(e * (1 - _LOG_SLACK) - _LOG_SLACK)))
+
+
+def _floor_from_log(L, lnN: float):
+    """The greatest integer x >= 0 with log x <= L, widened up; inf (read
+    as N) when L >= log N.  L is a float array."""
+    e = np.exp(np.minimum(L, lnN + 1.0))
+    return np.where(L >= lnN, np.inf, np.where(L < -_LOG_SLACK, 0.0,
+                                               np.floor(e * (1 + _LOG_SLACK) + _LOG_SLACK)))
+
+
+def _exact_ints(f, top: int, dt):
+    """Integer-valued floats f >= 0 (inf included) as exact integers of
+    dtype dt, capped at top."""
+    if dt is object:
+        return np.array([top if v > top else int(v) for v in f.tolist()], dtype=object)
+    return np.minimum(f, top).astype(np.int64)
+
+
+def _side_arrays(row, w: int, wp: int, cols: list, n: int, dt) -> tuple:
+    """_row_sides at n points at once: cols holds their first coordinates
+    as arrays, and the coordinates after those are 1."""
+    return _row_sides(row, np.full(n, w, dtype=dt), np.full(n, wp, dtype=dt), cols)
+
+
+def _holds(S: LaurentMonomialSystem, cols: list, n: int, dt):
+    """Whether every row of S holds, at each of the n points of cols."""
+    keep = np.ones(n, dtype=bool)
+    for row, w, wp in zip(S.A, S.omega, S.omega_prime):
+        lhs, rhs = _side_arrays(row, w, wp, cols, n, dt)
+        keep &= lhs == rhs
+    return keep
+
+
+def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
+    """The box points of S as a K x t array in lexicographic order, by a
+    level-synchronous search over the first t-1 coordinates and an exact
+    solve for the last one.
+
+    Each prefix level computes, for every node of the frontier at once, the
+    interval that every constraint still allows for the next coordinate.
+    The intervals are computed in floating logs and rounded outward, so
+    they can only over-admit, never exclude a solution.  The children are
+    listed by a flat index (cumsum of the interval lengths, searchsorted
+    back to the parent), which keeps lexicographic order, a window of
+    _WINDOW at a time, depth first.
+
+    The last coordinate is never searched when some row uses it: with
+    x_t = 1 in both sides, that row reads lhs * x^k == rhs (or the mirror),
+    so x^k must be the exact quotient v, with zero remainder and v <= N^k.
+    The candidate is the k-th root of v, and the full cross-multiplication
+    on every row accepts or rejects the tuple.  In int64 the candidate is
+    rint(v^(1/k)): k >= 2 and N^k < 2^63 give x <= N < 2^32, and the float
+    root of an exact k-th power x^k is then within x * 2^-47 < 1/2 of x, so
+    every solution is proposed; floats only propose, the exact check
+    decides.  In object dtype the root is arith.iroot.  No row product can
+    overflow: every side is bounded by the dtype rule of _box_dtype.  When
+    no row uses x_t, membership does not depend on it, so it is decided
+    once per prefix at x_t = 1 and the row repeats over 1..N.
+
+    Nodes (prefix coordinates tried plus points emitted) count against the
+    work cap, each level before it is made.
     """
-    t, m = S.t, S.m
+    t, m, A = S.t, S.m, S.A
     if t == 0:
-        return [IntegerPoint(())] if all(w == wp for w, wp in zip(S.omega, S.omega_prime)) else []
-    A = S.A
+        return np.zeros((int(all(w == wp for w, wp in zip(S.omega, S.omega_prime))), 0),
+                        dtype=np.int64)
+    dt = _box_dtype(S, N)
     last = t - 1
-    target_log = [math.log(wp) - math.log(w)
-                  for w, wp in zip(S.omega, S.omega_prime)]
+    target_log = [math.log(wp) - math.log(w) for w, wp in zip(S.omega, S.omega_prime)]
     lnN = math.log(N) if N > 1 else 0.0
-    # rest of constraint i over variables >= j spans [-neg_suf, pos_suf] in logs
-    pos_suf = [[0] * (t + 1) for _ in range(m)]
-    neg_suf = [[0] * (t + 1) for _ in range(m)]
-    for i in range(m):
-        for j in range(t - 1, -1, -1):
-            a = A[i][j]
-            pos_suf[i][j] = pos_suf[i][j + 1] + (a if a > 0 else 0)
-            neg_suf[i][j] = neg_suf[i][j + 1] + (-a if a < 0 else 0)
-
-    def floor_from_log(L):
-        if L >= lnN:
-            return N
-        if L < -_LOG_SLACK:
-            return 0
-        return int(math.exp(L) * (1 + _LOG_SLACK) + _LOG_SLACK)
-
-    def ceil_from_log(L):
-        if L <= 0:
-            return 1
-        if L > lnN + _LOG_SLACK:
-            return N + 1
-        v = math.exp(L) * (1 - _LOG_SLACK) - _LOG_SLACK
-        f = int(v)
-        return f if f >= v else f + 1
-
+    # rest of constraint i over variables > j spans
+    # [-neg_after[i][j], pos_after[i][j]] in units of log N
+    pos_after = [[sum(a for a in row[j + 1:] if a > 0) for j in range(t)] for row in A]
+    neg_after = [[sum(-a for a in row[j + 1:] if a < 0) for j in range(t)] for row in A]
     # the row that solves for x_t: the smallest nonzero |a_i,t| gives the
     # cheapest root
     solvers = [i for i in range(m) if A[i][last]]
     if solvers:
         si = min(solvers, key=lambda i: abs(A[i][last]))
-        s_row, s_w, s_wp = A[si], S.omega[si], S.omega_prime[si]
-        s_a = s_row[last]
+        s_a = A[si][last]
         k = abs(s_a)
         Nk = N**k
 
-    sols = []
+    chunks = []
     nodes = 0
-    coords = [0] * t
 
-    def leaf():
+    def spend(count):
         nonlocal nodes
-        coords[last] = 1
+        nodes += count
+        if nodes > cap:
+            raise WorkCapExceeded(nodes, cap, "monomial box enumeration")
+
+    def solve_last(X):
+        cols = [X[:, j] for j in range(last)]
         if not solvers:
-            # x_t enters no row, so the kernel decides at x_t = 1 for all x_t
-            if not on_monomial_variety_rational(S, coords):
-                return
-            xs = range(1, N + 1)
+            X = X[_holds(S, cols, len(X), dt)]
+            spend(len(X) * N)
+            xs = np.arange(1, N + 1, dtype=dt)
+            chunks.append(np.column_stack([np.repeat(X, N, axis=0), np.tile(xs, len(X))]))
+            return
+        lhs, rhs = _side_arrays(A[si], S.omega[si], S.omega_prime[si], cols, len(X), dt)
+        num, den = (rhs, lhs) if s_a > 0 else (lhs, rhs)
+        v = num // den
+        ok = (num - v * den == 0) & (v <= Nk)
+        X, v = X[ok], v[ok]
+        if k == 1:
+            x = v
+        elif dt is object:
+            x = np.array([iroot(u, k) for u in v.tolist()], dtype=object)
         else:
-            # the solving row reads lhs * x^a == rhs with x_t = 1 in lhs, rhs
-            lhs, rhs = _row_sides(s_row, s_w, s_wp, coords)
-            v, r = divmod(rhs, lhs) if s_a > 0 else divmod(lhs, rhs)
-            if r or v > Nk:
-                return
-            x = iroot(v, k)
-            coords[last] = x
-            if not on_monomial_variety_rational(S, coords):
-                return
-            xs = (x,)
-        for x in xs:
-            nodes += 1
-            if nodes > cap:
-                raise WorkCapExceeded(nodes, cap, "monomial box enumeration")
-            coords[last] = x
-            sols.append(IntegerPoint._trusted(tuple(coords)))
+            x = np.clip(np.rint(v.astype(np.float64) ** (1.0 / k)), 1, N).astype(np.int64)
+        X = np.column_stack([X, x])
+        X = X[_holds(S, [X[:, j] for j in range(t)], len(X), dt)]
+        spend(len(X))
+        chunks.append(X)
 
-    def rec(j, partial_log):
-        nonlocal nodes
-        lo, hi = 1, N
+    def expand(j, X, plog):
+        # X: the frontier's prefixes (n x j); plog[:, i]: row i's
+        # sum of a_ij' * log x_j' over the prefix
+        if j == last:
+            solve_last(X)
+            return
+        n = len(X)
+        lo, hi = np.ones(n), np.full(n, np.inf)
+        alive = np.ones(n, dtype=bool)
         for i in range(m):
             a = A[i][j]
-            ratio = target_log[i] - partial_log[i]
-            lo_log = ratio - pos_suf[i][j + 1] * lnN
-            hi_log = ratio + neg_suf[i][j + 1] * lnN
+            ratio = target_log[i] - plog[:, i]
+            lo_log = ratio - pos_after[i][j] * lnN
+            hi_log = ratio + neg_after[i][j] * lnN
             if a == 0:
-                if lo_log > _LOG_SLACK or hi_log < -_LOG_SLACK:
-                    return
+                alive &= (lo_log <= _LOG_SLACK) & (hi_log >= -_LOG_SLACK)
                 continue
-            if a > 0:
-                xl, xh = lo_log / a, hi_log / a
-            else:
-                xl, xh = hi_log / a, lo_log / a
-            lo = max(lo, ceil_from_log(xl))
-            hi = min(hi, floor_from_log(xh))
-            if lo > hi:
-                return
-        for x in range(lo, hi + 1):
-            nodes += 1
-            if nodes > cap:
-                raise WorkCapExceeded(nodes, cap, "monomial box enumeration")
-            coords[j] = x
-            if j + 1 == last:
-                leaf()
-            else:
-                lnx = math.log(x)
-                rec(j + 1, [pl + A[i][j] * lnx if A[i][j] else pl
-                            for i, pl in enumerate(partial_log)])
+            xl, xh = (lo_log / a, hi_log / a) if a > 0 else (hi_log / a, lo_log / a)
+            lo = np.maximum(lo, _ceil_from_log(xl, lnN))
+            hi = np.minimum(hi, _floor_from_log(xh, lnN))
+        lo, hi = _exact_ints(lo, N + 1, dt), _exact_ints(hi, N, dt)
+        counts = np.where(alive, np.maximum(hi - lo + 1, 0), 0)
+        total = int(counts.sum())
+        spend(total)
+        ends = np.cumsum(counts.astype(np.int64))
+        col = np.array([row[j] for row in A], dtype=float)
+        for w0 in range(0, total, _WINDOW):
+            idx = np.arange(w0, min(total, w0 + _WINDOW))
+            par = np.searchsorted(ends, idx, side="right")
+            x = lo[par] + (idx - ends[par] + counts[par])
+            expand(j + 1, np.column_stack([X[par], x]),
+                   plog[par] + np.log(x.astype(np.float64))[:, None] * col)
 
-    if t == 1:
-        leaf()
-    else:
-        rec(0, [0.0] * m)
-    return sols
+    expand(0, np.zeros((1, 0), dtype=dt), np.zeros((1, m)))
+    return np.concatenate(chunks) if chunks else np.zeros((0, t), dtype=dt)
 
 
-def _enumerate_polynomial(V: PolynomialVariety, N: int, cap: int):
+def _polynomial_box(V: PolynomialVariety, N: int, cap: int):
     total = N**V.t
     if total > cap:
         raise WorkCapExceeded(total, cap, "polynomial box enumeration")
-    out = []
-    for point in itertools.product(range(1, N + 1), repeat=V.t):
-        if V.is_solution(point):
-            out.append(IntegerPoint(point))
-    return out
+    rows = [p for p in itertools.product(range(1, N + 1), repeat=V.t) if V.is_solution(p)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), V.t)
 
 
-def enumerate_box(V, N: int, *, work_cap=None) -> list:
-    """All points of [1,N]^t on the variety, in lexicographic order."""
+def box_array(V, N: int, *, work_cap=None):
+    """All points of [1,N]^t on the variety as a K x t integer array, rows
+    in lexicographic order.  The dtype is int64 where every exact product
+    of the search fits it, else object (Python ints)."""
     if N < 1:
         raise ValueError("box bound N must be >= 1")
     cap = _work_cap(work_cap)
     if isinstance(V, LaurentMonomialSystem):
-        return _enumerate_monomial(V, N, cap)
+        return _monomial_box(V, N, cap)
     if isinstance(V, PolynomialVariety):
-        return _enumerate_polynomial(V, N, cap)
+        return _polynomial_box(V, N, cap)
     raise TypeError(f"cannot enumerate {type(V).__name__}")
+
+
+def enumerate_box(V, N: int, *, work_cap=None) -> list:
+    """All points of [1,N]^t on the variety, in lexicographic order."""
+    return [IntegerPoint._trusted(tuple(row))
+            for row in box_array(V, N, work_cap=work_cap).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,26 @@
 The pruned enumeration (float-narrowed prefix search, exact solve of the
 last coordinate) must list exactly the points that a brute-force scan of
 the box accepts, with the cross-multiplication kernel and, where the twists
-can be factorised, with the independent valuation test.
+can be factorised, with the independent valuation test.  The array form
+must also have the dtype that the row bound predicts, and must not depend
+on the search window.
 """
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from mdseries import variety
 from mdseries.arith import iroot
+from mdseries.errors import WorkCapExceeded
 from mdseries.limits import FACTOR_INPUT_LIMIT, TWIST_LIMIT
-from mdseries.system import LaurentMonomialSystem
-from mdseries.variety import (enumerate_box, on_monomial_variety,
+from mdseries.system import LaurentMonomialSystem, make_system
+from mdseries.variety import (box_array, enumerate_box, on_monomial_variety,
                               on_monomial_variety_rational)
 
 # largest box bound per variable count, so that a brute-force scan stays small
@@ -91,6 +97,33 @@ def test_pruned_equals_brute_force(case):
     assert got == scan(S, N, on_monomial_variety_rational)
 
 
+def row_bound(S, N):
+    """The largest row side omega_i * N^{sum a+}, omega'_i * N^{sum a-}."""
+    return max((max(w * N ** sum(a for a in row if a > 0),
+                    wp * N ** sum(-a for a in row if a < 0))
+                for row, w, wp in zip(S.A, S.omega, S.omega_prime)), default=0)
+
+
+def expected_dtype(S, N):
+    return np.int64 if row_bound(S, N) < 2**63 and N < 2**40 else object
+
+
+def rows(X):
+    return [tuple(r) for r in X.tolist()]
+
+
+@differential
+@given(systems(near_limit=True))
+def test_box_array_equals_brute_force(case):
+    S, N = case
+    X = box_array(S, N)
+    assert X.dtype == expected_dtype(S, N)
+    assert X.shape == (len(X), S.t)
+    assert rows(X) == scan(S, N, on_monomial_variety_rational)
+    with mock.patch.object(variety, "_WINDOW", 3):
+        assert rows(box_array(S, N)) == rows(X)
+
+
 @differential
 @given(systems(near_limit=False))
 def test_pruned_equals_valuation_oracle(case):
@@ -114,3 +147,110 @@ def test_iroot_exact_at_perfect_powers(x, k):
         x = iroot(2**200, k)
     assert iroot(x**k, k) == x
     assert iroot(x**k - 1, k) == x - 1
+
+
+def system(A, omega=None, omega_prime=None):
+    m = len(A)
+    return LaurentMonomialSystem(t=len(A[0]), m=m, A=tuple(map(tuple, A)),
+                                 omega=tuple(omega or (1,) * m),
+                                 omega_prime=tuple(omega_prime or (1,) * m))
+
+
+class TestBoxArray:
+    def test_dtype_at_the_int64_bound(self):
+        # omega' * N = 2cN just below and just above 2^63 on A = [[1, -1]]:
+        # both dtypes list x1 = 2 x2, exactly
+        N = 50
+        c = (2**63 - 1) // (2 * N)
+        for c, dt in ((c, np.int64), (c + 1, object)):
+            S = system([[1, -1]], (c,), (2 * c,))
+            assert (2 * c * N < 2**63) == (dt is np.int64)
+            X = box_array(S, N)
+            assert X.dtype == dt
+            assert rows(X) == [(2 * x, x) for x in range(1, N // 2 + 1)]
+
+    def test_dtype_at_the_root_bound(self):
+        # x^2 = omega' with N^2 just below and just above 2^63
+        N = iroot(2**63 - 1, 2)
+        for box, dt in ((N, np.int64), (N + 1, object)):
+            S = system([[2]], (1,), (N * N,))
+            X = box_array(S, box)
+            assert X.dtype == dt
+            assert rows(X) == [(N,)]
+
+    def test_dtype_for_a_large_box(self):
+        S = system([[1, 0], [0, 1]], (1, 1), (3, 5))
+        for N, dt in ((2**40 - 1, np.int64), (2**40, object), (2**70, object)):
+            X = box_array(S, N)
+            assert X.dtype == dt
+            assert rows(X) == [(3, 5)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_perfect_powers_near_the_top(self, k):
+        # the float root must propose x for every exact x^k below 2^63, and
+        # the exact check must refuse x^k +- 1
+        N = iroot(2**63 - 1, k)
+        for x in (N, N - 1, N - 2, 2**(62 // k) + 1):
+            for v, want in ((x**k, [(x,)]), (x**k - 1, []), (x**k + 1, [])):
+                S = system([[k]], (1,), (v,))
+                X = box_array(S, N)
+                assert X.dtype == np.int64
+                assert rows(X) == want
+                S = system([[-k]], (v,), (1,))
+                assert rows(box_array(S, N)) == want
+        # the same roots in object dtype (the box one past the bound)
+        S = system([[k]], (1,), (N**k,))
+        X = box_array(S, N + 1)
+        assert X.dtype == object
+        assert rows(X) == [(N,)]
+
+    def test_parent_range_spans_several_windows(self):
+        S = make_system([[1, 1, -1]])
+        want = scan(S, 20, on_monomial_variety_rational)
+        for window in (1, 2, 5, 7):
+            with mock.patch.object(variety, "_WINDOW", window):
+                assert rows(box_array(S, 20)) == want
+
+    def test_zero_count_parents(self):
+        # x1 = 5 x2: four parents in five have an empty x2 range, including
+        # the first, the last and whole windows of them
+        S = system([[1, -1, 0], [0, 1, -1]], (1, 1), (5, 1))
+        want = [(5 * x, x, x) for x in range(1, 7)]
+        assert scan(S, 33, on_monomial_variety_rational) == want
+        for window in (1, 3, 4, 1 << 16):
+            with mock.patch.object(variety, "_WINDOW", window):
+                assert rows(box_array(S, 33)) == want
+
+    def test_all_zero_last_column(self):
+        S = make_system([[1, -1, 0]])
+        X = box_array(S, 7)
+        assert rows(X) == [(x, x, z) for x in range(1, 8) for z in range(1, 8)]
+        assert rows(box_array(system([[0]], (3,), (3,)), 5)) == [(x,) for x in range(1, 6)]
+        assert box_array(system([[0]], (3,), (2,)), 5).shape == (0, 1)
+        with mock.patch.object(variety, "_WINDOW", 2):
+            assert rows(box_array(S, 7)) == rows(X)
+
+    def test_enumerate_box_wraps_the_rows(self):
+        S = make_system([[1, 1, -1]])
+        assert [p.coords for p in enumerate_box(S, 12)] == rows(box_array(S, 12))
+
+
+class TestWorkCapTotal:
+    """The cap is the exact node total: prefix coordinates tried plus
+    points emitted."""
+
+    @pytest.mark.parametrize("S,N,total", [
+        # one prefix level of N nodes and N points
+        (make_system([[1, -1]]), 100, 200),
+        # N first coordinates, then floor(N/x1) second ones and as many points
+        (make_system([[1, 1, -1]]), 30, 30 + 2 * sum(30 // x for x in range(1, 31))),
+        # no prefix level: only the one point
+        (system([[2]], (1,), (49,)), 10, 1),
+        # 5 + 5 prefix nodes, then each prefix repeats over x3 = 1..5
+        (make_system([[1, -1, 0]]), 5, 5 + 5 + 25),
+    ])
+    def test_cap_equal_to_total_passes(self, S, N, total):
+        want = scan(S, N, on_monomial_variety_rational)
+        assert rows(box_array(S, N, work_cap=total)) == want
+        with pytest.raises(WorkCapExceeded, match="monomial box enumeration"):
+            box_array(S, N, work_cap=total - 1)
