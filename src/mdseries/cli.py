@@ -208,7 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="direct sum vs Euler product")
     add_common(p, N=1000)
     p.add_argument("--P", type=int, default=1000, help="prime bound")
-    p.add_argument("--B", type=int, default=None, help="local exponent bound")
+    p.add_argument("--B", type=int, default=None,
+                   help="local exponent bound at p = 2; a prime p with no twist "
+                        "uses the smallest b with p^b >= 2^B")
     p.add_argument("--override-convergence", action="store_true")
     p.set_defaults(func=cmd_compare)
 

@@ -2,22 +2,41 @@
 truncated Euler product, and compare the two.
 
 The direct sum truncates by the box [1,N]^t; the Euler product truncates
-by a prime bound P and a per-prime exponent bound B.  The two truncations
-never select the same finite term set, so comparisons are tolerance-based
-and both sides carry Richardson-style tail estimates |v(N) - v(N/2)| and
-|v(P) - v(P/2)|.  Each tail comes from the same single serial pass as its
-value: the N/2 sum keeps the box points with every coordinate <= N/2, and
-the P/2 product is the running product at the last prime <= P/2.  A tail
-that is not defined (N < 2, or no prime or not every twist prime <= P/2) is
-None, with a warning that names the cause.
+by a prime bound P and a local exponent bound B at p = 2 (see below).  The
+two truncations never select the same finite term set, so comparisons are
+tolerance-based and both sides carry Richardson-style tail estimates
+|v(N) - v(N/2)| and |v(P) - v(P/2)|.  Each tail comes from the same single
+serial pass as its value: the N/2 sum keeps the box points with every
+coordinate <= N/2, and the P/2 product is the running product at the last
+prime <= P/2.  A tail that is not defined (N < 2, or no prime or not every
+twist prime <= P/2) is None, with a warning that names the cause.
 
 The Euler product runs per right-hand side of the local equations (the
-twist valuations at p): the primes sharing one share their local solution
-set, and one array kernel evaluates their factors in blocks, with the
-coefficients from each family's prime_power_table.  local_factor is the
-same kernel on one prime.  Complex products in the kernel are written out
-on real and imaginary parts, and every operation acts on one prime's row,
-so a factor has the same bits in any block.
+twist valuations at p) and local exponent bound: the primes sharing both
+share their local solution set, and one array kernel evaluates their
+factors in blocks, with the coefficients from each family's
+prime_power_table.  local_factor is the same kernel on one prime.  Complex
+products in the kernel are written out on real and imaginary parts, and
+every operation acts on one prime's row, so a factor has the same bits in
+any block.
+
+The local exponent bound depends on the prime.  Where the local equations
+have a zero right-hand side, the local solutions keep alpha_j <= B_p, the
+smallest b >= 0 with p^b >= 2^B (prime_exponent_bound): B_2 = B, and
+B_p = 1 once p >= 2^B.  PARI/GP's direuler truncates the same way,
+expanding a local factor only up to p^e <= X.  A prime with a nonzero
+right-hand side keeps B, since a smaller bound could empty its local set
+and make the product zero.  A term dropped at p has some alpha_j >= B_p + 1,
+so p^alpha_j >= 2^B * p, and with sigma = min Re s > 1
+
+    |term| <= C * 2^(-sigma B) * p^(-sigma),
+
+where C bounds |c(p^e)| for that column's family: C = 1 for the trivial
+and character families, and C = e + 1 for normalised tau (Deligne) and for
+a Hecke family with real lambda(p) in [-2, 2], which is assumed, not
+checked (a complex lambda(p) of modulus <= 2 does not give it).  The same
+bound |c(p^e)| <= e + 1 keeps every other column's factor at most 1.
+A TableFamily has no such C, so its dropped terms are not bounded.
 
 Sums, of box terms and of local-factor terms alike, are math.fsum on the
 real and imaginary parts: correctly rounded and independent of the order of
@@ -108,7 +127,12 @@ def check_series_point(s: Sequence[complex], t: int, override: bool) -> tuple:
 
 
 def default_exponent_bound(s: Sequence[complex]) -> int:
-    """Smallest B with 2^(-B * min Re s) < 1e-15, capped at 64."""
+    """ceil(15 / (sigma * log10 2)) + 1 with sigma = min Re s, capped at 64,
+    and 64 when sigma <= 0.
+
+    The ceiling is the smallest B with 2^(-B sigma) <= 1e-15, so the value
+    is one more than that: 26 at sigma = 2, where 25 already gives
+    2^-50 < 1e-15.  The margin stays, since this is the reported B."""
     sigma = min((z.real for z in s), default=2.0)
     if sigma <= 0:
         return 64
@@ -243,14 +267,34 @@ def _local_factors(c, s, primes, sols) -> list:
     return out
 
 
+def prime_exponent_bound(p: int, B: int) -> int:
+    """The smallest b >= 0 with p^b >= 2^B, in exact integers: B at p = 2,
+    at most B everywhere, and 0 when B = 0."""
+    if not 0 <= B <= 64:
+        raise ValueError("exponent bound B must be in 0..64")
+    target, b, power = 1 << B, 0, 1
+    while power < target:
+        b, power = b + 1, power * p
+    return b
+
+
+def _local_key(S: LaurentMonomialSystem, p: int, B: int) -> tuple:
+    """(right-hand side, exponent bound) at p, which fix the local solution
+    set: B where the right-hand side is nonzero, else the bound at p."""
+    rhs = monomial_rhs_at(S, p)
+    return rhs, B if any(rhs) else prime_exponent_bound(p, B)
+
+
 def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int) -> complex:
     """The Euler factor at p: sum over admissible exponent tuples alpha of
-    a(p^alpha) * p^(-sum_j s_j alpha_j), correctly rounded.
+    a(p^alpha) * p^(-sum_j s_j alpha_j), correctly rounded, with alpha_j at
+    most the local exponent bound at p (see the module docstring).
 
     This is the one-prime call of the kernel that euler_product runs on
     blocks of primes, so it has the bits of the factor there."""
     s = tuple(complex(z) for z in s)
-    return _local_factors(c, s, [p], local_solutions(S, p, B).solutions)[0]
+    bound = _local_key(S, p, B)[1]
+    return _local_factors(c, s, [p], local_solutions(S, p, bound).solutions)[0]
 
 
 def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
@@ -263,9 +307,10 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     exceeds P//2, since the product over p <= P//2 is then not defined
     (euler_tail_skip_reason names the cause).
     Every prime dividing a twist must be <= P.  Primes are grouped by their
-    twist-valuation right-hand side, which fixes the local solution set:
-    each group costs one enumeration and one array kernel call, the generic
-    primes forming one group and each twist prime its own.
+    twist-valuation right-hand side and local exponent bound, which fix the
+    local solution set: each group costs one enumeration and one array
+    kernel call.  A prime with a nonzero right-hand side forms its own group,
+    with bound B; the others form one group per bound B_p.
     """
     s = _checked_point(S, c, s, override_convergence)
     if B is None:
@@ -274,19 +319,20 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         if tp > P:
             raise ValueError(f"twist prime {tp} exceeds the prime bound P={P}")
     primes = primes_up_to(P)
+    keys = [_local_key(S, p, B) for p in primes]
     groups = {}
-    for p in primes:
-        groups.setdefault(monomial_rhs_at(S, p), []).append(p)
-    sols_by_rhs = {key: local_solutions(S, ps[0], B).solutions
-                   for key, ps in groups.items()}
+    for p, key in zip(primes, keys):
+        groups.setdefault(key, []).append(p)
+    sols = {key: local_solutions(S, ps[0], key[1]).solutions
+            for key, ps in groups.items()}
     factor = {}
     try:
         for key, ps in groups.items():
-            factor.update(zip(ps, _local_factors(c, s, ps, sols_by_rhs[key])))
+            factor.update(zip(ps, _local_factors(c, s, ps, sols[key])))
     except MissingPrimePowerError:
         # report the smallest prime whose factor fails, as an ascending pass would
-        for p in primes:
-            _local_factors(c, s, [p], sols_by_rhs[monomial_rhs_at(S, p)])
+        for p, key in zip(primes, keys):
+            _local_factors(c, s, [p], sols[key])
         raise
     half_P = P // 2
     out = 1 + 0j

@@ -796,6 +796,10 @@ def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int,
                 raise WorkCapExceeded(spent, cap, "Cartesian recombination")
             for k in range(idx, len(optional)):
                 p, opts = optional[k]
+                # a nonzero alpha multiplies some coordinate by at least p,
+                # and the primes ascend, so no later prime fits either
+                if p * min(coords) > N:
+                    break
                 for alpha in opts:
                     got = grow(coords, p, alpha)
                     if got is not None:

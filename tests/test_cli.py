@@ -362,3 +362,31 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+    def test_traced_replay_matches_untraced(self, tmp_path):
+        # perfbench's layer trace wraps library functions by module and name;
+        # a refactor that drops one of those names must fail here, not in
+        # the benchmark's traced run
+        script = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[{"type": "tau"},
+                                                                {"type": "trivial"}])))
+        docs = []
+        for trace in ("1", "0"):
+            out = tmp_path / f"trace{trace}.json"
+            proc = subprocess.run(
+                [sys.executable, str(script), "--trace", trace, "--out", str(out), "--",
+                 "compare", "--system", str(path), "--N", "30", "--P", "100"],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(out.read_text())
+            assert doc["rc"] == 0
+            docs.append(doc)
+        traced, untraced = docs
+        assert traced["spans"]["cli.main"]["calls"] == 1
+        assert traced["spans"]["series.compare"]["calls"] == 1
+        assert untraced["spans"] == {}
+        outputs = [json.loads(doc["stdout"]) for doc in docs]
+        for out in outputs:
+            out.pop("wall_time")
+        assert outputs[0] == outputs[1]

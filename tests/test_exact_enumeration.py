@@ -1,14 +1,18 @@
-"""Differential tests of exact box enumeration and the integer k-th root.
+"""Differential tests of exact box enumeration, the integer k-th root and
+the Euler product's per-prime exponent bound.
 
 The pruned enumeration (float-narrowed prefix search, exact solve of the
 last coordinate) must list exactly the points that a brute-force scan of
 the box accepts, with the cross-multiplication kernel and, where the twists
 can be factorised, with the independent valuation test.  The array form
 must also have the dtype that the row bound predicts, and must not depend
-on the search window.
+on the search window.  On the same systems, the Euler product with the
+per-prime bound B_p must differ from the uniform-B product by no more than
+the terms it drops, and those by no more than their closed-form bound.
 """
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -17,12 +21,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from mdseries import variety
-from mdseries.arith import iroot
+from mdseries import series, variety
+from mdseries.arith import character_table, iroot, primes_up_to
+from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
+                                   TrivialFamily)
 from mdseries.errors import WorkCapExceeded
 from mdseries.limits import FACTOR_INPUT_LIMIT, TWIST_LIMIT
 from mdseries.system import LaurentMonomialSystem, make_system
-from mdseries.variety import (box_array, enumerate_box, on_monomial_variety,
+from mdseries.variety import (box_array, enumerate_box, local_solutions,
+                              monomial_rhs_at, on_monomial_variety,
                               on_monomial_variety_rational)
 
 # largest box bound per variable count, so that a brute-force scan stays small
@@ -254,3 +261,75 @@ class TestWorkCapTotal:
         assert rows(box_array(S, N, work_cap=total)) == want
         with pytest.raises(WorkCapExceeded, match="monomial box enumeration"):
             box_array(S, N, work_cap=total - 1)
+
+
+# ---------------------------------------------------------------------------
+# per-prime exponent bound against the uniform bound
+
+FAMILY_KINDS = ("trivial", "character", "hecke", "tau")
+
+
+def family(kind, P, theta):
+    """A family of `kind` and its bound C(e) on |c(p^e)|."""
+    if kind == "trivial":
+        return TrivialFamily(), lambda e: 1
+    if kind == "character":
+        return CharacterFamily(character_table(7), 2), lambda e: 1
+    if kind == "hecke":
+        # real lambda(p) in [-2, 2], with both ends, where |c(p^e)| = e + 1
+        lam = {p: 2 * math.cos(p * theta) for p in primes_up_to(P)}
+        lam.update({2: 2.0, 3: -2.0})
+        return HeckeGL2Family(lam), lambda e: e + 1
+    return TauFamily(P), lambda e: e + 1
+
+
+def term_size(fams, p, s, alpha):
+    return math.prod(abs(f.prime_power(p, e)) * p ** (-z.real * e)
+                     for f, z, e in zip(fams, s, alpha) if e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(systems(near_limit=False), st.integers(40, 80), st.integers(1, 20),
+       st.lists(st.sampled_from(FAMILY_KINDS), min_size=3, max_size=3),
+       st.lists(st.sampled_from((1.1, 1.5, 2.0, 3.0)), min_size=3, max_size=3),
+       st.lists(st.sampled_from((0.0, 0.5, -1.0)), min_size=3, max_size=3),
+       st.floats(0.1, 3.0))
+def test_per_prime_bound_against_uniform(case, P, B, kinds, re, im, theta):
+    S, _ = case
+    fams, bounds = zip(*(family(k, P, theta) for k in kinds[:S.t]))
+    s = tuple(complex(x, y) for x, y in zip(re, im))[:S.t]
+    sigma = min(z.real for z in s)
+    primes = primes_up_to(P)
+    per, uniform = [], []
+    for p in primes:
+        a = series.local_factor(S, fams, p, s, B)
+        sols = local_solutions(S, p, B).solutions
+        b = series._local_factors(fams, s, [p], sols)[0]
+        # without a twist at p, alpha is dropped iff some alpha_j > B_p,
+        # i.e. p^(alpha_j - 1) >= 2^B
+        dropped = [] if any(monomial_rhs_at(S, p)) else [
+            alpha for alpha in sols if any(e and p ** (e - 1) >= 2**B for e in alpha)]
+        if not dropped:
+            assert a == b
+        lost = math.fsum(term_size(fams, p, s, alpha) for alpha in dropped)
+        closed = math.fsum(
+            min(C(e) for C, e in zip(bounds, alpha) if e and p ** (e - 1) >= 2**B)
+            * 2 ** (-sigma * B) * p ** -sigma
+            for alpha in dropped)
+        # the kept terms have the same bits in both, so only the dropped
+        # ones and the two roundings of fsum separate a and b
+        assert abs(a - b) <= lost * (1 + 1e-9) + 2**-52 * (abs(a) + abs(b))
+        assert lost <= closed * (1 + 1e-12)
+        per.append(a)
+        uniform.append(b)
+    # telescoping: |prod a - prod b| <= sum_p |a_p - b_p| prod_{q != p} max(|a_q|, |b_q|)
+    big = [max(abs(a), abs(b)) for a, b in zip(per, uniform)]
+    telescoping = math.fsum(
+        abs(a - b) * math.prod(big[:i] + big[i + 1:])
+        for i, (a, b) in enumerate(zip(per, uniform)))
+    product = 1 + 0j
+    for b in uniform:
+        product *= b
+    got = series.euler_product(S, fams, s, P, B)
+    # plus the rounding of two running products of len(primes) factors
+    assert abs(got - product) <= telescoping + 8 * len(primes) * 2**-53 * math.prod(big)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,7 +13,7 @@ from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
-                             local_factor)
+                             local_factor, prime_exponent_bound)
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, make_system,
                              negate_system)
@@ -49,6 +50,23 @@ def scalar_local_factor(S, c, p, s, B):
             term *= row[e]
         terms.append(term)
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def oracle_bound(S, p, B):
+    """Oracle: the local exponent bound at p by an integer loop, B where some
+    row's twists differ in their p-valuation, else the least b with
+    p^b >= 2^B."""
+    def val(n):
+        v = 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        return v
+    if any(val(w) != val(wp) for w, wp in zip(S.omega, S.omega_prime)):
+        return B
+    b = 0
+    while p**b < 2**B:
+        b += 1
+    return b
 
 
 def random_system(rng, tmax=3, mmax=2, amax=3, wmax=4):
@@ -202,12 +220,21 @@ class TestEulerBlocks:
             expected *= local_factor(TWISTED, fams, p, self.s, self.B)
         assert euler_product(TWISTED, fams, self.s, self.P, self.B) == expected
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_bitwise(self, fams, block):
+        # with B_p a generic prime has a few local terms, so at this P the
+        # default block holds a whole group; small blocks split every group
+        expected = euler_product(TWISTED, fams, self.s, self.P, self.B)
+        with mock.patch.object(series, "_BLOCK_TERMS", block):
+            assert euler_product(TWISTED, fams, self.s, self.P, self.B) == expected
+
     def test_factors_equal_scalar_loop_bitwise(self, fams):
         # the kernel does the scalar loop's floating-point operations,
         # complex products included, so every factor has its bits
         for p in primes_up_to(self.P)[::3]:
             assert local_factor(TWISTED, fams, p, self.s, self.B) == \
-                scalar_local_factor(TWISTED, fams, p, self.s, self.B)
+                scalar_local_factor(TWISTED, fams, p, self.s,
+                                    oracle_bound(TWISTED, p, self.B))
 
     def test_tail_and_repeat_runs_bitwise(self, fams):
         rep = compare(TWISTED, fams, self.s, EvalParams(N=40, P=self.P, B=self.B))
@@ -238,6 +265,62 @@ class TestDefaultExponentBound:
 
     def test_capped(self):
         assert default_exponent_bound((0.1,)) == 64
+
+    def test_formula(self):
+        # one more than the smallest B meeting the target: 26 at sigma = 2,
+        # where 25 already gives 2^-50 < 1e-15
+        assert default_exponent_bound((2, 2)) == 26
+        assert 2.0 ** (-25 * 2) < 1e-15 <= 2.0 ** (-24 * 2)
+        for sigma in (1.05, 1.5, 2, 2.5, 3, 7):
+            B = default_exponent_bound((sigma, sigma + 1j))
+            assert B == math.ceil(15 / (sigma * math.log10(2))) + 1
+            assert 2.0 ** (-B * sigma) < 1e-15
+
+
+class TestPrimeExponentBound:
+    """B_p, the least b >= 0 with p^b >= 2^B."""
+
+    def test_two_and_zero(self):
+        for B in range(65):
+            assert prime_exponent_bound(2, B) == B
+        for p in primes_up_to(200):
+            assert prime_exponent_bound(p, 0) == 0
+
+    def test_at_most_B(self):
+        for p in primes_up_to(1000):
+            for B in range(65):
+                b = prime_exponent_bound(p, B)
+                assert b <= B
+                assert b == 0 or p ** (b - 1) < 2**B <= p**b
+
+    @pytest.mark.parametrize("p,b", [
+        # the primes on either side of 2^(64/k), and of 2^64
+        (4294967291, 3), (4294967311, 2), (2642239, 4), (2642257, 3),
+        (65521, 5), (65537, 4), (7129, 6), (7151, 5), (251, 9), (257, 8),
+        (13, 18), (17, 16), (3, 41), (5, 28),
+        (2**64 - 59, 2), (2**64 + 13, 1),
+    ])
+    def test_near_powers_of_two(self, p, b):
+        assert prime_exponent_bound(p, 64) == b
+        assert p ** (b - 1) < 2**64 <= p**b
+
+    def test_range(self):
+        for B in (-1, 65):
+            with pytest.raises(ValueError):
+                prime_exponent_bound(3, B)
+
+    def test_twist_primes_keep_B(self):
+        # n1 = 3^12: B_3 = 11 at B = 16 would leave 3 no local solution and
+        # the product zero; a prime with a nonzero right-hand side keeps B
+        S = make_system([[1]], omega_prime=(3**12,))
+        assert prime_exponent_bound(3, 16) == 11
+        v = euler_product(S, trivial_tuple(1), (2,), 10, 16)
+        assert v == pytest.approx(3.0**-24, rel=1e-12)
+        fams = twisted_families()
+        for p, b in ((2, 16), (3, 16), (5, 16), (7, 6), (11, 5)):
+            assert oracle_bound(TWISTED, p, 16) == b
+            assert local_factor(TWISTED, fams, p, (2, 2.5, 2, 3), 16) == \
+                scalar_local_factor(TWISTED, fams, p, (2, 2.5, 2, 3), b)
 
 
 class TestCompare:

@@ -1,9 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from mdseries import variety
 from mdseries.errors import ConstraintSyntaxError, WorkCapExceeded
 from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.variety import (IntegerPoint, cartesian_check, check_property_S,
@@ -294,6 +296,31 @@ class TestCartesianCheck:
         S = make_system([[1]], omega=(1,), omega_prime=(11,))
         with pytest.raises(ValueError):
             cartesian_check(S, 20, 7, 4)
+
+    @pytest.mark.parametrize("S,N,P,B,least", [
+        # no mandatory prime: one node per recombined point, i.e. per box
+        # point that is 60-smooth with exponents <= 6
+        (make_system([[1, 1, -1]]), 60, 60, 6, 261),
+        # a free third coordinate: some alpha leaves the largest one alone
+        (make_system([[1, -1, 0]]), 12, 12, 4, 144),
+        # n3 = 6 n1 n2: 2 and 3 are mandatory, and their products count too
+        (make_system([[1, 1, -1]], omega=(6,)), 80, 100, 7, 83),
+    ])
+    def test_recombination_cap_counts_nodes_only(self, S, N, P, B, least):
+        # the recombination stops trying primes once the smallest one is too
+        # large; it counts pushed and popped nodes, never a failed extension,
+        # so the least passing cap is the count the full scan reached
+        if not S.twist_primes():
+            assert least == sum(
+                all(p <= P and e <= B for fact in pt.factorizations for p, e in fact)
+                for pt in enumerate_box(S, N))
+        # the box enumeration runs uncapped, so only the recombination counts
+        box = variety.enumerate_box
+        with mock.patch.object(variety, "enumerate_box",
+                               lambda V, N, work_cap=None: box(V, N)):
+            assert cartesian_check(S, N, P, B, work_cap=least).equal
+            with pytest.raises(WorkCapExceeded, match="Cartesian recombination"):
+                cartesian_check(S, N, P, B, work_cap=least - 1)
 
 
 class TestIntegerPoint:
