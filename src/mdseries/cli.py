@@ -57,7 +57,7 @@ def cmd_eval(args) -> int:
     else:
         warnings.append(series.direct_tail_skip_reason(args.N))
     if system.empty_variety_flag:
-        warnings.append("empty variety: a zero row has omega != omega'")
+        warnings.append(series.EMPTY_VARIETY_WARNING)
     for w in warnings:
         _warn(w)
     _emit({

@@ -147,6 +147,9 @@ def _checked_point(S: LaurentMonomialSystem, c, s, override_convergence: bool) -
     return s
 
 
+EMPTY_VARIETY_WARNING = "empty variety: a zero row has omega != omega'"
+
+
 def direct_tail_skip_reason(N: int) -> Optional[str]:
     """Why |v(N) - v(N/2)| is not defined, or None when it is."""
     if N < 2:
@@ -363,7 +366,7 @@ def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
     s = tuple(complex(z) for z in s)
     warnings = list(check_series_point(s, S.t, override_convergence))
     if S.empty_variety_flag:
-        warnings.append("empty variety: a zero row has omega != omega'")
+        warnings.append(EMPTY_VARIETY_WARNING)
     B = params.B if params.B is not None else default_exponent_bound(s)
     t0 = time.perf_counter()
     direct, direct_half = direct_sum_and_half(

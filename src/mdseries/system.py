@@ -5,6 +5,13 @@ positive-integer variables.  Three row operations preserve the solution
 set (and hence every restricted series built on it): swapping rows,
 negating a row while exchanging its twists, and adding an integer multiple
 of one row to another with multiplicative twist updates.
+
+One row-reduction kernel, _hnf, brings an integer matrix to row Hermite
+normal form by these three operations alone (Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4) and returns the
+operations it applied.  normalize replays that op log on the system, so
+the twists follow the rows; express_in_rows replays it on the identity to
+get the unimodular transform; hnf_rows keeps only the matrix.
 """
 
 from __future__ import annotations
@@ -101,6 +108,16 @@ def _checked_twist(v: int) -> int:
     return v
 
 
+def _apply(mat: list, op: RowOperation) -> None:
+    """The matrix effect of one row operation, in place on a list of lists."""
+    if isinstance(op, Swap):
+        mat[op.i], mat[op.j] = mat[op.j], mat[op.i]
+    elif isinstance(op, Negate):
+        mat[op.i] = [-x for x in mat[op.i]]
+    else:
+        mat[op.i] = [x + op.b * y for x, y in zip(mat[op.i], mat[op.j])]
+
+
 def apply_row_op(S: LaurentMonomialSystem, op: RowOperation) -> LaurentMonomialSystem:
     """Apply one row operation; indices are 0-based.
 
@@ -109,25 +126,21 @@ def apply_row_op(S: LaurentMonomialSystem, op: RowOperation) -> LaurentMonomialS
     omega_j and omega'_j swap, which is the composite of |b| additions of
     the negated row j and keeps all twists integral.
     """
-    A = [list(row) for row in S.A]
     w = list(S.omega)
     wp = list(S.omega_prime)
     if isinstance(op, Swap):
         i, j = op.i, op.j
         if i == j:
             raise ValueError("Swap needs distinct rows")
-        A[i], A[j] = A[j], A[i]
         w[i], w[j] = w[j], w[i]
         wp[i], wp[j] = wp[j], wp[i]
     elif isinstance(op, Negate):
         i = op.i
-        A[i] = [-a for a in A[i]]
         w[i], wp[i] = wp[i], w[i]
     elif isinstance(op, AddMultiple):
         i, j, b = op.i, op.j, op.b
         if i == j:
             raise ValueError("AddMultiple needs distinct rows")
-        A[i] = [x + b * y for x, y in zip(A[i], A[j])]
         if b >= 0:
             w[i] = _checked_twist(w[i] * w[j] ** b)
             wp[i] = _checked_twist(wp[i] * wp[j] ** b)
@@ -136,6 +149,8 @@ def apply_row_op(S: LaurentMonomialSystem, op: RowOperation) -> LaurentMonomialS
             wp[i] = _checked_twist(wp[i] * w[j] ** (-b))
     else:
         raise TypeError(f"unknown row operation {op!r}")
+    A = [list(row) for row in S.A]
+    _apply(A, op)
     return LaurentMonomialSystem(
         t=S.t, m=S.m, A=tuple(tuple(r) for r in A), omega=tuple(w), omega_prime=tuple(wp)
     )
@@ -181,55 +196,82 @@ def permute_columns(S: LaurentMonomialSystem, perm) -> LaurentMonomialSystem:
     )
 
 
-def normalize(S: LaurentMonomialSystem):
-    """Hermite-style canonical form reached purely by the three row operations.
+def _hnf(rows) -> tuple:
+    """Row Hermite normal form by the three row operations, with its op log.
 
-    Pivots are chosen leftmost with minimal absolute value and made positive
-    by Negate; entries above each pivot are reduced into [0, pivot).  Rows
-    that become zero with omega == omega' are dropped (they read 1 = 1);
-    a zero row with omega != omega' stays and flags the empty variety.
-    Returns (canonical system, op log); op indices refer to the m-row system.
+    Column by column, the live row (row >= the next pivot slot, nonzero in
+    the column) of least absolute entry, the lowest index on ties, reduces
+    the others until one remains; it is swapped into the pivot slot when it
+    is not already there, made positive by Negate, and the entries above it
+    are reduced into [0, pivot).  Returns (matrix, rank, ops): rows past
+    the rank are zero, and replaying ops on `rows` with _apply gives matrix.
     """
-    cur = S
+    mat = [list(r) for r in rows]
+    n = len(mat)
     ops = []
 
     def do(op):
-        nonlocal cur
-        cur = apply_row_op(cur, op)
+        _apply(mat, op)
         ops.append(op)
 
     r = 0
-    for c in range(cur.t):
-        # Euclid in column c over rows >= r until one nonzero entry remains.
+    for c in range(len(mat[0]) if mat else 0):
         while True:
-            live = [i for i in range(r, cur.m) if cur.A[i][c] != 0]
+            live = [i for i in range(r, n) if mat[i][c] != 0]
             if len(live) <= 1:
                 break
-            piv = min(live, key=lambda i: (abs(cur.A[i][c]), i))
+            piv = min(live, key=lambda i: (abs(mat[i][c]), i))
             for i in live:
-                if i == piv:
-                    continue
-                q = cur.A[i][c] // cur.A[piv][c]
-                if q != 0:
+                q = mat[i][c] // mat[piv][c]
+                if i != piv and q != 0:
                     do(AddMultiple(i, piv, -q))
-        live = [i for i in range(r, cur.m) if cur.A[i][c] != 0]
         if not live:
             continue
-        piv = live[0]
-        if piv != r:
-            do(Swap(r, piv))
-        if cur.A[r][c] < 0:
+        if live[0] != r:
+            do(Swap(r, live[0]))
+        if mat[r][c] < 0:
             do(Negate(r))
         for i in range(r):
-            q = cur.A[i][c] // cur.A[r][c]
+            q = mat[i][c] // mat[r][c]
             if q != 0:
                 do(AddMultiple(i, r, -q))
         r += 1
+    return mat, r, ops
+
+
+def _solve(hnf, vec) -> Optional[list]:
+    """Integer q with q . hnf == vec for an HNF basis `hnf`, or None.
+
+    Back-substitution against the pivots, first to last."""
+    v = list(vec)
+    q = []
+    for row in hnf:
+        c = next(k for k, x in enumerate(row) if x)
+        if v[c] % row[c] != 0:
+            return None
+        qi = v[c] // row[c]
+        if qi:
+            v = [x - qi * y for x, y in zip(v, row)]
+        q.append(qi)
+    return None if any(v) else q
+
+
+def normalize(S: LaurentMonomialSystem):
+    """Hermite-style canonical form reached purely by the three row operations.
+
+    The op log of _hnf on A is replayed on S through apply_row_op, so the
+    twists follow their rows and a twist past the cap raises
+    TwistOverflowError at the op that makes it.  Rows that become zero
+    with omega == omega' are dropped (they read 1 = 1); a zero row with
+    omega != omega' stays and flags the empty variety.
+    Returns (canonical system, op log); op indices refer to the m-row system.
+    """
+    _, r, ops = _hnf(S.A)
+    cur = S
+    for op in ops:
+        cur = apply_row_op(cur, op)
     # r..m-1 are zero rows now; keep only the conflicting ones.
-    keep = list(range(r))
-    for i in range(r, cur.m):
-        if cur.omega[i] != cur.omega_prime[i]:
-            keep.append(i)
+    keep = [i for i in range(cur.m) if i < r or cur.omega[i] != cur.omega_prime[i]]
     out = LaurentMonomialSystem(
         t=cur.t,
         m=len(keep),
@@ -249,103 +291,29 @@ def hnf_rows(rows) -> list:
     Zero rows are dropped; pivots are positive; entries above a pivot are
     reduced into [0, pivot).  The result is a canonical basis.
     """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if len(live) <= 1:
-                break
-            piv = min(live, key=lambda i: (abs(mat[i][c]), i))
-            for i in live:
-                if i == piv:
-                    continue
-                q = mat[i][c] // mat[piv][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[piv])]
-        live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-        if not live:
-            continue
-        piv = live[0]
-        mat[r], mat[piv] = mat[piv], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return [row for row in mat[:r]]
+    mat, r, _ = _hnf(rows)
+    return mat[:r]
 
 
 def lattice_contains(hnf, vec) -> bool:
     """Membership of vec in the lattice with HNF basis `hnf` (exact)."""
-    v = list(vec)
-    pivots = []
-    for row in hnf:
-        c = next(i for i, x in enumerate(row) if x)
-        pivots.append((c, row))
-    for c, row in pivots:
-        if v[c] % row[c] != 0:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
+    return _solve(hnf, vec) is not None
 
 
 def express_in_rows(target, rows) -> Optional[list]:
     """Integer coefficients x with x . rows == target, or None.
 
-    Runs HNF on `rows` while tracking the unimodular transform, then solves
-    by back-substitution against the pivots.
+    Replays the HNF op log of `rows` on the identity to get the unimodular
+    transform U, then solves by back-substitution against the pivots.
     """
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    if n == 0:
-        return None if any(target) else []
-    ncols = len(mat[0])
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(ncols):
-        while True:
-            live = [i for i in range(r, n) if mat[i][c] != 0]
-            if len(live) <= 1:
-                break
-            piv = min(live, key=lambda i: (abs(mat[i][c]), i))
-            for i in live:
-                if i == piv:
-                    continue
-                q = mat[i][c] // mat[piv][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[piv])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[piv])]
-        live = [i for i in range(r, n) if mat[i][c] != 0]
-        if not live:
-            continue
-        piv = live[0]
-        mat[r], mat[piv] = mat[piv], mat[r]
-        U[r], U[piv] = U[piv], U[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-            U[r] = [-x for x in U[r]]
-        r += 1
-    v = list(target)
-    coeffs = [0] * n
-    for i in range(r):
-        c = next(k for k, x in enumerate(mat[i]) if x)
-        if v[c] % mat[i][c] != 0:
-            return None
-        q = v[c] // mat[i][c]
-        if q:
-            v = [x - q * y for x, y in zip(v, mat[i])]
-            coeffs = [x + q * y for x, y in zip(coeffs, U[i])]
-    if any(v):
+    mat, r, ops = _hnf(rows)
+    q = _solve(mat[:r], target)
+    if q is None:
         return None
-    return coeffs
+    U = [[1 if i == j else 0 for j in range(len(mat))] for i in range(len(mat))]
+    for op in ops:
+        _apply(U, op)
+    return [sum(qi * u[k] for qi, u in zip(q, U)) for k in range(len(mat))]
 
 
 @dataclass(frozen=True)

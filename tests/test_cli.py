@@ -128,6 +128,18 @@ class TestCliEval:
         assert out["direct"] == [0, 0]
         assert out["warnings"]
 
+    def test_empty_variety_warning_order(self, tmp_path, capsys):
+        # eval and compare share one message; each keeps its own order
+        empty = "empty variety: a zero row has omega != omega'"
+        no_half_box = "direct tail estimate skipped: N < 2 leaves the N/2 box empty"
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, A=[[0, 0]], omega=["2"], omega_prime=["3"])))
+        assert main(["eval", "--system", str(path), "--N", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [no_half_box, empty]
+        assert main(["compare", "--system", str(path), "--N", "1", "--P", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [
+            empty, no_half_box, "euler tail estimate skipped: P/2 < 2, so no prime is <= P/2"]
+
     def test_convergence_guard(self, tmp_path, capsys):
         doc = dict(DIAG_DOC, s=[[1, 0], [1, 0]])
         path = tmp_path / "low.json"
@@ -362,6 +374,23 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+    def test_sympy_and_hypothesis_stay_unimported(self, tmp_path):
+        # sympy and hypothesis serve the tests only; a library import of
+        # either would add its import time to every command
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, m=2, A=[[2, -2], [1, -1]],
+                                        omega=["1", "1"], omega_prime=["1", "1"])))
+        src = str(Path(mdseries.__file__).resolve().parent.parent)
+        code = ("import contextlib, io, sys\n"
+                "from mdseries.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rcs = [main(['normalize', '--system', {str(path)!r}]),\n"
+                f"           main(['compare', '--system', {str(path)!r}, '--N', '30', '--P', '30'])]\n"
+                "print(*rcs, *(name in sys.modules for name in ('sympy', 'hypothesis')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == ["0", "0", "False", "False"], proc.stderr
 
     def test_traced_replay_matches_untraced(self, tmp_path):
         # perfbench's layer trace wraps library functions by module and name;

@@ -208,12 +208,6 @@ class TestEulerBlocks:
         return (TrivialFamily(), CharacterFamily(character_table(7), 2),
                 HeckeGL2Family(lam), TauFamily(self.P))
 
-    def test_crosses_block_boundaries(self):
-        generic = len(local_solutions(TWISTED, 7, self.B).solutions)
-        per_block = series._BLOCK_TERMS // generic
-        assert len(primes_up_to(self.P // 2)) > 2 * per_block
-        assert len(primes_up_to(self.P)) > 3 * per_block
-
     def test_product_of_one_prime_factors_bitwise(self, fams):
         expected = 1 + 0j
         for p in primes_up_to(self.P):
@@ -223,7 +217,17 @@ class TestEulerBlocks:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_small_blocks_bitwise(self, fams, block):
         # with B_p a generic prime has a few local terms, so at this P the
-        # default block holds a whole group; small blocks split every group
+        # default block holds a whole group; a patched block must split some
+        # (rhs, B_p) group, at the kernel's block step for its local set
+        groups = {}
+        for p in primes_up_to(self.P):
+            groups.setdefault(series._local_key(TWISTED, p, self.B), []).append(p)
+
+        def blocks(key, ps):
+            K = len(local_solutions(TWISTED, ps[0], key[1]).solutions)
+            return -(-len(ps) // max(1, block // max(K, 1)))
+
+        assert any(blocks(key, ps) > 1 for key, ps in groups.items())
         expected = euler_product(TWISTED, fams, self.s, self.P, self.B)
         with mock.patch.object(series, "_BLOCK_TERMS", block):
             assert euler_product(TWISTED, fams, self.s, self.P, self.B) == expected

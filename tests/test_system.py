@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+
+from mdseries.cli import main
 
 from mdseries.errors import TwistOverflowError, WorkCapExceeded
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
@@ -217,6 +220,58 @@ class TestNormalize:
             S = make_system(rows, t=t)
             C, _ = normalize(S)
             assert [list(r) for r in C.A] == hnf_rows(rows)
+
+
+def _add(i, j, b):
+    return {"op": "add", "i": i, "j": j, "b": b}
+
+
+class TestNormalizeOpLog:
+    """`mds normalize` op logs and results, pinned from the tree before the
+    three reductions were merged into one kernel."""
+
+    CASES = {
+        "dependent_row_dropped": (
+            {"A": [[2, -2], [1, -1]], "omega": ["4", "2"], "omega_prime": ["9", "3"]},
+            [_add(0, 1, -2), {"op": "swap", "i": 0, "j": 1}],
+            {"A": [[1, -1]], "omega": ["2"], "omega_prime": ["3"]}, 1, False),
+        "swap_and_negate": (
+            {"A": [[0, 3, 1], [-2, 4, 0]], "omega": ["5", "2"], "omega_prime": ["1", "7"]},
+            [{"op": "swap", "i": 0, "j": 1}, {"op": "negate", "i": 0}, _add(0, 1, 2)],
+            {"A": [[2, 2, 2], [0, 3, 1]], "omega": ["175", "5"], "omega_prime": ["2", "1"]},
+            0, False),
+        "conflicting_zero_row": (
+            {"A": [[1, -1], [2, -2]], "omega": ["1", "2"], "omega_prime": ["1", "3"]},
+            [_add(1, 0, -2)],
+            {"A": [[1, -1], [0, 0]], "omega": ["1", "2"], "omega_prime": ["1", "3"]}, 0, True),
+    }
+
+    @staticmethod
+    def _run(tmp_path, capsys, doc):
+        doc = dict(doc, t=len(doc["A"][0]), m=len(doc["A"]))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["normalize", "--system", str(path)])
+        return rc, capsys.readouterr()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, tmp_path, capsys, name):
+        doc, ops, system, dropped, empty = self.CASES[name]
+        rc, captured = self._run(tmp_path, capsys, doc)
+        assert rc == 0
+        out = json.loads(captured.out)
+        assert out["operations"] == ops
+        assert out["system"] == dict(system, t=len(doc["A"][0]), m=len(system["A"]))
+        assert out["dropped_rows"] == dropped
+        assert out["empty_variety"] is empty
+
+    def test_overflow_message(self, tmp_path, capsys):
+        # Negate(0) moves omega_0 = 2 to omega'_0; the next op,
+        # AddMultiple(0, 1, 40), makes omega_0 = 1 * 3^40 > 2^63 - 1
+        doc = {"A": [[-1, 40], [0, 1]], "omega": ["2", "3"], "omega_prime": ["1", "1"]}
+        rc, captured = self._run(tmp_path, capsys, doc)
+        assert rc == 1
+        assert captured.err.strip() == "mds: twist value 12157665459056928801 exceeds 2^63-1"
 
 
 class TestPermuteColumns:
