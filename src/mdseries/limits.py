@@ -10,7 +10,7 @@ TWIST_LIMIT = 2**63 - 1            # twists stay below this through row ops
 FACTOR_INPUT_LIMIT = 10**12        # factorize() rejects larger inputs
 LPF_SIEVE_LIMIT = 10**7            # least-prime-factor sieve never grows past this
 TAU_TABLE_LIMIT = 10**5            # eta-product expansion cap
-MOMENT_TUPLE_CAP = 10_000          # (q-1)^m character tuples per moment average
+MOMENT_TUPLE_CAP = 1_000_000      # (q-1)^m character tuples per moment average
 SUPPORT_COMBO_CAP = 5_000_000      # row-combination candidates in the support search
 
 

@@ -3,8 +3,22 @@
 Averaging products of Dirichlet-twisted truncated L-sums over all
 character tuples mod a prime q reproduces the restricted series up to an
 error that decays in q; this module computes the average exactly (finite
-sums), measures the error against a tight direct-evaluation reference,
-and fits the empirical decay exponent.
+sums), measures the error against the direct box sum, and fits the
+empirical decay exponent.
+
+The average is computed as arrays.  The terms lambda_j(n) n^(-s_j) for
+n <= N are built once per family for all moduli, as real arrays when s_j
+and the family's values are real.  At each modulus q they are binned by
+the discrete log of n mod q into class sums T_j (one bincount), and one
+length-(q-1) DFT of T_j gives the twisted L-sums L_j(K) for every
+character index K.  The average over character tuples k is a gather,
+chi_k(w) conj(chi_k(w')) prod_j L_j(K_j) with K_j = sum_i k_i A_ij mod q-1,
+made in fixed-size chunks of tuples and summed by one correctly rounded
+math.fsum per part (series._fsum).  With m = 0 there is no average: the
+value is the product of the plain sums, computed once per job.
+
+The reference is the direct box sum and its N/2 tail
+(series.direct_sum_and_half); no Euler product is evaluated.
 """
 
 from __future__ import annotations
@@ -15,58 +29,32 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import CharacterTable, character_table, is_prime, _unit_roots
-from .coefficients import CoefficientFamily, TrivialFamily
+from .arith import character_table, is_prime, _unit_roots
+from .coefficients import TrivialFamily
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
-from .series import EvalParams, check_series_point, compare, default_exponent_bound
+# compare is not called here; perfbench's layer trace wraps it by this
+# module's name
+from .series import (EMPTY_VARIETY_WARNING, EvalParams, _cmul, _fsum,  # noqa: F401
+                     check_series_point, compare, direct_sum_and_half,
+                     direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
 
-
-def _log_class_sums(f: CoefficientFamily, table: CharacterTable, s: complex,
-                    N: int) -> list:
-    """T[a] = sum of lambda(n) n^{-s} over n <= N with log(n mod q) = a.
-
-    Bucketing by discrete log turns every twisted L-sum into a length-(q-1)
-    root-of-unity contraction, so the character-tuple average costs O(q)
-    per L-value instead of O(N)."""
-    q = table.q
-    n = np.arange(1, N + 1)
-    terms = np.exp(-s * np.log(n))
-    if not isinstance(f, TrivialFamily):
-        terms *= np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
-    classes = np.asarray(table.log)[n % q]
-    keep = classes >= 0   # q | n has no discrete log and drops out
-    classes = classes[keep]
-    re = np.bincount(classes, weights=terms.real[keep], minlength=q - 1)
-    im = np.bincount(classes, weights=terms.imag[keep], minlength=q - 1)
-    return (re + 1j * im).tolist()
+# Character tuples whose terms are held at once.  Each tuple's term is made
+# on its own, so any chunk size gives the same bits; this bounds the memory.
+_TUPLE_CHUNK = 1 << 12
 
 
-def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
-               *, tuple_cap: int = MOMENT_TUPLE_CAP) -> complex:
-    """The full average over all (q-1)^m character tuples of
-    prod_j L_N(s_j, Pi_j x prod_i chi_i^{a_ij}) * prod_i chi_i(w_i) conj(chi_i)(w'_i).
-
-    Composite characters are realized by exponent-index arithmetic mod q-1,
-    so each factor is a table lookup.  For m = 0 this is the plain product
-    of untwisted truncated L-sums (no average, all n <= N included).
-    """
+def _checked(S: LaurentMonomialSystem, families, s) -> tuple:
     s = tuple(complex(z) for z in s)
     if len(s) != S.t or len(families) != S.t:
         raise ValueError("s and families must both have length t")
-    if S.m == 0:
-        out = 1 + 0j
-        for fam, z in zip(families, s):
-            trivial = isinstance(fam, TrivialFamily)
-            tot = 0j
-            for n in range(1, N + 1):
-                term = n ** (-z)
-                if not trivial:
-                    term *= fam.value(n)
-                tot += term
-            out *= tot
-        return out
+    return s
+
+
+def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
+    """Raise unless q is an odd prime prime to every twist whose (q-1)^m
+    character tuples fit under the cap."""
     if not is_prime(q) or q == 2:
         raise ValueError(f"modulus q must be an odd prime, got {q}")
     for w in list(S.omega) + list(S.omega_prime):
@@ -75,38 +63,99 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
     tuples = (q - 1) ** S.m
     if tuples > tuple_cap:
         raise WorkCapExceeded(tuples, tuple_cap, "character tuple average")
+
+
+def _term_arrays(families, s, N: int) -> list:
+    """lambda_j(n) n^(-s_j) for n = 1..N, one array per family: float64
+    when s_j is real and the family's values are real, else complex.  A
+    non-trivial family's value is called once per n."""
+    logn = np.log(np.arange(1, N + 1))
+    out = []
+    for fam, z in zip(families, s):
+        terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
+        if not isinstance(fam, TrivialFamily):
+            values = np.array([fam.value(n) for n in range(1, N + 1)], dtype=complex)
+            terms = terms * (values if values.imag.any() else values.real)
+        out.append(terms)
+    return out
+
+
+def _plain_product(families, s, N: int) -> complex:
+    """The m = 0 value: the product of the untwisted truncated L-sums, each
+    summed term by term in ascending n, which keeps the bits of a
+    sequential sum of n ** -s_j."""
+    out = 1 + 0j
+    for fam, z in zip(families, s):
+        trivial = isinstance(fam, TrivialFamily)
+        tot = 0j
+        for n in range(1, N + 1):
+            term = n ** (-z)
+            if not trivial:
+                term *= fam.value(n)
+            tot += term
+        out *= tot
+    return out
+
+
+def _average(S: LaurentMonomialSystem, terms: list, q: int) -> complex:
+    """The character-tuple average at q from the term arrays (see the module
+    docstring), for m >= 1 and a q that _check_modulus accepts."""
     table = character_table(q)
     order = q - 1
-    roots = _unit_roots(order)
-    T = [_log_class_sums(fam, table, z, N) for fam, z in zip(families, s)]
-
-    L_cache: dict = {}
-
-    def L(j: int, K: int) -> complex:
-        got = L_cache.get((j, K))
-        if got is None:
-            Tj = T[j]
-            got = sum(roots[(K * a) % order] * Tj[a] for a in range(order))
-            L_cache[(j, K)] = got
-        return got
-
+    N = len(terms[0])
+    # class sums by residue, then residues 1..q-1 relabelled by their
+    # discrete logs; residue 0 (q | n) drops out
+    residue = np.arange(1, N + 1) % q
+    logs = np.asarray(table.log[1:])
+    L = []
+    for x in terms:
+        T = np.zeros(order, dtype=complex)
+        T.real[logs] = np.bincount(residue, weights=x.real, minlength=q)[1:]
+        if np.iscomplexobj(x):
+            T.imag[logs] = np.bincount(residue, weights=x.imag, minlength=q)[1:]
+        # L(K) = sum_a T[a] e^(2 pi i K a / (q-1)): the unscaled inverse DFT
+        Lj = np.fft.ifft(T, norm="forward")
+        L.append((Lj.real, Lj.imag))
+    roots = np.array(_unit_roots(order))
+    A = [[a % order for a in row] for row in S.A]
     delta = [(table.log_of(w) - table.log_of(wp)) % order
              for w, wp in zip(S.omega, S.omega_prime)]
+    tuples = order ** S.m
 
-    total = 0j
-    m, t = S.m, S.t
-    ks = [0] * m
-    for idx in range(tuples):
-        v = idx
-        for i in range(m):
-            ks[i] = v % order
-            v //= order
-        term = roots[sum(k * d for k, d in zip(ks, delta)) % order]
-        for j in range(t):
-            K = sum(ks[i] * S.A[i][j] for i in range(m)) % order
-            term *= L(j, K)
-        total += term
-    return total / tuples
+    def chunks():
+        for lo in range(0, tuples, _TUPLE_CHUNK):
+            v = np.arange(lo, min(lo + _TUPLE_CHUNK, tuples))
+            ks = []
+            for _ in range(S.m):
+                v, k = np.divmod(v, order)
+                ks.append(k)
+            phase = sum(k * d for k, d in zip(ks, delta)) % order
+            tr, ti = roots.real[phase], roots.imag[phase]
+            for j, (Lr, Li) in enumerate(L):
+                K = sum(k * row[j] for k, row in zip(ks, A)) % order
+                tr, ti = _cmul(tr, ti, Lr[K], Li[K])
+            chunk = np.empty(len(tr), dtype=complex)
+            chunk.real, chunk.imag = tr, ti
+            yield chunk
+
+    return _fsum(chunks) / tuples
+
+
+def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
+               *, tuple_cap: int = MOMENT_TUPLE_CAP) -> complex:
+    """The full average over all (q-1)^m character tuples of
+    prod_j L_N(s_j, Pi_j x prod_i chi_i^{a_ij}) * prod_i chi_i(w_i) conj(chi_i)(w'_i).
+
+    Composite characters are realized by index arithmetic mod q-1, so each
+    factor is a gather from the DFT of the class sums.  For m = 0 this is
+    the plain product of untwisted truncated L-sums (no average, all n <= N
+    included).
+    """
+    s = _checked(S, families, s)
+    if S.m == 0:
+        return _plain_product(families, s, N)
+    _check_modulus(S, q, tuple_cap)
+    return _average(S, _term_arrays(families, s, N), q)
 
 
 @dataclass(frozen=True)
@@ -175,11 +224,14 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
     """Measure e(q) = |moment_rhs(q) - LHS| over ascending prime moduli and
     fit the decay exponent.
 
-    The LHS reference comes from a tight dual-evaluator run unless supplied;
-    a warning is raised when its tail estimate is within a factor 10 of the
-    smallest measured error, since the measurement floor is then suspect.
+    Unless supplied, the LHS reference is the direct box sum at
+    reference_params.N (default N), with the tail |v(N) - v(N/2)| when
+    reference_params.tail_estimates; reference_params.P and .B are unused.
+    A warning is raised when that tail is above a tenth of the smallest
+    measured error, since the measurement floor is then suspect.  The term
+    arrays are built once and serve every modulus.
     """
-    s = tuple(complex(z) for z in s)
+    s = _checked(S, families, s)
     check_series_point(s, S.t, False)
     qs = [int(q) for q in q_list]
     if qs != sorted(qs) or len(set(qs)) != len(qs):
@@ -187,22 +239,28 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
     for q in qs:
         if not is_prime(q):
             raise ValueError(f"moduli must be prime, got {q}")
+        if S.m:
+            _check_modulus(S, q, MOMENT_TUPLE_CAP)
     warnings = []
     lhs_tail = None
     if reference is not None:
         lhs = complex(reference)
     else:
-        if reference_params is None:
-            reference_params = EvalParams(
-                N=N, P=min(N, 10_000), B=default_exponent_bound(s))
-        report = compare(S, families, s, reference_params)
-        lhs = report.direct
-        lhs_tail = report.direct_tail
-        warnings.extend(report.warnings)
-    errors = []
-    for q in qs:
-        rhs = moment_rhs(S, families, s, q, N)
-        errors.append((q, abs(rhs - lhs)))
+        ref_N = N if reference_params is None else reference_params.N
+        if S.empty_variety_flag:
+            warnings.append(EMPTY_VARIETY_WARNING)
+        lhs, half = direct_sum_and_half(S, families, s, ref_N)
+        if reference_params is None or reference_params.tail_estimates:
+            if half is not None:
+                lhs_tail = abs(lhs - half)
+            else:
+                warnings.append(direct_tail_skip_reason(ref_N))
+    if S.m == 0:
+        rhs = _plain_product(families, s, N)
+        errors = [(q, abs(rhs - lhs)) for q in qs]
+    else:
+        terms = _term_arrays(families, s, N)
+        errors = [(q, abs(_average(S, terms, q) - lhs)) for q in qs]
     positive = [e for _, e in errors if e > 0]
     if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
         warnings.append(

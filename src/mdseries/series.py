@@ -48,6 +48,7 @@ set, keep every direct sum bit for bit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -170,9 +171,29 @@ def euler_tail_skip_reason(S: LaurentMonomialSystem, P: int) -> Optional[str]:
 def _fsum(z) -> complex:
     """Correctly rounded sum of complex terms, real and imaginary parts apart.
 
-    The result depends only on the multiset of terms, not on their order."""
-    z = np.asarray(z, dtype=complex)
-    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+    z is an array of terms, or a function returning an iterator over arrays
+    of terms.  The function is called once per part, so terms made chunk by
+    chunk are summed in bounded memory, each part by one math.fsum.  The
+    result depends only on the multiset of terms, not on their order or
+    chunking.  The imaginary sum is skipped when every imaginary part is
+    zero; this keeps its bits, since math.fsum of any run of +-0.0 is 0.0.
+    """
+    if not callable(z):
+        arr = np.asarray(z)
+        z = lambda: (arr,)                       # noqa: E731
+    nonzero_imag = False
+
+    def real_parts():
+        nonlocal nonzero_imag
+        for chunk in z():
+            nonzero_imag = nonzero_imag or bool(chunk.imag.any())
+            yield chunk.real.tolist()
+
+    re = math.fsum(itertools.chain.from_iterable(real_parts()))
+    if not nonzero_imag:
+        return complex(re, 0.0)
+    return complex(re, math.fsum(itertools.chain.from_iterable(
+        chunk.imag.tolist() for chunk in z())))
 
 
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
@@ -214,6 +235,8 @@ def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
 # Terms the Euler kernel holds at once: a block of primes times their
 # local solutions.  Any block gives the same bits; this bounds the memory.
 _BLOCK_TERMS = 1 << 13
+# Primes of a block whose terms are made Python floats at once, for fsum.
+_FSUM_ROWS = 64
 
 
 def _cmul(ar, ai, br, bi) -> tuple:
@@ -266,7 +289,15 @@ def _local_factors(c, s, primes, sols) -> list:
             table_r[:, used], table_i[:, used] = _cmul(
                 pow_r[col][:, used - 1], pow_i[col][:, used - 1], coef.real, coef.imag)
             tr, ti = _cmul(tr, ti, table_r[:, gather], table_i[:, gather])
-        out += [complex(math.fsum(r), math.fsum(i)) for r, i in zip(tr.tolist(), ti.tolist())]
+        # each factor is _fsum of its row; the rows go to Python floats a
+        # few at a time, and an all-zero imaginary part is not summed
+        for r0 in range(0, len(block), _FSUM_ROWS):
+            rows_r, rows_i = tr[r0:r0 + _FSUM_ROWS], ti[r0:r0 + _FSUM_ROWS]
+            if rows_i.any():
+                out += [complex(math.fsum(r), math.fsum(i))
+                        for r, i in zip(rows_r.tolist(), rows_i.tolist())]
+            else:
+                out += [complex(math.fsum(r), 0.0) for r in rows_r.tolist()]
     return out
 
 

@@ -316,6 +316,16 @@ class TestCliMoment:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "q,error" and len(lines) == 4
 
+    def test_twist_prime_above_N(self, tmp_path, capsys):
+        # the reference is the direct sum alone, so a twist prime above N
+        # (and above any prime bound) is no error
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, omega_prime=["1009"])))
+        code = main(["moment", "--system", str(path), "--q", "11,31", "--N", "1000"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["lhs"] == [0.0, 0.0] and out["warnings"] == []
+
 
 class TestCliEnumerate:
     def test_monomial(self, diag_file, capsys):
@@ -418,4 +428,32 @@ class TestConsoleScript:
         outputs = [json.loads(doc["stdout"]) for doc in docs]
         for out in outputs:
             out.pop("wall_time")
+        assert outputs[0] == outputs[1]
+
+    def test_traced_moment_replay_matches_untraced(self, tmp_path):
+        # the same guard on the moment path, whose module the trace also
+        # wraps by name
+        script = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+        path = tmp_path / "hecke.json"
+        lam = {str(p): 0.1 * (p % 7) - 0.3 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)}
+        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[
+            {"type": "hecke_gl2", "lambda": lam}, {"type": "trivial"}])))
+        docs = []
+        for trace in ("1", "0"):
+            out = tmp_path / f"trace{trace}.json"
+            proc = subprocess.run(
+                [sys.executable, str(script), "--trace", trace, "--out", str(out), "--",
+                 "moment", "--system", str(path), "--q", "11,31", "--N", "30"],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(out.read_text())
+            assert doc["rc"] == 0
+            docs.append(doc)
+        traced, untraced = docs
+        assert traced["spans"]["cli.main"]["calls"] == 1
+        assert traced["spans"]["momentlab.decay_experiment"]["calls"] == 1
+        assert untraced["spans"] == {}
+        outputs = [json.loads(doc["stdout"]) for doc in docs]
+        for out in outputs:
+            out.pop("wall_time", None)
         assert outputs[0] == outputs[1]

@@ -1,14 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from mdseries.arith import character_table
+from mdseries import momentlab
+from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
 from mdseries.errors import WorkCapExceeded
 from mdseries.momentlab import decay_experiment, moment_rhs
-from mdseries.series import EvalParams
+from mdseries.series import EMPTY_VARIETY_WARNING, EvalParams, direct_sum_and_half
 from mdseries.system import LaurentMonomialSystem, make_system, negate_system
 
 DIAG = make_system([[1, -1]])
@@ -40,6 +43,49 @@ def naive_moment_rhs(S, families, s, q, N):
         for j in range(S.t):
             K = sum(k * S.A[i][j] for i, k in enumerate(ks))
             term *= truncated_twisted_L(families[j], table, K, s[j], N)
+        total += term
+    return total / order**S.m
+
+
+def loop_class_sums(f, table, s, N):
+    """Oracle: T[a] = sum of lambda(n) n^{-s} over n <= N with
+    log(n mod q) = a, by bincount over the discrete-log classes."""
+    q = table.q
+    n = np.arange(1, N + 1)
+    terms = np.exp(-s * np.log(n))
+    if not isinstance(f, TrivialFamily):
+        terms *= np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
+    classes = np.asarray(table.log)[n % q]
+    keep = classes >= 0
+    classes = classes[keep]
+    re = np.bincount(classes, weights=terms.real[keep], minlength=q - 1)
+    im = np.bincount(classes, weights=terms.imag[keep], minlength=q - 1)
+    return (re + 1j * im).tolist()
+
+
+def loop_moment_rhs(S, families, s, q, N):
+    """Oracle: the character-tuple average by Python loops, each L(j, K) a
+    sum of q - 1 class-sum terms and every tuple visited in turn; m = 0 is
+    the product of the plain sums."""
+    s = tuple(complex(z) for z in s)
+    if S.m == 0:
+        out = 1 + 0j
+        for fam, z in zip(families, s):
+            out *= sum(n ** (-z) * fam.value(n) for n in range(1, N + 1))
+        return out
+    table = character_table(q)
+    order = q - 1
+    roots = _unit_roots(order)
+    T = [loop_class_sums(fam, table, z, N) for fam, z in zip(families, s)]
+    L = [[sum(roots[(K * a) % order] * Tj[a] for a in range(order)) for K in range(order)]
+         for Tj in T]
+    delta = [(table.log_of(w) - table.log_of(wp)) % order
+             for w, wp in zip(S.omega, S.omega_prime)]
+    total = 0j
+    for ks in itertools.product(range(order), repeat=S.m):
+        term = roots[sum(k * d for k, d in zip(ks, delta)) % order]
+        for j in range(S.t):
+            term *= L[j][sum(k * row[j] for k, row in zip(ks, S.A)) % order]
         total += term
     return total / order**S.m
 
@@ -90,6 +136,23 @@ class TestTruncatedTwistedL:
         got = truncated_twisted_L(fam, tb, 0, 2, 1000)
         want = sum(fam.value(n) * n**-2.0 for n in range(1, 1001) if n % 5)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+HECKE = HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5) for p in range(2, 400)})
+# (system, families, s, q, N): the systems of test_matches_naive_twisted_L_average,
+# with tau, Hecke and character families at m = 1 and 2
+MOMENT_CASES = [
+    (DIAG, TRIV2, (2, 2), 11, 300),
+    (make_system([[1, -2]], omega=(2,), omega_prime=(3,)),
+     (TauFamily(1000), HECKE), (2.5 + 1j, 2), 7, 250),
+    (make_system([[1, 1, -1], [0, 2, 1]], omega=(4, 1), omega_prime=(1, 5)),
+     (TrivialFamily(), CharacterFamily(character_table(13), 5), HECKE),
+     (2, 3, 2.5), 7, 120),
+]
+
+
+def assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
 
 
 class TestMomentRhs:
@@ -175,7 +238,57 @@ class TestMomentRhs:
     def test_tuple_cap(self):
         S = make_system([[1, -1], [1, 1]])
         with pytest.raises(WorkCapExceeded):
-            moment_rhs(S, TRIV2, (2, 2), 103, 5)
+            moment_rhs(S, TRIV2, (2, 2), 1009, 5)
+
+    @pytest.mark.parametrize("case", range(len(MOMENT_CASES)))
+    def test_matches_loop_oracle(self, case):
+        S, fams, s, q, N = MOMENT_CASES[case]
+        conj = tuple(complex(z).conjugate() for z in s)
+        for system, point in ((S, s), (S, conj), (negate_system(S), s)):
+            assert_close(moment_rhs(system, fams, point, q, N),
+                         loop_moment_rhs(system, fams, point, q, N))
+
+    def test_matches_loop_oracle_m0(self):
+        S = LaurentMonomialSystem(t=3, m=0, A=(), omega=(), omega_prime=())
+        fams = (TauFamily(1000), HECKE, CharacterFamily(character_table(13), 5))
+        for s in ((2.5 + 1j, 2, 3), (2.5 - 1j, 2, 3)):
+            assert moment_rhs(S, fams, s, 7, 300) == loop_moment_rhs(S, fams, s, 7, 300)
+
+    def test_conjugation_of_real_families(self):
+        # with real coefficients, conjugating s conjugates every L-sum and
+        # relabels chi -> conj(chi), so the average is conjugated
+        S = make_system([[1, -2], [1, 1]], omega=(2, 1), omega_prime=(3, 5))
+        fams = (TauFamily(1000), HECKE)
+        s = (2.5 + 1j, 2 - 0.5j)
+        a = moment_rhs(S, fams, s, 13, 200)
+        b = moment_rhs(S, fams, tuple(z.conjugate() for z in map(complex, s)), 13, 200)
+        assert_close(b, a.conjugate())
+        assert_close(a, loop_moment_rhs(S, fams, s, 13, 200))
+
+    def test_twisted_m2_against_loop_oracle(self):
+        S = make_system([[1, 1, -1, 0], [0, 1, 1, -1]], omega=(6, 5), omega_prime=(1, 3))
+        fams = (TrivialFamily(), CharacterFamily(character_table(7), 2), HECKE,
+                TauFamily(1000))
+        assert_close(moment_rhs(S, fams, (2, 2, 2, 2), 31, 300),
+                     loop_moment_rhs(S, fams, (2, 2, 2, 2), 31, 300))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunk_size_keeps_bits(self, chunk):
+        S, fams, s, q, N = MOMENT_CASES[2]
+        want = moment_rhs(S, fams, s, q, N)
+        with mock.patch.object(momentlab, "_TUPLE_CHUNK", chunk):
+            assert moment_rhs(S, fams, s, q, N) == want
+
+    def test_exact_reconstruction_q997_m2(self):
+        # 996^2 tuples, just under the cap; N < q, so the average is exactly
+        # the congruence-filtered box sum
+        S = make_system([[1, -1, 0], [0, 1, -1]], omega=(2, 3), omega_prime=(1, 1))
+        fams = (TrivialFamily(), HECKE, CharacterFamily(character_table(13), 5))
+        s, q, N = (2, 2.5, 3), 997, 40
+        assert (q - 1) ** S.m <= momentlab.MOMENT_TUPLE_CAP < (1009 - 1) ** S.m
+        want = congruence_sum(S, fams, s, q, N)
+        assert want != 0
+        assert abs(moment_rhs(S, fams, s, q, N) - want) < 1e-12
 
 
 class TestDecayExperiment:
@@ -219,6 +332,42 @@ class TestDecayExperiment:
         assert set(doc["errors"]) == {"11", "31"}
         rows = exp.csv_rows()
         assert rows[0] == ("q", "error") and len(rows) == 3
+
+    def test_reference_is_the_direct_sum(self):
+        S, fams, s = MOMENT_CASES[1][:3]
+        exp = decay_experiment(S, fams, s, [11, 31], 300)
+        direct, half = direct_sum_and_half(S, fams, s, 300)
+        assert exp.lhs == direct
+        assert exp.lhs_tail == abs(direct - half)
+        ref = decay_experiment(S, fams, s, [11], 400,
+                               reference_params=EvalParams(N=300, P=2, B=1))
+        assert ref.lhs == direct and ref.lhs_tail == exp.lhs_tail
+
+    def test_reference_warnings(self):
+        S = make_system([[1, -1], [0, 0]], omega=(1, 2), omega_prime=(1, 3))
+        exp = decay_experiment(S, TRIV2, (2, 2), [11, 31], 200)
+        assert exp.lhs == 0 and EMPTY_VARIETY_WARNING in exp.warnings
+        # the twist prime 1009 is above N/2: no Euler product, so no
+        # Euler-tail warning and no prime-bound error
+        S = make_system([[1, -1]], omega_prime=(1009,))
+        exp = decay_experiment(S, TRIV2, (2, 2), [11, 31], 1500)
+        assert exp.lhs == pytest.approx(1009.0 ** -2, rel=1e-15)
+        assert not any("euler" in w for w in exp.warnings)
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [11], 1)
+        assert exp.lhs_tail is None
+        assert exp.warnings == ("direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
+
+    def test_family_values_once_per_job(self):
+        hecke = HeckeGL2Family(HECKE.lambda_p)
+        calls = []
+        value = hecke.value
+        hecke.value = lambda n: calls.append(n) or value(n)
+        N = 400
+        S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
+        # a given reference leaves the moduli as the only callers
+        decay_experiment(S, (TrivialFamily(), hecke), (2, 2), [11, 31, 101], N,
+                         reference=1.0)
+        assert 0 < len(calls) <= N
 
     def test_empirical_error_envelope(self):
         # measured envelope, not a guarantee: diagonal errors sit below 10/q

@@ -3,6 +3,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mdseries import series
@@ -29,6 +30,12 @@ def twisted_families():
     lam = {p: math.cos(p * 1.0) * 1.8 for p in primes_up_to(1000)}
     return (TrivialFamily(), CharacterFamily(character_table(7), 2),
             HeckeGL2Family(lam), TauFamily(1000))
+
+
+def real_twisted_families():
+    """Families with real values on TWISTED: trivial, tau and real-lambda Hecke."""
+    lam = {p: math.cos(p * 1.0) * 1.8 for p in primes_up_to(1000)}
+    return (TrivialFamily(), TauFamily(1000), HeckeGL2Family(lam), TrivialFamily())
 
 
 def scalar_local_factor(S, c, p, s, B):
@@ -257,6 +264,70 @@ class TestEulerBlocks:
         with pytest.raises(MissingPrimePowerError,
                            match=r"^tau table \(bound 1000\) cannot reach prime 1009$"):
             euler_product(TWISTED, broken, self.s, self.P, self.B)
+
+
+def old_fsum(z):
+    """Oracle: the complex-sum rule with both parts always summed."""
+    z = np.asarray(z, dtype=complex)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+class TestFsumRule:
+    """_fsum skips the imaginary sum when every imaginary part is zero; the
+    bits must be those of summing both parts."""
+
+    @staticmethod
+    def bits(z):
+        return (math.copysign(1.0, z.real), z.real.hex(), math.copysign(1.0, z.imag),
+                z.imag.hex())
+
+    def test_negative_zero_imaginary_parts(self):
+        z = np.array([complex(1.5, -0.0), complex(2.0**-60, -0.0), complex(-0.25, -0.0)])
+        assert np.all(np.signbit(z.imag))
+        assert self.bits(series._fsum(z)) == self.bits(old_fsum(z)) == self.bits(1.25 + 2.0**-60 + 0j)
+
+    def test_chunk_function_equals_array(self):
+        rng = random.Random(5)
+        z = np.array([complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20),
+                              rng.choice([0.0, -0.0, rng.uniform(-1, 1)])) for _ in range(500)])
+        for cuts in ([], [1], [7, 200, 201], list(range(0, 500, 3))):
+            bounds = [0, *cuts, len(z)]
+            got = series._fsum(lambda: (z[a:b] for a, b in zip(bounds, bounds[1:])))
+            assert self.bits(got) == self.bits(old_fsum(z))
+        real = z.real.copy()
+        assert self.bits(series._fsum(real)) == self.bits(old_fsum(real))
+        # a nonzero imaginary part in the first chunk only still counts
+        w = real.astype(complex)
+        w[0] += 0.5j
+        got = series._fsum(lambda: (w[a:a + 100] for a in range(0, len(w), 100)))
+        assert self.bits(got) == self.bits(old_fsum(w)) and got.imag == 0.5
+
+    @pytest.mark.parametrize("S,fams", [
+        (DIAG, TRIV2),
+        (make_system([[1, 1, -1]]), (TrivialFamily(), TauFamily(1000), TrivialFamily())),
+        (TWISTED, real_twisted_families()),
+    ])
+    def test_direct_sums_of_real_systems_bitwise(self, S, fams):
+        s = (2.0,) * S.t
+        with mock.patch.object(series.math, "fsum", wraps=math.fsum) as spy:
+            got = direct_sum_and_half(S, fams, s, 60)
+        assert spy.call_count == 2        # the imaginary sums were skipped
+        with mock.patch.object(series, "_fsum", old_fsum):
+            want = direct_sum_and_half(S, fams, s, 60)
+        assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
+
+    def test_euler_factors_of_a_real_system_bitwise(self):
+        fams, s, B = real_twisted_families(), (2.0, 2.5, 2.0, 3.0), 20
+        primes = primes_up_to(1000)
+        with mock.patch.object(series.math, "fsum", wraps=math.fsum) as spy:
+            product = euler_product(TWISTED, fams, s, 1000, B)
+        assert spy.call_count == len(primes)    # one sum per factor
+        for p in primes[::5]:
+            assert self.bits(local_factor(TWISTED, fams, p, s, B)) == self.bits(
+                scalar_local_factor(TWISTED, fams, p, s, oracle_bound(TWISTED, p, B)))
+        for rows in (1, 3):
+            with mock.patch.object(series, "_FSUM_ROWS", rows):
+                assert self.bits(euler_product(TWISTED, fams, s, 1000, B)) == self.bits(product)
 
 
 class TestDefaultExponentBound:
