@@ -6,13 +6,15 @@ class MDSeriesError(Exception):
 
 
 class WorkCapExceeded(MDSeriesError):
-    """An enumeration or scan would exceed the configured work cap."""
+    """An enumeration or scan would exceed its work cap.  The message ends
+    with the remedy: MDS_WORK_CAP for the caps that limits.work_cap reads,
+    and what to make smaller for a fixed cap."""
 
-    def __init__(self, needed, cap, what="enumeration"):
+    def __init__(self, needed, cap, what="enumeration",
+                 remedy="set MDS_WORK_CAP to override"):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what} needs ~{needed} units of work, cap is {cap} "
-                         f"(set MDS_WORK_CAP to override)")
+        super().__init__(f"{what} needs ~{needed} units of work, cap is {cap} ({remedy})")
 
 
 class TwistOverflowError(MDSeriesError):

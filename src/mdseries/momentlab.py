@@ -62,7 +62,8 @@ def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
             raise ValueError(f"q = {q} must be coprime to every twist, divides {w}")
     tuples = (q - 1) ** S.m
     if tuples > tuple_cap:
-        raise WorkCapExceeded(tuples, tuple_cap, "character tuple average")
+        raise WorkCapExceeded(tuples, tuple_cap, "character tuple average",
+                              "use a smaller q, or a system with fewer rows")
 
 
 def _term_arrays(families, s, N: int) -> list:

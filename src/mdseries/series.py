@@ -42,7 +42,10 @@ Sums, of box terms and of local-factor terms alike, are math.fsum on the
 real and imaginary parts: correctly rounded and independent of the order of
 the terms, so a value depends only on the term set.  Box points come from
 exact membership (see variety), so row operations, which keep the solution
-set, keep every direct sum bit for bit.
+set, keep every direct sum bit for bit.  The direct sum streams the box
+window by window (variety.box_windows) and keeps only its terms' values:
+8 bytes a term where a window's imaginary parts are all zero, 16 bytes
+where one is not, and the same again for each half-box term.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .errors import ConvergenceError, MissingPrimePowerError
 from .system import LaurentMonomialSystem
 # enumerate_box is not called here; perfbench's layer trace wraps it by
 # this module's name
-from .variety import box_array, enumerate_box, local_solutions, monomial_rhs_at  # noqa: F401
+from .variety import box_windows, enumerate_box, local_solutions, monomial_rhs_at  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -196,33 +199,50 @@ def _fsum(z) -> complex:
         chunk.imag.tolist() for chunk in z())))
 
 
+def _kept(terms):
+    """The values of a window's terms that its sum needs: the complex terms
+    if some imaginary part is nonzero, else a copy of the real parts (so
+    the complex buffer is freed)."""
+    return terms if terms.imag.any() else terms.real.copy()
+
+
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
                         *, override_convergence: bool = False,
                         work_cap=None) -> tuple:
     """The direct sums over [1,N]^t and [1,N//2]^t from one box enumeration.
 
-    The box points form one K x t array; the terms a(n) / prod n_j^{s_j}
-    are exp(-(log n) . s), times the coefficient product unless every
-    family is trivial.  The half-box points are those with max(n) <= N//2.
-    Both sums are correctly rounded (math.fsum), so the half sum has the
-    bits of a separate run at N//2 and reordering the points changes
-    nothing.  The second value is None when N < 2, where the half box is
-    empty.
+    The box is streamed: for each window of box_windows, the terms
+    a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
+    product unless every family is trivial, elementwise, so a term has the
+    same bits in any window.  Only the terms' values are kept, 8 bytes a
+    term (the real parts) for a window whose imaginary parts are all zero
+    and 16 bytes a term otherwise; the half-box terms, those with
+    max(n) <= N//2, are kept the same way.  Both sums are correctly rounded
+    (math.fsum over the kept windows), so the half sum has the bits of a
+    separate run at N//2 and reordering the points changes nothing.  The
+    second value is None when N < 2, where the half box is empty.
     """
     s = _checked_point(S, c, s, override_convergence)
-    X = box_array(S, N, work_cap=work_cap).astype(np.int64, copy=False)
-    logX = np.log(X)
-    expo = np.zeros(len(X), dtype=complex)
-    for j, z in enumerate(s):
-        expo += logX[:, j] * z
-    terms = np.exp(-expo)
-    if not all_trivial(c):
-        terms *= np.array([eval_product_coefficient(c, row) for row in X.tolist()],
-                          dtype=complex)
-    half = None
-    if direct_tail_skip_reason(N) is None:
-        half = _fsum(terms[X.max(axis=1, initial=1) <= N // 2])
-    return _fsum(terms), half
+    trivial = all_trivial(c)
+    half_N = N // 2 if direct_tail_skip_reason(N) is None else None
+    full, half = [], []
+    for X in box_windows(S, N, work_cap=work_cap):
+        X = X.astype(np.int64, copy=False)
+        logX = np.log(X)
+        expo = np.zeros(len(X), dtype=complex)
+        for j, z in enumerate(s):
+            expo += logX[:, j] * z
+        terms = np.exp(-expo)
+        if not trivial:
+            # not in place: numpy's in-place complex product on a one-term
+            # array rounds differently from the product on longer ones
+            terms = terms * np.array([eval_product_coefficient(c, row) for row in X.tolist()],
+                                     dtype=complex)
+        full.append(_kept(terms))
+        if half_N is not None:
+            half.append(_kept(terms[X.max(axis=1, initial=1) <= half_N]))
+    value = _fsum(lambda: iter(full))
+    return value, None if half_N is None else _fsum(lambda: iter(half))
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,

@@ -342,7 +342,8 @@ def support_reducible(A, coeff_bound: int) -> SupportSearch:
     m = len(rows)
     total = (2 * coeff_bound + 1) ** m
     if total > SUPPORT_COMBO_CAP:
-        raise WorkCapExceeded(total, SUPPORT_COMBO_CAP, "support-reduction search")
+        raise WorkCapExceeded(total, SUPPORT_COMBO_CAP, "support-reduction search",
+                              "lower the coefficient bound (--bound)")
     target_hnf = hnf_rows(rows)
     ncols = len(rows[0])
     candidates = set()

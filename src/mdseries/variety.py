@@ -10,12 +10,15 @@ exact integer arithmetic (cross-multiplication on every row).  Floating
 logs only narrow the box search, and are widened so that they never
 exclude a solution; a float k-th root only proposes the last coordinate.
 
-Box enumeration on a monomial system is one array search (box_array): it
+Box enumeration on a monomial system is one array search (box_windows): it
 takes the whole frontier of prefixes a level at a time, a window of
-_WINDOW nodes at a time, which bounds its memory, and solves the last
-coordinate for a whole window at once.  Its exact products are int64 when
+_WINDOW nodes at a time, which bounds its memory, solves the last
+coordinate for a whole window at once, and yields each window's points
+as an array, in lexicographic order.  Its exact products are int64 when
 no row side can reach 2^63 on the box, and Python ints (object arrays,
-the same code) otherwise.  enumerate_box wraps the rows as IntegerPoints;
+the same code) otherwise.  box_array concatenates the windows, and
+enumerate_box wraps its rows as IntegerPoints; a caller that folds the
+points window by window (the direct sum) never holds the box.
 on_monomial_variety_rational is the scalar form of the same exact check.
 """
 
@@ -371,8 +374,10 @@ _LOG_SLACK = 1e-6  # relative widening of pruning intervals
 
 # Nodes the box search holds at once in one level: the children of a level
 # are made this many at a time, and each window is searched to the end
-# before the next.  Any window gives the same points in the same order;
-# this bounds the memory of the search.  On A = [[1, -1]] at N = 10^5,
+# before the next, and its points are yielded before the next is made.
+# Any window gives the same points in the same order; this bounds the
+# memory of the search and of a caller that folds the points window by
+# window.  On A = [[1, -1]] at N = 10^5,
 # 2^12 is as fast as 2^16 with 2.5 MB less peak memory in `mds moment`.
 _WINDOW = 1 << 12
 
@@ -436,10 +441,10 @@ def _holds(S: LaurentMonomialSystem, cols: list, n: int, dt):
     return keep
 
 
-def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
-    """The box points of S as a K x t array in lexicographic order, by a
-    level-synchronous search over the first t-1 coordinates and an exact
-    solve for the last one.
+def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
+    """The box points of S, yielded as K_w x t arrays, one per window, in
+    lexicographic order, by a level-synchronous search over the first t-1
+    coordinates and an exact solve for the last one.
 
     Each prefix level computes, for every node of the frontier at once, the
     interval that every constraint still allows for the next coordinate.
@@ -460,15 +465,19 @@ def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
     decides.  In object dtype the root is arith.iroot.  No row product can
     overflow: every side is bounded by the dtype rule of _box_dtype.  When
     no row uses x_t, membership does not depend on it, so it is decided
-    once per prefix at x_t = 1 and the row repeats over 1..N.
+    once per prefix at x_t = 1 and each kept prefix repeats over 1..N; the
+    repeated rows are yielded _WINDOW at a time, so no array yielded has
+    more than _WINDOW rows, whatever N.
 
     Nodes (prefix coordinates tried plus points emitted) count against the
-    work cap, each level before it is made.
+    work cap, each level before it is made; a window's points count before
+    they are yielded.  The windows may be empty.
     """
     t, m, A = S.t, S.m, S.A
     if t == 0:
-        return np.zeros((int(all(w == wp for w, wp in zip(S.omega, S.omega_prime))), 0),
-                        dtype=np.int64)
+        yield np.zeros((int(all(w == wp for w, wp in zip(S.omega, S.omega_prime))), 0),
+                       dtype=np.int64)
+        return
     dt = _box_dtype(S, N)
     last = t - 1
     target_log = [math.log(wp) - math.log(w) for w, wp in zip(S.omega, S.omega_prime)]
@@ -486,7 +495,6 @@ def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
         k = abs(s_a)
         Nk = N**k
 
-    chunks = []
     nodes = 0
 
     def spend(count):
@@ -500,8 +508,11 @@ def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
         if not solvers:
             X = X[_holds(S, cols, len(X), dt)]
             spend(len(X) * N)
-            xs = np.arange(1, N + 1, dtype=dt)
-            chunks.append(np.column_stack([np.repeat(X, N, axis=0), np.tile(xs, len(X))]))
+            # row r of the repeated prefixes is X[r // N] with x_t = r % N + 1
+            total = len(X) * N
+            for w0 in range(0, total, _WINDOW):
+                r = np.arange(w0, min(total, w0 + _WINDOW))
+                yield np.column_stack([X[r // N], (r % N + 1).astype(dt)])
             return
         lhs, rhs = _side_arrays(A[si], S.omega[si], S.omega_prime[si], cols, len(X), dt)
         num, den = (rhs, lhs) if s_a > 0 else (lhs, rhs)
@@ -517,13 +528,13 @@ def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
         X = np.column_stack([X, x])
         X = X[_holds(S, [X[:, j] for j in range(t)], len(X), dt)]
         spend(len(X))
-        chunks.append(X)
+        yield X
 
     def expand(j, X, plog):
         # X: the frontier's prefixes (n x j); plog[:, i]: row i's
         # sum of a_ij' * log x_j' over the prefix
         if j == last:
-            solve_last(X)
+            yield from solve_last(X)
             return
         n = len(X)
         lo, hi = np.ones(n), np.full(n, np.inf)
@@ -549,11 +560,12 @@ def _monomial_box(S: LaurentMonomialSystem, N: int, cap: int):
             idx = np.arange(w0, min(total, w0 + _WINDOW))
             par = np.searchsorted(ends, idx, side="right")
             x = lo[par] + (idx - ends[par] + counts[par])
-            expand(j + 1, np.column_stack([X[par], x]),
-                   plog[par] + np.log(x.astype(np.float64))[:, None] * col)
+            yield from expand(j + 1, np.column_stack([X[par], x]),
+                              plog[par] + np.log(x.astype(np.float64))[:, None] * col)
 
-    expand(0, np.zeros((1, 0), dtype=dt), np.zeros((1, m)))
-    return np.concatenate(chunks) if chunks else np.zeros((0, t), dtype=dt)
+    yield from expand(0, np.zeros((1, 0), dtype=dt), np.zeros((1, m)))
+    # an empty last array gives box_array the dtype when no window was made
+    yield np.zeros((0, t), dtype=dt)
 
 
 def _polynomial_box(V: PolynomialVariety, N: int, cap: int):
@@ -564,18 +576,34 @@ def _polynomial_box(V: PolynomialVariety, N: int, cap: int):
     return np.array(rows, dtype=np.int64).reshape(len(rows), V.t)
 
 
-def box_array(V, N: int, *, work_cap=None):
-    """All points of [1,N]^t on the variety as a K x t integer array, rows
-    in lexicographic order.  The dtype is int64 where every exact product
-    of the search fits it, else object (Python ints)."""
+def box_windows(V, N: int, *, work_cap=None):
+    """The points of [1,N]^t on the variety as a sequence of K_w x t integer
+    arrays whose rows, taken in turn, are in lexicographic order.
+
+    On a monomial system each array is one window of the search, so a
+    caller that folds the points window by window holds at most _WINDOW
+    of them at once (one array for a PolynomialVariety).  The dtype is
+    int64 where every exact product of the search fits it, else object
+    (Python ints), the same for every array; the last array may be empty.
+    A generator: N is checked and the work cap read at the first next(),
+    and the cap is charged as the search goes, so WorkCapExceeded can come
+    after some windows were yielded, at the count and with the message of
+    box_array."""
     if N < 1:
         raise ValueError("box bound N must be >= 1")
     cap = _work_cap(work_cap)
     if isinstance(V, LaurentMonomialSystem):
-        return _monomial_box(V, N, cap)
-    if isinstance(V, PolynomialVariety):
-        return _polynomial_box(V, N, cap)
-    raise TypeError(f"cannot enumerate {type(V).__name__}")
+        yield from _monomial_windows(V, N, cap)
+    elif isinstance(V, PolynomialVariety):
+        yield _polynomial_box(V, N, cap)
+    else:
+        raise TypeError(f"cannot enumerate {type(V).__name__}")
+
+
+def box_array(V, N: int, *, work_cap=None):
+    """All points of [1,N]^t on the variety as a K x t integer array, rows
+    in lexicographic order: the concatenation of box_windows."""
+    return np.concatenate(list(box_windows(V, N, work_cap=work_cap)))
 
 
 def enumerate_box(V, N: int, *, work_cap=None) -> list:

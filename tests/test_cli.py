@@ -351,6 +351,19 @@ class TestWorkCapEnv:
         assert code == 1
         assert "MDS_WORK_CAP" in capsys.readouterr().err
 
+    def test_fixed_caps_name_their_own_remedy(self, tmp_path, capsys, monkeypatch):
+        # the character-tuple cap does not read MDS_WORK_CAP, so its message
+        # must not offer it: (1009 - 1)^2 tuples pass any enumeration cap
+        monkeypatch.setenv("MDS_WORK_CAP", str(10**11))
+        path = tmp_path / "two_rows.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, m=2, A=[[1, -1], [1, 1]],
+                                        omega=["1", "1"], omega_prime=["1", "1"])))
+        code = main(["moment", "--system", str(path), "--q", "11,1009", "--N", "100"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "character tuple average" in err and "smaller q" in err
+        assert "MDS_WORK_CAP" not in err
+
 
 class TestConsoleScript:
     def test_module_invocation(self, diag_file):
@@ -365,6 +378,29 @@ class TestConsoleScript:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["direct"][0] - math.pi**4 / 90) < 1e-3
+
+    def test_eval_memory_does_not_grow_with_the_box(self, diag_file):
+        # the direct sum keeps one float per term (and per half-box term),
+        # not the K x t box and its K-long temporaries; at N = 10^5 on the
+        # diagonal that is about 2.4 MiB over the import, where the whole
+        # box took about 13 MiB
+        src = str(Path(mdseries.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("MDS_WORK_CAP", None)
+
+        def maxrss_kib(argv):
+            proc = subprocess.Popen([sys.executable, *argv], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0, proc.stderr.read()
+            proc.stderr.close()
+            return usage.ru_maxrss
+
+        base = maxrss_kib(["-c", "import numpy, mdseries.cli"])
+        run = maxrss_kib(["-m", "mdseries.cli", "eval", "--system", diag_file,
+                          "--N", "100000"])
+        assert run - base < 6 * 1024
 
     def test_compare_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy.ma is imported lazily by some numpy calls (np.unique among

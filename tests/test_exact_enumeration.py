@@ -6,9 +6,12 @@ last coordinate) must list exactly the points that a brute-force scan of
 the box accepts, with the cross-multiplication kernel and, where the twists
 can be factorised, with the independent valuation test.  The array form
 must also have the dtype that the row bound predicts, and must not depend
-on the search window.  On the same systems, the Euler product with the
-per-prime bound B_p must differ from the uniform-B product by no more than
-the terms it drops, and those by no more than their closed-form bound.
+on the search window.  The direct sum, which streams the box window by
+window, must have the bits of the same terms summed as one array, and
+must trip the work cap where box_array does.  On the same systems, the
+Euler product with the per-prime bound B_p must differ from the uniform-B
+product by no more than the terms it drops, and those by no more than
+their closed-form bound.
 """
 
 import itertools
@@ -24,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 from mdseries import series, variety
 from mdseries.arith import character_table, iroot, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
-                                   TrivialFamily)
+                                   TrivialFamily, all_trivial,
+                                   eval_product_coefficient)
 from mdseries.errors import WorkCapExceeded
 from mdseries.limits import FACTOR_INPUT_LIMIT, TWIST_LIMIT
 from mdseries.system import LaurentMonomialSystem, make_system
@@ -333,3 +337,192 @@ def test_per_prime_bound_against_uniform(case, P, B, kinds, re, im, theta):
     got = series.euler_product(S, fams, s, P, B)
     # plus the rounding of two running products of len(primes) factors
     assert abs(got - product) <= telescoping + 8 * len(primes) * 2**-53 * math.prod(big)
+
+
+# ---------------------------------------------------------------------------
+# the streamed direct sum against the whole-array formula
+
+def whole_array_sums(S, fams, s, N):
+    """Oracle: the direct sum and the half-box sum from the box as one
+    K x t array, the terms as one complex array each, and both parts
+    summed by math.fsum (the imaginary part 0.0 when all of it is zero)."""
+    s = tuple(complex(z) for z in s)
+    X = box_array(S, N).astype(np.int64, copy=False)
+    logX = np.log(X)
+    expo = np.zeros(len(X), dtype=complex)
+    for j, z in enumerate(s):
+        expo += logX[:, j] * z
+    terms = np.exp(-expo)
+    if not all_trivial(fams):
+        coef = np.array([eval_product_coefficient(fams, row) for row in X.tolist()],
+                        dtype=complex)
+        # the formula multiplied in place; numpy's in-place product rounds
+        # a one-term array differently, so a box of one point is left out
+        in_place = terms.copy()
+        in_place *= coef
+        terms = terms * coef
+        assert len(X) < 2 or in_place.tobytes() == terms.tobytes()
+
+    def total(z):
+        imag = math.fsum(z.imag.tolist()) if z.imag.any() else 0.0
+        return complex(math.fsum(z.real.tolist()), imag)
+
+    half = total(terms[X.max(axis=1, initial=1) <= N // 2]) if N >= 2 else None
+    return total(terms), half
+
+
+def bits(z):
+    if z is None:
+        return None
+    return tuple((math.copysign(1.0, x), x.hex()) for x in (z.real, z.imag))
+
+
+STREAM_KINDS = ("trivial", "character", "complex_hecke", "tau")
+
+
+def stream_family(kind):
+    if kind == "trivial":
+        return TrivialFamily()
+    if kind == "character":
+        return CharacterFamily(character_table(7), 2)
+    if kind == "complex_hecke":
+        return HeckeGL2Family({p: 1.5 * complex(math.cos(p), math.sin(p))
+                               for p in primes_up_to(BOX[1])})
+    return TauFamily(BOX[1])
+
+
+@differential
+@given(systems(near_limit=True),
+       st.lists(st.sampled_from(STREAM_KINDS), min_size=3, max_size=3),
+       st.lists(st.sampled_from((1.1, 1.5, 2.0, 3.0)), min_size=3, max_size=3),
+       st.lists(st.sampled_from((0.0, 0.5, -1.0)), min_size=3, max_size=3))
+def test_streamed_direct_sum_is_bitwise_the_whole_array_sum(case, kinds, re, im):
+    S, N = case
+    fams = tuple(stream_family(k) for k in kinds[:S.t])
+    s = tuple(complex(x, y) for x, y in zip(re, im))[:S.t]
+    want = [bits(v) for v in whole_array_sums(S, fams, s, N)]
+    assert [bits(v) for v in series.direct_sum_and_half(S, fams, s, N)] == want
+    for window in (1, 3, 7):
+        with mock.patch.object(variety, "_WINDOW", window):
+            assert [bits(v) for v in series.direct_sum_and_half(S, fams, s, N)] == want
+
+
+class TestStreamedDirectSum:
+    @pytest.mark.parametrize("S,N", [
+        (system([[1, -1]]), 40),
+        (system([[1, 1, -1]]), 30),
+        # a free last coordinate, whose repeated rows go out in windows
+        (system([[1, -1, 0]]), 12),
+        (system([[1, -1, 0], [0, 1, -1]], (1, 1), (5, 1)), 33),
+        # object dtype: omega' * N reaches 2^63
+        (system([[1, -1]], ((2**63 - 1) // 40,), (2 * ((2**63 - 1) // 40),)), 40),
+    ])
+    def test_windows_with_and_without_imaginary_parts(self, S, N):
+        # a character mod 7 is real at some n and not at others, so with
+        # small windows some keep only real parts and some complex terms
+        fams = (CharacterFamily(character_table(7), 2),) + (TrivialFamily(),) * (S.t - 1)
+        for s in ((2.0,) * S.t, (2.0 + 0.5j,) * S.t):
+            for fam_tuple in (fams, (TrivialFamily(),) * S.t):
+                want = [bits(v) for v in whole_array_sums(S, fam_tuple, s, N)]
+                for window in (1, 3, 7, 1 << 12):
+                    with mock.patch.object(variety, "_WINDOW", window):
+                        got = series.direct_sum_and_half(S, fam_tuple, s, N)
+                    assert [bits(v) for v in got] == want
+
+    def test_free_last_coordinate_windows(self):
+        # no row uses x3, so each kept prefix repeats over 1..N; the rows go
+        # out _WINDOW at a time, also when one prefix's N rows are more
+        S, N = system([[1, -1, 0]]), 10
+        want = scan(S, N, on_monomial_variety_rational)
+        for window in (1, 7, 25, 100, 1 << 12):
+            with mock.patch.object(variety, "_WINDOW", window):
+                sizes = [len(X) for X in variety.box_windows(S, N)]
+                assert max(sizes) == min(window, len(want))
+                assert sum(sizes) == len(want)
+                assert rows(box_array(S, N)) == want
+        # object dtype (omega * N reaches 2^63), with points and without
+        for w, wp, count in ((2**62, 2**62, 25), (1, 2**62, 0)):
+            S = system([[1, -1, 0]], (w,), (wp,))
+            want = scan(S, 5, on_monomial_variety_rational)
+            with mock.patch.object(variety, "_WINDOW", 7):
+                X = box_array(S, 5)
+            assert X.dtype == object and rows(X) == want and len(want) == count
+
+    def test_box_array_is_the_windows_concatenated(self):
+        S = system([[1, 1, -1]])
+        with mock.patch.object(variety, "_WINDOW", 5):
+            windows = list(variety.box_windows(S, 20))
+            assert len(windows) > 2
+            assert rows(np.concatenate(windows)) == rows(box_array(S, 20))
+        # an empty box still gives its dtype and shape
+        for S, dt in ((system([[0]], (3,), (2,)), np.int64),
+                      (system([[1, -1]], (1,), (2**62,)), object)):
+            X = box_array(S, 5)
+            assert X.shape == (0, S.t) and X.dtype == dt
+
+
+def least_passing_cap(S, N):
+    """The smallest work cap at which box_array runs, by bisection."""
+    lo, hi = 0, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            box_array(S, N, work_cap=mid)
+            hi = mid
+        except WorkCapExceeded:
+            lo = mid + 1
+    return lo
+
+
+def cap_outcome(f, cap):
+    try:
+        f(cap)
+        return None
+    except WorkCapExceeded as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(systems(near_limit=True))
+def test_direct_sum_trips_the_cap_of_box_array(case):
+    # the sum charges the cap through the same windows, so it fails at the
+    # same count with the same message, however far it has summed
+    S, N = case
+    least = least_passing_cap(S, N)
+    fams, s = (TrivialFamily(),) * S.t, (2.0,) * S.t
+    for cap in sorted({0, least // 3, least // 2, least - 1, least, least + 1}):
+        if cap < 0:
+            continue
+        want = cap_outcome(lambda c: box_array(S, N, work_cap=c), cap)
+        assert (want is None) == (cap >= least)
+        assert cap_outcome(lambda c: series.direct_sum(S, fams, s, N, work_cap=c), cap) == want
+
+
+@pytest.mark.parametrize("S,N,total", [
+    (system([[1, -1]]), 100, 200),
+    (system([[1, -1, 0]]), 30, 30 + 30 + 900),
+    (system([[1, 1, -1]]), 30, 30 + 2 * sum(30 // x for x in range(1, 31))),
+])
+def test_direct_sum_cap_at_the_node_total(S, N, total):
+    fams, s = (TrivialFamily(),) * S.t, (2.0,) * S.t
+    for window in (1, 7, 1 << 12):
+        with mock.patch.object(variety, "_WINDOW", window):
+            assert series.direct_sum(S, fams, s, N, work_cap=total) == \
+                series.direct_sum(S, fams, s, N)
+            want = cap_outcome(lambda c: box_array(S, N, work_cap=c), total - 1)
+            assert want is not None and "monomial box enumeration" in want
+            assert cap_outcome(lambda c: series.direct_sum(S, fams, s, N, work_cap=c),
+                               total - 1) == want
+
+
+def test_free_last_coordinate_charged_before_its_windows():
+    # the N repeats of a window of prefixes are charged at once, before the
+    # first of their row windows: with the 30 prefixes in one window, any
+    # cap past the 30 + 30 prefix nodes and below the total trips at the
+    # whole count
+    S, N, fams, s = system([[1, -1, 0]]), 30, (TrivialFamily(),) * 3, (2.0,) * 3
+    for window in (30, 1 << 12):
+        with mock.patch.object(variety, "_WINDOW", window):
+            for f in (lambda c: box_array(S, N, work_cap=c),
+                      lambda c: series.direct_sum(S, fams, s, N, work_cap=c)):
+                assert "needs ~960 units" in cap_outcome(f, 61)
