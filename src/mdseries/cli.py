@@ -165,12 +165,14 @@ def cmd_moment(args) -> int:
 
 def cmd_enumerate(args) -> int:
     V = _load_variety(args)
-    points = variety.box_array(V, args.N).tolist()
-    _emit({
-        "N": args.N,
-        "count": len(points),
-        "points": points,
-    })
+    windows = [X for X in variety.box_windows(V, args.N) if len(X)]
+    # _emit's document, a window at a time rather than as a list of lists
+    count = sum(map(len, windows))
+    out = sys.stdout
+    out.write(json.dumps({"N": args.N, "count": count}, indent=2)[:-2] + ',\n  "points": [')
+    for k, X in enumerate(windows):
+        out.write("," * (k > 0) + json.dumps(X.tolist(), indent=2)[1:-2].replace("\n", "\n  "))
+    out.write("\n  ]\n}\n" if count else "]\n}\n")
     return EXIT_OK
 
 

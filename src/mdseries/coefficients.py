@@ -11,9 +11,9 @@ and tau families compute it across primes with the same floating-point
 operations as `prime_power`, so each entry equals the scalar value and a
 missing value raises the same MissingPrimePowerError.
 
-The Ramanujan tau table is exact: it is built in modular int64 arithmetic
-and rebuilt by the Chinese remainder theorem under an a-priori bound on
-every coefficient.
+The Ramanujan tau table is exact: it is built in int64 modulo primes whose
+product exceeds twice Deligne's bound on every coefficient, and rebuilt by
+the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import _unit_roots, factorize, is_prime
+from .arith import _unit_roots, factorize, is_prime, primes_up_to
 from .errors import MissingPrimePowerError
 from .limits import TAU_TABLE_LIMIT
 
@@ -77,15 +77,14 @@ def _jacobi_cube(L: int) -> list:
 
 
 def tau_moduli(N: int) -> tuple:
-    """The primes just below 2^31, largest first, that ramanujan_tau_table(N)
-    computes modulo: as few as make their product exceed 2 * ||g||_1^8, for
-    g Jacobi's series truncated below degree N.
-
-    Every coefficient of g^8 below degree N is at most ||g||_1^8 in absolute
-    value, so its residues modulo these primes determine it."""
-    bound = 2 * sum(abs(c) for _, c in _jacobi_cube(N)) ** 8
-    moduli, product, m = [], 1, 1 << 31
-    while product <= bound:
+    """The primes just below 2^w, largest first, that ramanujan_tau_table(N)
+    computes modulo, w = 62 - bitlen(||g||_1) for g Jacobi's series below
+    degree N, so a pass's int64 sums stay below 2^62: as few as make their
+    product exceed 4 N^6 >= 2 |tau(n)| for n <= N, by Deligne's |tau(n)| <=
+    d(n) n^(11/2) (La conjecture de Weil I, 1974) and d(n) <= 2 sqrt(n)."""
+    w = 62 - sum(abs(c) for _, c in _jacobi_cube(N)).bit_length()
+    moduli, product, m = [], 1, 1 << w
+    while product <= 4 * N**6:
         m -= 1
         if is_prime(m):
             moduli.append(m)
@@ -97,14 +96,10 @@ def ramanujan_tau_table(N: int) -> list[int]:
     """Exact tau(1..N) from the degree-N truncation of q * prod (1-q^k)^24.
 
     The cube of the Euler factor is Jacobi's sparse series g, and the 24th
-    power is g^8, built by 7 dense-by-sparse passes.  The passes run in
-    int64 modulo each prime of tau_moduli(N): a pass adds fewer than 2^9
-    products of a residue below 2^31 and a coefficient below 2^10, so
-    nothing overflows.  Garner's mixed-radix form of the Chinese remainder
-    theorem then rebuilds each coefficient in the symmetric range, which
-    is exact because the moduli's product exceeds twice the bound
-    ||g||_1^8 on every coefficient.  Returns a list with tau[n] at index n
-    (index 0 unused).
+    power is g^8, built by 7 dense-by-sparse passes in int64 modulo each
+    prime of tau_moduli(N).  One array step of the Chinese remainder
+    theorem, in Python ints, rebuilds every coefficient in the symmetric
+    range.  Returns a list with tau[n] at index n (index 0 unused).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -126,23 +121,13 @@ def ramanujan_tau_table(N: int) -> list[int]:
             new[:, d:] += tmp[:, :L - d]
         new %= column
         cur, new = new, cur
-    # Garner: row i becomes the i-th mixed-radix digit, so the coefficient
-    # is digit_0 + m_0 * (digit_1 + m_1 * (digit_2 + ...)).
-    for i, m in enumerate(moduli):
-        row = cur[i]
-        for j in range(i):
-            row -= cur[j]
-            row %= m
-            row *= pow(moduli[j], -1, m)
-            row %= m
     M = math.prod(moduli)
+    half = M // 2                           # M is odd
+    basis = [M // m * pow(M // m, -1, m) for m in moduli]
     out = [0]
-    for lo in range(0, L, 512):
-        for digits in zip(*(row.tolist() for row in cur[::-1, lo:lo + 512])):
-            x = 0
-            for d, m in zip(digits, reversed(moduli)):
-                x = x * m + d
-            out.append(x - M if 2 * x > M else x)
+    for lo in range(0, L, 1024):            # bounds the Python ints alive
+        x = sum(row[lo:lo + 1024].astype(object) * b for row, b in zip(cur, basis))
+        out += ((x + half) % M - half).tolist()
     return out
 
 
@@ -278,11 +263,20 @@ class TauFamily(CoefficientFamily):
 
     def __init__(self, bound: int = DEFAULT_BOUND):
         self.bound = bound
-        table = self._table_cache.get(bound)
-        if table is None:
+        cached = self._table_cache.get(bound)
+        if cached is None:
             table = ramanujan_tau_table(bound)
-            self._table_cache[bound] = table
-        self.table = table
+            # prime_power's values at 1 and the prime powers <= bound, and
+            # top[p] = the largest e with p^e <= bound
+            norm, top = np.zeros(bound + 2), np.zeros(bound + 2, dtype=np.int64)
+            norm[1] = 1.0
+            for p in primes_up_to(bound):
+                pe, e = p, 1
+                while pe <= bound:
+                    norm[pe], top[p] = table[pe] / p ** (5.5 * e), e
+                    pe, e = pe * p, e + 1
+            cached = self._table_cache[bound] = table, norm, top
+        self.table, self._norm, self._top = cached
 
     def prime_power(self, p, e):
         pe = p**e
@@ -296,28 +290,17 @@ class TauFamily(CoefficientFamily):
 
     def prime_power_table(self, primes, exps):
         """The Hecke recursion across primes, then the table entries, where
-        p^e <= bound, written over it; that test is in exact integers."""
-        lam = np.zeros(len(primes), dtype=complex)
-        for i, p in enumerate(primes):
-            if p <= self.bound:
-                lam[i] = self.table[p] / p**5.5
-            elif any(e > 0 for e in exps):
-                raise MissingPrimePowerError(
-                    f"tau table (bound {self.bound}) cannot reach prime {p}")
-        out = _hecke_table(lam, exps)
-        # top[i] = the largest e with p_i^e <= bound; powers are clipped at
-        # bound + 1, so the int64 products stay below (bound + 1)^2
-        cap = self.bound + 1
-        base = np.minimum(np.array(primes, dtype=np.int64), cap)
-        top = np.zeros(len(primes), dtype=np.int64)
-        pe = base
-        for _ in range(cap.bit_length()):
-            top += pe < cap
-            pe = np.minimum(pe * base, cap)
-        e_arr = np.asarray(exps, dtype=np.int64).reshape(len(exps))
-        for i, k in zip(*np.nonzero(e_arr <= top[:, None])):
-            p, e = primes[i], exps[k]
-            out[i, k] = self.table[p**e] / p ** (5.5 * e)
+        p^e <= bound (in exact integers), written over it: both gather
+        prime_power's values."""
+        cap = self.bound + 1         # primes past the table read 0s there
+        base = np.minimum(np.array(primes, dtype=np.int64), cap).reshape(len(primes))
+        e = np.asarray(exps, dtype=np.int64).reshape(len(exps))
+        if (e > 0).any() and (base == cap).any():
+            raise MissingPrimePowerError(f"tau table (bound {self.bound}) cannot "
+                                         f"reach prime {primes[int(np.argmax(base == cap))]}")
+        out = _hecke_table(self._norm[base], exps)
+        inside = e <= self._top[base][:, None]
+        out[inside] = self._norm[base[:, None] ** np.where(inside, e, 0)][inside]
         return out
 
     def __repr__(self):

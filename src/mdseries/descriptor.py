@@ -14,6 +14,7 @@ from .arith import character_table, is_prime
 from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
                            TableFamily, TauFamily, TrivialFamily, trivial_tuple)
 from .errors import DescriptorError
+from .limits import TAU_TABLE_LIMIT
 from .system import LaurentMonomialSystem
 
 _PRIME_POWER_KEY = re.compile(r"^(\d+)\^(\d+)$")
@@ -67,8 +68,10 @@ def family_from_record(rec, path) -> CoefficientFamily:
             out[int(key)] = _complex_from(val, f"{path}.lambda.{key}")
         return HeckeGL2Family(out)
     if kind == "tau":
-        bound = rec.get("bound", TauFamily.DEFAULT_BOUND)
-        return TauFamily(_int_from(bound, f"{path}.bound"))
+        bound = _int_from(rec.get("bound", TauFamily.DEFAULT_BOUND), f"{path}.bound")
+        if not 1 <= bound <= TAU_TABLE_LIMIT:
+            raise DescriptorError(f"{path}.bound", f"expected 1..{TAU_TABLE_LIMIT}, got {bound}")
+        return TauFamily(bound)
     if kind == "table":
         values = rec.get("values")
         if not isinstance(values, dict):

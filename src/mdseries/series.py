@@ -50,6 +50,7 @@ where one is not, and the same again for each half-box term.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -332,11 +333,21 @@ def prime_exponent_bound(p: int, B: int) -> int:
     return b
 
 
-def _local_key(S: LaurentMonomialSystem, p: int, B: int) -> tuple:
-    """(right-hand side, exponent bound) at p, which fix the local solution
-    set: B where the right-hand side is nonzero, else the bound at p."""
-    rhs = monomial_rhs_at(S, p)
-    return rhs, B if any(rhs) else prime_exponent_bound(p, B)
+def _local_groups(S: LaurentMonomialSystem, primes: list, B: int) -> dict:
+    """The ascending `primes` grouped by (right-hand side, bound), which fix
+    the local solution set: B where the right-hand side is nonzero, else
+    prime_exponent_bound(p, B); that does not grow with p, so bisection
+    finds the run of primes of each bound."""
+    zero = (0,) * S.m
+    twisted = {p: rhs for p in S.twist_primes() if any(rhs := monomial_rhs_at(S, p))}
+    groups, hi = {}, len(primes)
+    for b in range(prime_exponent_bound(2, B) + 1):     # B, checked to be in 0..64
+        lo = bisect.bisect_left(primes, -b, 0, hi, key=lambda p: -prime_exponent_bound(p, B))
+        groups[zero, b], hi = [p for p in primes[lo:hi] if p not in twisted], lo
+    for p, rhs in twisted.items():
+        if p in primes:
+            groups.setdefault((rhs, B), []).append(p)
+    return {key: ps for key, ps in groups.items() if ps}
 
 
 def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int) -> complex:
@@ -347,7 +358,7 @@ def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int) -> complex:
     This is the one-prime call of the kernel that euler_product runs on
     blocks of primes, so it has the bits of the factor there."""
     s = tuple(complex(z) for z in s)
-    bound = _local_key(S, p, B)[1]
+    [(_, bound)] = _local_groups(S, [p], B)
     return _local_factors(c, s, [p], local_solutions(S, p, bound).solutions)[0]
 
 
@@ -373,10 +384,7 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         if tp > P:
             raise ValueError(f"twist prime {tp} exceeds the prime bound P={P}")
     primes = primes_up_to(P)
-    keys = [_local_key(S, p, B) for p in primes]
-    groups = {}
-    for p, key in zip(primes, keys):
-        groups.setdefault(key, []).append(p)
+    groups = _local_groups(S, primes, B)
     sols = {key: local_solutions(S, ps[0], key[1]).solutions
             for key, ps in groups.items()}
     factor = {}
@@ -385,7 +393,7 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
             factor.update(zip(ps, _local_factors(c, s, ps, sols[key])))
     except MissingPrimePowerError:
         # report the smallest prime whose factor fails, as an ascending pass would
-        for p, key in zip(primes, keys):
+        for p, key in sorted((p, key) for key, ps in groups.items() for p in ps):
             _local_factors(c, s, [p], sols[key])
         raise
     half_P = P // 2

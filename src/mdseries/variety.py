@@ -96,14 +96,8 @@ class Pow:
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
         self._scan()
-
-    def _error(self, msg, line=None, col=None):
-        raise ConstraintSyntaxError(msg, line or self.line, col or self.col)
 
     def _scan(self):
         text = self.text
@@ -697,54 +691,41 @@ class LocalSolutionSet:
     solutions: tuple   # sorted tuples
 
 
-def _local_solutions_for_rhs(A, t, m, rhs, B):
-    smin = [[0] * (t + 1) for _ in range(m)]
-    smax = [[0] * (t + 1) for _ in range(m)]
-    for i in range(m):
-        for j in range(t - 1, -1, -1):
-            a = A[i][j]
-            smin[i][j] = smin[i][j + 1] + (a * B if a < 0 else 0)
-            smax[i][j] = smax[i][j + 1] + (a * B if a > 0 else 0)
-    out = []
-    alpha = [0] * t
-
-    def rec(j, partial):
-        if j == t:
-            if all(partial[i] == rhs[i] for i in range(m)):
-                out.append(tuple(alpha))
-            return
-        lo, hi = 0, B
-        for i in range(m):
-            a = A[i][j]
-            need_lo = rhs[i] - partial[i] - smax[i][j + 1]
-            need_hi = rhs[i] - partial[i] - smin[i][j + 1]
-            if a == 0:
-                if need_lo > 0 or need_hi < 0:
-                    return
-                continue
-            if a > 0:
-                lo = max(lo, -((-need_lo) // a))   # ceil(need_lo / a)
-                hi = min(hi, need_hi // a)
-            else:
-                lo = max(lo, -((-need_hi) // a))   # ceil(need_hi / a)
-                hi = min(hi, need_lo // a)
-            if lo > hi:
-                return
-        for x in range(lo, hi + 1):
-            alpha[j] = x
-            rec(j + 1, [partial[i] + A[i][j] * x for i in range(m)])
-        alpha[j] = 0
-
-    rec(0, [0] * m)
-    return tuple(out)
-
-
 def local_solutions(S: LaurentMonomialSystem, p: int, B: int) -> LocalSolutionSet:
-    """Admissible exponent tuples at the prime p, by pruned enumeration."""
+    """Admissible exponent tuples at the prime p, in lexicographic order.
+
+    Level j of the search keeps the (prefix, x) pairs, in row-major order,
+    that leave each row's target within reach of the later columns on
+    [0, B]; partial sums are int64 where no row can reach 2^62."""
     if not 0 <= B <= 64:
         raise ValueError("exponent bound B must be in 0..64")
-    rhs = monomial_rhs_at(S, p)
-    sols = _local_solutions_for_rhs(S.A, S.t, S.m, rhs, B)
+    A, t, m, rhs = S.A, S.t, S.m, monomial_rhs_at(S, p)
+    dt = np.int64 if all(sum(map(abs, row)) * B + abs(r) < 1 << 62
+                         for row, r in zip(A, rhs)) else object
+    a = np.array(A, dtype=dt).reshape(m, t)
+    # sum_{k > j} a_ik x_k ranges over [least[i, j], most[i, j]]
+    least, most = np.zeros((2, m, t), dtype=dt)
+    least[:, :-1] = np.cumsum(np.minimum(a * B, 0)[:, :0:-1], axis=1)[:, ::-1]
+    most[:, :-1] = np.cumsum(np.maximum(a * B, 0)[:, :0:-1], axis=1)[:, ::-1]
+    target = np.array(rhs, dtype=dt).reshape(m)
+    X, part = np.zeros((1, 0), dtype=np.intp), np.zeros((1, m), dtype=dt)
+    for j in range(t):
+        lo, hi = np.zeros(len(X), dtype=dt), np.full(len(X), B, dtype=dt)
+        for i in range(m):
+            need_lo = target[i] - part[:, i] - most[i, j]
+            need_hi = target[i] - part[:, i] - least[i, j]
+            if A[i][j] == 0:
+                hi = np.where((need_lo > 0) | (need_hi < 0), -1, hi)
+                continue
+            if A[i][j] < 0:
+                need_lo, need_hi = need_hi, need_lo
+            lo = np.maximum(lo, -(-need_lo // A[i][j]))
+            hi = np.minimum(hi, need_hi // A[i][j])
+        x = np.arange(B + 1)
+        parent, x = np.nonzero((lo[:, None] <= x) & (x <= hi[:, None]))
+        X = np.column_stack((X[parent], x))
+        part = part[parent] + x[:, None] * a[:, j]
+    sols = tuple(map(tuple, X[(part == target).all(axis=1)].tolist()))
     return LocalSolutionSet(p=p, bound=B, solutions=sols)
 
 

@@ -12,6 +12,7 @@ from mdseries.cli import main
 from mdseries.descriptor import (family_from_record, parse_descriptor,
                                  record_from_family, serialize_descriptor)
 from mdseries.errors import DescriptorError
+from mdseries.variety import box_array
 
 DIAG_DOC = {
     "t": 2, "m": 1, "A": [[1, -1]],
@@ -26,6 +27,21 @@ def diag_file(tmp_path):
     path = tmp_path / "diag.json"
     path.write_text(json.dumps(DIAG_DOC))
     return str(path)
+
+
+def maxrss_kib(argv):
+    """Peak RSS in KiB of `python argv`, run on this package without a work
+    cap override; it must exit 0."""
+    src = str(Path(mdseries.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MDS_WORK_CAP", None)
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, proc.stderr.read()
+    proc.stderr.close()
+    return usage.ru_maxrss
 
 
 class TestDescriptor:
@@ -93,6 +109,19 @@ class TestDescriptor:
         doc = dict(DIAG_DOC, note="hello")
         _, _, _, extras = parse_descriptor(doc)
         assert extras == ["note"]
+
+    @pytest.mark.parametrize("bound", [0, -3, 10**5 + 1])
+    def test_tau_bound_out_of_range_names_its_field(self, tmp_path, capsys, bound):
+        doc = dict(DIAG_DOC, coefficients=[{"type": "trivial"},
+                                           {"type": "tau", "bound": bound}])
+        with pytest.raises(DescriptorError) as exc:
+            parse_descriptor(doc)
+        assert exc.value.path == "coefficients[1].bound"
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--system", str(path), "--N", "10"]) == 1
+        assert capsys.readouterr().err == (
+            f"mds: coefficients[1].bound: expected 1..100000, got {bound}\n")
 
     def test_table_key_format(self):
         rec = {"type": "table", "values": {"12": 1.0}}
@@ -344,6 +373,33 @@ class TestCliEnumerate:
         assert out["points"] == [[1, 4], [2, 3], [3, 2], [4, 1]]
 
 
+    @pytest.mark.parametrize("doc,N", [
+        (DIAG_DOC, 10**4),                          # three windows
+        (dict(DIAG_DOC, A=[[0, 0]], omega=["2"], omega_prime=["3"]), 5),
+        ({"t": 0, "m": 0, "A": [], "omega": [], "omega_prime": []}, 5),
+        (dict(DIAG_DOC, A=[[1, 1, -1]], t=3), 300),
+        (dict(DIAG_DOC, A=[[40, -40]], omega=["3"], omega_prime=["3"]), 200),  # object dtype
+    ])
+    def test_document_is_the_emitted_list_of_lists(self, tmp_path, capsys, doc, N):
+        # the points are written a window at a time, byte for byte as
+        # json.dump of the whole document with indent 2
+        doc = {k: v for k, v in doc.items() if k not in ("coefficients", "s")}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        assert main(["enumerate", "--system", str(path), "--N", str(N)]) == 0
+        points = box_array(parse_descriptor(doc)[0], N).tolist()
+        assert capsys.readouterr().out == json.dumps(
+            {"N": N, "count": len(points), "points": points}, indent=2) + "\n"
+
+    def test_memory_holds_the_box_as_an_array(self, diag_file):
+        # the windows are int64 arrays, 16 bytes a point here; the list of
+        # lists took about 170, 17 MiB over the import at N = 10^5
+        base = maxrss_kib(["-c", "import numpy, mdseries.cli"])
+        run = maxrss_kib(["-m", "mdseries.cli", "enumerate", "--system", diag_file,
+                          "--N", "100000"])
+        assert run - base < 8 * 1024
+
+
 class TestWorkCapEnv:
     def test_env_override(self, diag_file, capsys, monkeypatch):
         monkeypatch.setenv("MDS_WORK_CAP", "3")
@@ -384,19 +440,6 @@ class TestConsoleScript:
         # not the K x t box and its K-long temporaries; at N = 10^5 on the
         # diagonal that is about 2.4 MiB over the import, where the whole
         # box took about 13 MiB
-        src = str(Path(mdseries.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("MDS_WORK_CAP", None)
-
-        def maxrss_kib(argv):
-            proc = subprocess.Popen([sys.executable, *argv], env=env,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == 0, proc.stderr.read()
-            proc.stderr.close()
-            return usage.ru_maxrss
-
         base = maxrss_kib(["-c", "import numpy, mdseries.cli"])
         run = maxrss_kib(["-m", "mdseries.cli", "eval", "--system", diag_file,
                           "--N", "100000"])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mdseries.arith import character_table, is_prime, primes_up_to
@@ -107,15 +108,56 @@ class TestTauTable:
         assert all(type(x) is int for x in tau)
 
     def test_moduli_exceed_coefficient_bound(self):
-        # every coefficient of g^8 is at most ||g||_1^8, so residues modulo
-        # primes whose product exceeds twice that determine it
-        for N in (10**4, TAU_TABLE_LIMIT):
+        # Deligne: |tau(n)| <= d(n) n^(11/2) <= 2 n^6, so residues modulo
+        # primes whose product exceeds 4 N^6 determine tau(n) for n <= N; a
+        # pass adds at most ||g||_1 multiples of a residue, so int64 holds it
+        for N in (1, 2, 10**4, TAU_TABLE_LIMIT):
             g_l1 = sum(2 * k + 1 for k in range(N) if k * (k + 1) // 2 < N)
             moduli = tau_moduli(N)
-            assert math.prod(moduli) > 2 * g_l1**8
+            assert math.prod(moduli) > 4 * N**6 >= math.prod(moduli[:-1])
+            assert g_l1 * max(moduli) < 2**62
             assert len(set(moduli)) == len(moduli)
-            assert all(m < 2**31 and is_prime(m) for m in moduli)
-        assert len(tau_moduli(10**4)) == 4 and len(tau_moduli(TAU_TABLE_LIMIT)) == 5
+            assert all(is_prime(m) for m in moduli)
+        assert len(tau_moduli(10**4)) == 2 and len(tau_moduli(TAU_TABLE_LIMIT)) == 3
+
+    def test_deligne_bound_to_1e4(self):
+        # |tau(n)| <= d(n) n^(11/2), squared to stay in integers
+        tau = ramanujan_tau_table(10**4)
+        d = [0] * (10**4 + 1)
+        for a in range(1, 10**4 + 1):
+            for n in range(a, 10**4 + 1, a):
+                d[n] += 1
+        assert all(tau[n] ** 2 <= d[n] ** 2 * n**11 for n in range(1, 10**4 + 1))
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 10**9 + 7])
+    def test_residues_modulo_other_primes(self, p):
+        # q * prod (1-q^k)^24 modulo p by 24 products with Euler's pentagonal
+        # series sum_k (-1)^k q^(k(3k-1)/2), k in Z: neither Jacobi's series
+        # nor a modulus of the table
+        N = 10**4
+        assert p not in tau_moduli(N)
+        pent = {}
+        for k in range(-N, N + 1):
+            if 0 <= k * (3 * k - 1) // 2 < N:
+                pent[k * (3 * k - 1) // 2] = -1 if k % 2 else 1
+        cur = np.zeros(N, dtype=np.int64)
+        cur[0] = 1
+        for _ in range(24):
+            new = np.zeros_like(cur)
+            for d, c in pent.items():
+                new[d:] += c * cur[:N - d]
+            cur = new % p
+        assert [x % p for x in ramanujan_tau_table(N)[1:]] == cur.tolist()
+
+    def test_ramanujan_691_congruence(self):
+        # tau(n) = sigma_11(n) mod 691
+        N = 10**4
+        sigma = [0] * (N + 1)
+        for a in range(1, N + 1):
+            for n in range(a, N + 1, a):
+                sigma[n] += pow(a, 11, 691)
+        tau = ramanujan_tau_table(N)
+        assert all((tau[n] - sigma[n]) % 691 == 0 for n in range(1, N + 1))
 
     def test_hecke_relation_at_prime_squares(self):
         tau = ramanujan_tau_table(10**4)

@@ -75,6 +75,12 @@ def test_tau_inside_and_past_the_table(bound, primes, exps):
     assert_table_matches_scalar(fam, primes, exps)
 
 
+@pytest.mark.parametrize("bound", [50, 400, 1000])
+def test_tau_at_every_power_up_to_the_bound(bound):
+    # every (p, e) with p^e <= bound reads the table, the last such e too
+    assert_table_matches_scalar(TauFamily(bound), primes_up_to(bound), list(range(11)))
+
+
 @SETTINGS
 @given(st.sets(st.tuples(st.sampled_from(PRIMES[:10]), st.integers(1, 6)), min_size=1),
        finite)

@@ -19,7 +19,7 @@ from mdseries.series import (EvalParams, compare, default_exponent_bound,
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, make_system,
                              negate_system)
-from mdseries.variety import local_solutions
+from mdseries.variety import local_solutions, monomial_rhs_at
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)
@@ -252,9 +252,7 @@ class TestEulerBlocks:
         # with B_p a generic prime has a few local terms, so at this P the
         # default block holds a whole group; a patched block must split some
         # (rhs, B_p) group, at the kernel's block step for its local set
-        groups = {}
-        for p in primes_up_to(self.P):
-            groups.setdefault(series._local_key(TWISTED, p, self.B), []).append(p)
+        groups = series._local_groups(TWISTED, primes_up_to(self.P), self.B)
 
         def blocks(key, ps):
             K = len(local_solutions(TWISTED, ps[0], key[1]).solutions)
@@ -412,6 +410,26 @@ class TestPrimeExponentBound:
         for B in (-1, 65):
             with pytest.raises(ValueError):
                 prime_exponent_bound(3, B)
+
+    @pytest.mark.parametrize("S", [
+        TWISTED,
+        make_system([[1, -1]], omega=(6,), omega_prime=(6,)),     # twists, rhs zero
+        make_system([[2, 1, 0], [0, 1, -3]], omega=(8, 1), omega_prime=(27, 10007)),
+    ])
+    def test_groups_equal_per_prime_keys(self, S):
+        # the per-run bisection against monomial_rhs_at and
+        # prime_exponent_bound prime by prime; 10007 is a twist prime above P
+        for primes in (primes_up_to(2000), [2], [3], [7919]):
+            for B in range(65):
+                expect = {}
+                for p in primes:
+                    rhs = monomial_rhs_at(S, p)
+                    key = rhs, B if any(rhs) else prime_exponent_bound(p, B)
+                    expect.setdefault(key, []).append(p)
+                assert series._local_groups(S, primes, B) == expect
+        for B in (-1, 65):
+            with pytest.raises(ValueError):
+                series._local_groups(S, [2], B)
 
     def test_twist_primes_keep_B(self):
         # n1 = 3^12: B_3 = 11 at B = 16 would leave 3 no local solution and

@@ -222,6 +222,50 @@ class TestPropertyS:
             check_property_S(V, 29, work_cap=40)
 
 
+def dfs_local_solutions(A, t, m, rhs, B):
+    """Oracle: the recursive depth-first search that local_solutions once
+    ran, with the same interval bounds, in lexicographic order."""
+    smin = [[0] * (t + 1) for _ in range(m)]
+    smax = [[0] * (t + 1) for _ in range(m)]
+    for i in range(m):
+        for j in range(t - 1, -1, -1):
+            a = A[i][j]
+            smin[i][j] = smin[i][j + 1] + (a * B if a < 0 else 0)
+            smax[i][j] = smax[i][j + 1] + (a * B if a > 0 else 0)
+    out = []
+    alpha = [0] * t
+
+    def rec(j, partial):
+        if j == t:
+            if all(partial[i] == rhs[i] for i in range(m)):
+                out.append(tuple(alpha))
+            return
+        lo, hi = 0, B
+        for i in range(m):
+            a = A[i][j]
+            need_lo = rhs[i] - partial[i] - smax[i][j + 1]
+            need_hi = rhs[i] - partial[i] - smin[i][j + 1]
+            if a == 0:
+                if need_lo > 0 or need_hi < 0:
+                    return
+                continue
+            if a > 0:
+                lo = max(lo, -((-need_lo) // a))
+                hi = min(hi, need_hi // a)
+            else:
+                lo = max(lo, -((-need_hi) // a))
+                hi = min(hi, need_lo // a)
+            if lo > hi:
+                return
+        for x in range(lo, hi + 1):
+            alpha[j] = x
+            rec(j + 1, [partial[i] + A[i][j] * x for i in range(m)])
+        alpha[j] = 0
+
+    rec(0, [0] * m)
+    return tuple(out)
+
+
 class TestLocalSolutions:
     def test_diagonal(self):
         S = make_system([[1, -1]])
@@ -260,6 +304,34 @@ class TestLocalSolutions:
                 if all(sum(a * e for a, e in zip(S.A[i], alpha)) == rhs[i]
                        for i in range(S.m)))
             assert local_solutions(S, p, B).solutions == expect
+
+    def test_array_search_against_dfs(self):
+        # 300 random systems, t <= 5 and B <= 26 (B <= 10 where four
+        # columns are free), some with coefficients past int64 reach
+        rng = random.Random(67)
+        for _ in range(300):
+            S = random_system(rng, tmax=5, mmax=3, wmax=48)
+            if rng.random() < 0.1:
+                S = make_system([[a * 10**17 for a in row] for row in S.A],
+                                S.omega, S.omega_prime)
+            B = rng.randint(0, 26 if S.t - S.m <= 3 else 10)
+            p = rng.choice([2, 3, 5, 7])
+            rhs = variety.monomial_rhs_at(S, p)
+            assert local_solutions(S, p, B).solutions == \
+                dfs_local_solutions(S.A, S.t, S.m, rhs, B)
+
+    def test_twist_primes_of_the_twisted_system_against_dfs(self):
+        S = make_system([[1, 1, -1, 0], [0, 1, 1, -1]], omega=(6, 5), omega_prime=(1, 3))
+        for p in (2, 3, 5, 7):
+            rhs = variety.monomial_rhs_at(S, p)
+            sols = local_solutions(S, p, 26).solutions
+            assert sols == dfs_local_solutions(S.A, 4, 2, rhs, 26)
+            assert sols and all(type(x) is int for x in sols[0])
+
+    def test_no_rows_and_no_columns(self):
+        assert local_solutions(make_system([], t=2), 2, 2).solutions == \
+            tuple(itertools.product(range(3), repeat=2))
+        assert local_solutions(make_system([], t=0), 2, 5).solutions == ((),)
 
     def test_bound_validation(self):
         S = make_system([[1]])
