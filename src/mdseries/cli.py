@@ -163,6 +163,16 @@ def cmd_moment(args) -> int:
     return EXIT_OK
 
 
+def _points_json(X) -> str:
+    """The rows of the integer array X as json.dumps(..., indent=2) writes
+    them two levels deep, comma-separated, with no brackets around them."""
+    K, t = X.shape
+    if t == 0:
+        return ",".join(["\n    []"] * K)
+    row = "\n    [\n      " + ",\n      ".join(["%d"] * t) + "\n    ]"
+    return ",".join([row] * K) % tuple(X.ravel().tolist())
+
+
 def cmd_enumerate(args) -> int:
     V = _load_variety(args)
     windows = [X for X in variety.box_windows(V, args.N) if len(X)]
@@ -171,7 +181,7 @@ def cmd_enumerate(args) -> int:
     out = sys.stdout
     out.write(json.dumps({"N": args.N, "count": count}, indent=2)[:-2] + ',\n  "points": [')
     for k, X in enumerate(windows):
-        out.write("," * (k > 0) + json.dumps(X.tolist(), indent=2)[1:-2].replace("\n", "\n  "))
+        out.write("," * (k > 0) + _points_json(X))
     out.write("\n  ]\n}\n" if count else "]\n}\n")
     return EXIT_OK
 

@@ -146,17 +146,22 @@ class CoefficientFamily:
                 out[i, k] = self.prime_power(p, e)
         return out
 
+    def uncached_value(self, n: int) -> complex:
+        """Multiplicative extension: prod over p^e || n of prime_power(p, e),
+        computed afresh, for callers that visit each n once."""
+        got = 1 + 0j
+        for p, e in factorize(n):
+            got *= self.prime_power(p, e)
+        return got
+
     def value(self, n: int) -> complex:
-        """Multiplicative extension: prod over p^e || n of prime_power(p, e)."""
+        """uncached_value(n), memoised per instance."""
         if n == 1:
             return 1 + 0j
         cache = self.__dict__.setdefault("_memo", {})
         got = cache.get(n)
         if got is None:
-            got = 1 + 0j
-            for p, e in factorize(n):
-                got *= self.prime_power(p, e)
-            cache[n] = got
+            got = cache[n] = self.uncached_value(n)
         return got
 
 
@@ -171,6 +176,8 @@ class TrivialFamily(CoefficientFamily):
 
     def value(self, n):
         return 1 + 0j
+
+    uncached_value = value
 
     def __repr__(self):
         return "TrivialFamily()"
@@ -201,6 +208,8 @@ class CharacterFamily(CoefficientFamily):
         if n == 1:
             return 1 + 0j
         return self.table.char_value(self.k, n)
+
+    uncached_value = value
 
     def __repr__(self):
         return f"CharacterFamily(q={self.table.q}, k={self.k})"

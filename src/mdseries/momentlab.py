@@ -6,10 +6,12 @@ error that decays in q; this module computes the average exactly (finite
 sums), measures the error against the direct box sum, and fits the
 empirical decay exponent.
 
-The average is computed as arrays.  The terms lambda_j(n) n^(-s_j) for
-n <= N are built once per family for all moduli, as real arrays when s_j
-and the family's values are real.  At each modulus q they are binned by
-the discrete log of n mod q into class sums T_j (one bincount), and one
+The average is computed as arrays, in memory that does not grow with N.
+One pass over n <= N, in chunks of _N_CHUNK, makes the terms
+lambda_j(n) n^(-s_j) of each chunk, real where s_j and the family's values
+are, and adds them (np.add.at) into class sums by n mod q, one per family
+and modulus, for every modulus of the job.  At each q the class sums are
+relabelled by the discrete log of the residue into T_j, and one
 length-(q-1) DFT of T_j gives the twisted L-sums L_j(K) for every
 character index K.  The average over character tuples k is a gather,
 chi_k(w) conj(chi_k(w')) prod_j L_j(K_j) with K_j = sum_i k_i A_ij mod q-1,
@@ -40,6 +42,10 @@ from .series import (EMPTY_VARIETY_WARNING, EvalParams, _cmul, _fsum,  # noqa: F
                      direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
 
+# Integers n whose terms are made at once.  Each term is made on its own,
+# and np.add.at adds in index order, as one bincount over every n would, so
+# any chunk size gives the same bits; this bounds the memory.
+_N_CHUNK = 1 << 12
 # Character tuples whose terms are held at once.  Each tuple's term is made
 # on its own, so any chunk size gives the same bits; this bounds the memory.
 _TUPLE_CHUNK = 1 << 12
@@ -66,19 +72,28 @@ def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
                               "use a smaller q, or a system with fewer rows")
 
 
-def _term_arrays(families, s, N: int) -> list:
-    """lambda_j(n) n^(-s_j) for n = 1..N, one array per family: float64
-    when s_j is real and the family's values are real, else complex.  A
-    non-trivial family's value is called once per n."""
-    logn = np.log(np.arange(1, N + 1))
-    out = []
-    for fam, z in zip(families, s):
-        terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
-        if not isinstance(fam, TrivialFamily):
-            values = np.array([fam.value(n) for n in range(1, N + 1)], dtype=complex)
-            terms = terms * (values if values.imag.any() else values.real)
-        out.append(terms)
-    return out
+def _class_sums(families, s, N: int, qs) -> dict:
+    """{q: [T_j]} for every q in qs: T_j[a] is the sum of lambda_j(n) n^(-s_j)
+    over n <= N with n = a mod q, from one pass over n in chunks of
+    _N_CHUNK.  A chunk's terms are float64 when s_j and the family's values
+    in the chunk are real, else complex, and T_j turns complex at the first
+    complex chunk.  A non-trivial family's value is computed once per n,
+    past the family's memo."""
+    sums = {q: [np.zeros(q) for _ in families] for q in qs}
+    for lo in range(1, N + 1, _N_CHUNK):
+        n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
+        logn = np.log(n)
+        residues = [(n % q, sums[q]) for q in qs]
+        for j, (fam, z) in enumerate(zip(families, s)):
+            terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
+            if not isinstance(fam, TrivialFamily):
+                values = np.array([fam.uncached_value(k) for k in n.tolist()], dtype=complex)
+                terms = terms * (values if values.imag.any() else values.real)
+            for r, T in residues:
+                if np.iscomplexobj(terms) and not np.iscomplexobj(T[j]):
+                    T[j] = T[j].astype(complex)
+                np.add.at(T[j], r, terms)
+    return sums
 
 
 def _plain_product(families, s, N: int) -> complex:
@@ -92,28 +107,27 @@ def _plain_product(families, s, N: int) -> complex:
         for n in range(1, N + 1):
             term = n ** (-z)
             if not trivial:
-                term *= fam.value(n)
+                term *= fam.uncached_value(n)
             tot += term
         out *= tot
     return out
 
 
-def _average(S: LaurentMonomialSystem, terms: list, q: int) -> complex:
-    """The character-tuple average at q from the term arrays (see the module
-    docstring), for m >= 1 and a q that _check_modulus accepts."""
+def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
+    """The character-tuple average at q from the class sums by residue
+    (see the module docstring), for m >= 1 and a q that _check_modulus
+    accepts."""
     table = character_table(q)
     order = q - 1
-    N = len(terms[0])
-    # class sums by residue, then residues 1..q-1 relabelled by their
-    # discrete logs; residue 0 (q | n) drops out
-    residue = np.arange(1, N + 1) % q
+    # residues 1..q-1 relabelled by their discrete logs; residue 0 (q | n)
+    # drops out
     logs = np.asarray(table.log[1:])
     L = []
-    for x in terms:
+    for x in sums:
         T = np.zeros(order, dtype=complex)
-        T.real[logs] = np.bincount(residue, weights=x.real, minlength=q)[1:]
+        T.real[logs] = x.real[1:]
         if np.iscomplexobj(x):
-            T.imag[logs] = np.bincount(residue, weights=x.imag, minlength=q)[1:]
+            T.imag[logs] = x.imag[1:]
         # L(K) = sum_a T[a] e^(2 pi i K a / (q-1)): the unscaled inverse DFT
         Lj = np.fft.ifft(T, norm="forward")
         L.append((Lj.real, Lj.imag))
@@ -156,7 +170,7 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
     if S.m == 0:
         return _plain_product(families, s, N)
     _check_modulus(S, q, tuple_cap)
-    return _average(S, _term_arrays(families, s, N), q)
+    return _average(S, _class_sums(families, s, N, [q])[q], q)
 
 
 @dataclass(frozen=True)
@@ -229,8 +243,8 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
     reference_params.N (default N), with the tail |v(N) - v(N/2)| when
     reference_params.tail_estimates; reference_params.P and .B are unused.
     A warning is raised when that tail is above a tenth of the smallest
-    measured error, since the measurement floor is then suspect.  The term
-    arrays are built once and serve every modulus.
+    measured error, since the measurement floor is then suspect.  One pass
+    over n makes the class sums of every modulus.
     """
     s = _checked(S, families, s)
     check_series_point(s, S.t, False)
@@ -260,8 +274,8 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
         rhs = _plain_product(families, s, N)
         errors = [(q, abs(rhs - lhs)) for q in qs]
     else:
-        terms = _term_arrays(families, s, N)
-        errors = [(q, abs(_average(S, terms, q) - lhs)) for q in qs]
+        sums = _class_sums(families, s, N, qs)
+        errors = [(q, abs(_average(S, sums[q], q) - lhs)) for q in qs]
     positive = [e for _, e in errors if e > 0]
     if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
         warnings.append(

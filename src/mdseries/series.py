@@ -43,9 +43,11 @@ real and imaginary parts: correctly rounded and independent of the order of
 the terms, so a value depends only on the term set.  Box points come from
 exact membership (see variety), so row operations, which keep the solution
 set, keep every direct sum bit for bit.  The direct sum streams the box
-window by window (variety.box_windows) and keeps only its terms' values:
-8 bytes a term where a window's imaginary parts are all zero, 16 bytes
-where one is not, and the same again for each half-box term.
+window by window (variety.box_windows): its real parts go into math.fsum
+as each window arrives, so the full box is never held.  It keeps the
+imaginary parts of the windows where one is nonzero, and the half-box
+terms: 8 bytes a term where a window's imaginary parts are all zero, 16
+bytes where one is not.
 """
 
 from __future__ import annotations
@@ -215,35 +217,43 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     The box is streamed: for each window of box_windows, the terms
     a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
     product unless every family is trivial, elementwise, so a term has the
-    same bits in any window.  Only the terms' values are kept, 8 bytes a
-    term (the real parts) for a window whose imaginary parts are all zero
-    and 16 bytes a term otherwise; the half-box terms, those with
-    max(n) <= N//2, are kept the same way.  Both sums are correctly rounded
-    (math.fsum over the kept windows), so the half sum has the bits of a
-    separate run at N//2 and reordering the points changes nothing.  The
-    second value is None when N < 2, where the half box is empty.
+    same bits in any window.  Each window's real parts go straight into one
+    math.fsum as the windows arrive; its imaginary parts are kept only if
+    one of them is nonzero (math.fsum of any run of +-0.0 is 0.0, so the
+    others add nothing).  The half-box terms, those with max(n) <= N//2,
+    are kept, 8 bytes a term for a window whose imaginary parts are all
+    zero and 16 bytes a term otherwise.  Both sums are correctly rounded,
+    so the half sum has the bits of a separate run at N//2 and reordering
+    the points changes nothing.  The second value is None when N < 2,
+    where the half box is empty.
     """
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)
     half_N = N // 2 if direct_tail_skip_reason(N) is None else None
-    full, half = [], []
-    for X in box_windows(S, N, work_cap=work_cap):
-        X = X.astype(np.int64, copy=False)
-        logX = np.log(X)
-        expo = np.zeros(len(X), dtype=complex)
-        for j, z in enumerate(s):
-            expo += logX[:, j] * z
-        terms = np.exp(-expo)
-        if not trivial:
-            # not in place: numpy's in-place complex product on a one-term
-            # array rounds differently from the product on longer ones
-            terms = terms * np.array([eval_product_coefficient(c, row) for row in X.tolist()],
-                                     dtype=complex)
-        full.append(_kept(terms))
-        if half_N is not None:
-            half.append(_kept(terms[X.max(axis=1, initial=1) <= half_N]))
-    value = _fsum(lambda: iter(full))
-    return value, None if half_N is None else _fsum(lambda: iter(half))
+    imag, half = [], []
+
+    def real_parts():
+        for X in box_windows(S, N, work_cap=work_cap):
+            X = X.astype(np.int64, copy=False)
+            logX = np.log(X)
+            expo = np.zeros(len(X), dtype=complex)
+            for j, z in enumerate(s):
+                expo += logX[:, j] * z
+            terms = np.exp(-expo)
+            if not trivial:
+                # not in place: numpy's in-place complex product on a one-term
+                # array rounds differently from the product on longer ones
+                terms = terms * np.array([eval_product_coefficient(c, row)
+                                          for row in X.tolist()], dtype=complex)
+            if terms.imag.any():
+                imag.append(terms.imag.copy())
+            if half_N is not None:
+                half.append(_kept(terms[X.max(axis=1, initial=1) <= half_N]))
+            yield terms.real.tolist()
+
+    re = math.fsum(itertools.chain.from_iterable(real_parts()))
+    im = math.fsum(itertools.chain.from_iterable(x.tolist() for x in imag)) if imag else 0.0
+    return complex(re, im), None if half_N is None else _fsum(lambda: iter(half))
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,

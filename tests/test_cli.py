@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -379,6 +380,7 @@ class TestCliEnumerate:
         ({"t": 0, "m": 0, "A": [], "omega": [], "omega_prime": []}, 5),
         (dict(DIAG_DOC, A=[[1, 1, -1]], t=3), 300),
         (dict(DIAG_DOC, A=[[40, -40]], omega=["3"], omega_prime=["3"]), 200),  # object dtype
+        (DIAG_DOC, 1),                              # one point
     ])
     def test_document_is_the_emitted_list_of_lists(self, tmp_path, capsys, doc, N):
         # the points are written a window at a time, byte for byte as
@@ -390,6 +392,15 @@ class TestCliEnumerate:
         points = box_array(parse_descriptor(doc)[0], N).tolist()
         assert capsys.readouterr().out == json.dumps(
             {"N": N, "count": len(points), "points": points}, indent=2) + "\n"
+
+    def test_constraints_document_is_json_dumps(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("x1 * x3 - x2^2")
+        assert main(["enumerate", "--constraints", str(path), "--t", "3", "--N", "30"]) == 0
+        points = [list(p) for p in itertools.product(range(1, 31), repeat=3)
+                  if p[0] * p[2] == p[1] ** 2]
+        assert capsys.readouterr().out == json.dumps(
+            {"N": 30, "count": len(points), "points": points}, indent=2) + "\n"
 
     def test_memory_holds_the_box_as_an_array(self, diag_file):
         # the windows are int64 arrays, 16 bytes a point here; the list of

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -49,12 +50,15 @@ def naive_moment_rhs(S, families, s, q, N):
 
 def loop_class_sums(f, table, s, N):
     """Oracle: T[a] = sum of lambda(n) n^{-s} over n <= N with
-    log(n mod q) = a, by bincount over the discrete-log classes."""
+    log(n mod q) = a, by bincount over the discrete-log classes, with every
+    term made at once: n^{-s} by the real exp when s is real, as momentlab
+    makes it (the complex exp can differ from it in the last bit)."""
     q = table.q
     n = np.arange(1, N + 1)
-    terms = np.exp(-s * np.log(n))
+    s = complex(s)
+    terms = np.exp(-s.real * np.log(n)) if s.imag == 0 else np.exp(-s * np.log(n))
     if not isinstance(f, TrivialFamily):
-        terms *= np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
+        terms = terms * np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
     classes = np.asarray(table.log)[n % q]
     keep = classes >= 0
     classes = classes[keep]
@@ -360,17 +364,95 @@ class TestDecayExperiment:
     def test_family_values_once_per_job(self):
         hecke = HeckeGL2Family(HECKE.lambda_p)
         calls = []
-        value = hecke.value
-        hecke.value = lambda n: calls.append(n) or value(n)
+        value = hecke.uncached_value
+        hecke.uncached_value = lambda n: calls.append(n) or value(n)
         N = 400
         S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
         # a given reference leaves the moduli as the only callers
         decay_experiment(S, (TrivialFamily(), hecke), (2, 2), [11, 31, 101], N,
                          reference=1.0)
-        assert 0 < len(calls) <= N
+        assert calls == list(range(1, N + 1))
+        assert not hecke.__dict__.get("_memo")
 
     def test_empirical_error_envelope(self):
         # measured envelope, not a guarantee: diagonal errors sit below 10/q
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 10**4)
         for q, e in exp.errors:
             assert e < 10 / q
+
+
+# real lambda(p) below 100 and complex above, so a chunk of at most 100
+# integers from n = 1 has real terms (at real s) and a later chunk does not
+MIXED = HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5) + 0.2j * (p > 100) for p in range(2, 400)})
+# (system, families, s, moduli, N): the class-sum pass serves every modulus
+# of the tuple, moment_rhs runs at the first; no N is a multiple of 7 or 100
+CHUNK_CASES = [
+    (DIAG, (TrivialFamily(), MIXED), (2, 2.5), (11, 31, 101), 250),
+    (make_system([[1, -2]], omega=(2,), omega_prime=(3,)),
+     (TauFamily(1000), HECKE), (2.5 + 1j, 2), (7, 13), 333),
+    (make_system([[1, 1, -1], [0, 2, 1]], omega=(4, 1), omega_prime=(1, 5)),
+     (TrivialFamily(), CharacterFamily(character_table(13), 5), MIXED),
+     (2, 3 - 0.5j, 2.5), (7, 11), 222),
+]
+
+
+def residue_sums(T, table):
+    """The oracle's class sums by discrete log, indexed by residue as
+    momentlab's are; residue 0 holds 0."""
+    x = np.zeros(table.q, dtype=complex)
+    x[1:] = np.asarray(T)[np.asarray(table.log[1:])]
+    return x
+
+
+class TestClassSumPass:
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("case", range(len(CHUNK_CASES)))
+    def test_chunks_keep_the_oracle_bits(self, case, chunk):
+        S, fams, s, qs, N = CHUNK_CASES[case]
+        s = tuple(map(complex, s))
+        with mock.patch.object(momentlab, "_N_CHUNK", chunk):
+            sums = momentlab._class_sums(fams, s, N, qs)
+            rhs = moment_rhs(S, fams, s, qs[0], N)
+        for q in qs:
+            table = character_table(q)
+            oracle = [residue_sums(loop_class_sums(f, table, z, N), table)
+                      for f, z in zip(fams, s)]
+            for got, want in zip(sums[q], oracle):
+                assert got.astype(complex)[1:].tobytes() == want[1:].tobytes()
+            if q == qs[0]:
+                want = momentlab._average(S, oracle, q)
+                assert (rhs.real.hex(), rhs.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert moment_rhs(S, fams, s, qs[0], N) == rhs
+
+    def test_real_chunks_then_complex(self):
+        # at chunk 100 the first chunk of MIXED's terms is real, a later one
+        # complex, so its class sums turn complex part way through the pass
+        first = np.array([MIXED.value(n) for n in range(1, 101)])
+        assert not first.imag.any()
+        with mock.patch.object(momentlab, "_N_CHUNK", 100):
+            sums = momentlab._class_sums((TrivialFamily(), MIXED), (2 + 0j, 2 + 0j), 250, (11,))
+        assert sums[11][0].dtype == np.float64 and sums[11][1].imag.any()
+
+    def test_moment_pass_leaves_the_memo_empty(self):
+        hecke, tau = HeckeGL2Family(HECKE.lambda_p), TauFamily(1000)
+        hecke.value(6)
+        m0 = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
+        for S in (make_system([[1, -2]], omega=(2,), omega_prime=(3,)), m0):
+            moment_rhs(S, (tau, hecke), (2.5 + 1j, 2), 7, 300)
+        decay_experiment(DIAG, (tau, hecke), (2, 2), [11, 31], 300, reference=1.0)
+        assert list(hecke._memo) == [6]
+        assert not tau.__dict__.get("_memo")
+
+    def test_memory_does_not_grow_with_N(self):
+        # N-long arrays would add 2 MiB a family at N = 2^18
+        def peak(N):
+            tracemalloc.start()
+            try:
+                momentlab._class_sums((TrivialFamily(), CharacterFamily(character_table(7), 2)),
+                                      (2 + 0j, 2 + 1j), N, (11, 31, 101))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1 << 15), peak(1 << 18)
+        assert abs(large - small) < 16 * 1024, (small, large)

@@ -7,11 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mdseries import series
+from mdseries import series, variety
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
-                                   trivial_tuple)
+                                   eval_product_coefficient, trivial_tuple)
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
@@ -19,7 +19,7 @@ from mdseries.series import (EvalParams, compare, default_exponent_bound,
 from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, make_system,
                              negate_system)
-from mdseries.variety import local_solutions, monomial_rhs_at
+from mdseries.variety import box_array, local_solutions, monomial_rhs_at
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)
@@ -127,8 +127,9 @@ class TestDirectSum:
 
 
 class TestDirectSumMemory:
-    """The direct sum streams the box: it keeps 8 bytes per term and per
-    half-box term, not the K x t box and its K-long temporaries."""
+    """The direct sum streams the box: it keeps 8 bytes per half-box term,
+    not the terms of the whole box, the K x t box or its K-long
+    temporaries."""
 
     @staticmethod
     def traced_peak(S, N):
@@ -341,6 +342,34 @@ class TestFsumRule:
         assert spy.call_count == 2        # the imaginary sums were skipped
         with mock.patch.object(series, "_fsum", old_fsum):
             want = direct_sum_and_half(S, fams, s, 60)
+        assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
+
+    @pytest.mark.parametrize("fams,s,imag", [
+        ((TrivialFamily(), TauFamily(1000)), (2.0, 2.5), "real"),
+        # lambda(p) complex only above 100: the first windows are real
+        ((TrivialFamily(), HeckeGL2Family({p: 0.5 - 0.7j * (p > 100)
+                                           for p in primes_up_to(400)})),
+         (2.0, 2.0), "later"),
+        # no coefficient product: every imaginary part is -0.0
+        (TRIV2, (2.0, 3.0), "negative zeros"),
+    ])
+    def test_direct_sum_streams_bitwise(self, fams, s, imag):
+        # the whole box's terms at once, summed by the oracle rule, against
+        # the sums streamed over windows of 16 points
+        N = 300
+        X = box_array(DIAG, N)
+        terms = np.exp(-(np.log(X) @ np.array(s, dtype=complex)))
+        if imag != "negative zeros":
+            terms = terms * np.array([eval_product_coefficient(fams, row)
+                                      for row in X.tolist()], dtype=complex)
+        if imag == "later":
+            assert not terms[:16].imag.any() and terms.imag.any()
+        else:
+            assert not terms.imag.any()
+            assert np.signbit(terms.imag).all() == (imag == "negative zeros")
+        with mock.patch.object(variety, "_WINDOW", 16):
+            got = direct_sum_and_half(DIAG, fams, s, N)
+        want = old_fsum(terms), old_fsum(terms[X.max(axis=1) <= N // 2])
         assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
 
     def test_euler_factors_of_a_real_system_bitwise(self):
