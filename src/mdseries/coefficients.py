@@ -146,22 +146,20 @@ class CoefficientFamily:
                 out[i, k] = self.prime_power(p, e)
         return out
 
-    def uncached_value(self, n: int) -> complex:
+    def value(self, n: int, *, store: bool = True) -> complex:
         """Multiplicative extension: prod over p^e || n of prime_power(p, e),
-        computed afresh, for callers that visit each n once."""
-        got = 1 + 0j
-        for p, e in factorize(n):
-            got *= self.prime_power(p, e)
-        return got
-
-    def value(self, n: int) -> complex:
-        """uncached_value(n), memoised per instance."""
+        memoised per instance.  With store=False a memoised value is still
+        read, but a new one is not kept: for callers that visit each n once."""
         if n == 1:
             return 1 + 0j
         cache = self.__dict__.setdefault("_memo", {})
         got = cache.get(n)
         if got is None:
-            got = cache[n] = self.uncached_value(n)
+            got = 1 + 0j
+            for p, e in factorize(n):
+                got *= self.prime_power(p, e)
+            if store:
+                cache[n] = got
         return got
 
 
@@ -174,10 +172,8 @@ class TrivialFamily(CoefficientFamily):
     def prime_power_table(self, primes, exps):
         return np.ones((len(primes), len(exps)), dtype=complex)
 
-    def value(self, n):
+    def value(self, n, *, store=True):
         return 1 + 0j
-
-    uncached_value = value
 
     def __repr__(self):
         return "TrivialFamily()"
@@ -204,12 +200,10 @@ class CharacterFamily(CoefficientFamily):
         out[(logs < 0)[:, None] & (e > 0)] = 0     # q | p
         return out
 
-    def value(self, n):
+    def value(self, n, *, store=True):
         if n == 1:
             return 1 + 0j
         return self.table.char_value(self.k, n)
-
-    uncached_value = value
 
     def __repr__(self):
         return f"CharacterFamily(q={self.table.q}, k={self.k})"

@@ -20,7 +20,10 @@ math.fsum per part (series._fsum).  With m = 0 there is no average: the
 value is the product of the plain sums, computed once per job.
 
 The reference is the direct box sum and its N/2 tail
-(series.direct_sum_and_half); no Euler product is evaluated.
+(series.direct_sum_and_half); no Euler product is evaluated.  Its memory
+does grow with N: it keeps the N/2-box terms, the imaginary parts of
+windows where one is nonzero, and each non-trivial family's memoised
+values, which the average then reads instead of computing them again.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ def _class_sums(families, s, N: int, qs) -> dict:
     over n <= N with n = a mod q, from one pass over n in chunks of
     _N_CHUNK.  A chunk's terms are float64 when s_j and the family's values
     in the chunk are real, else complex, and T_j turns complex at the first
-    complex chunk.  A non-trivial family's value is computed once per n,
-    past the family's memo."""
+    complex chunk.  A non-trivial family's value is read from its memo
+    where the reference direct sum left it, and otherwise computed and not
+    kept, so each n's value is computed once per job."""
     sums = {q: [np.zeros(q) for _ in families] for q in qs}
     for lo in range(1, N + 1, _N_CHUNK):
         n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
@@ -87,7 +91,7 @@ def _class_sums(families, s, N: int, qs) -> dict:
         for j, (fam, z) in enumerate(zip(families, s)):
             terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
             if not isinstance(fam, TrivialFamily):
-                values = np.array([fam.uncached_value(k) for k in n.tolist()], dtype=complex)
+                values = np.array([fam.value(k, store=False) for k in n.tolist()], dtype=complex)
                 terms = terms * (values if values.imag.any() else values.real)
             for r, T in residues:
                 if np.iscomplexobj(terms) and not np.iscomplexobj(T[j]):
@@ -107,7 +111,7 @@ def _plain_product(families, s, N: int) -> complex:
         for n in range(1, N + 1):
             term = n ** (-z)
             if not trivial:
-                term *= fam.uncached_value(n)
+                term *= fam.value(n, store=False)
             tot += term
         out *= tot
     return out

@@ -47,7 +47,8 @@ window by window (variety.box_windows): its real parts go into math.fsum
 as each window arrives, so the full box is never held.  It keeps the
 imaginary parts of the windows where one is nonzero, and the half-box
 terms: 8 bytes a term where a window's imaginary parts are all zero, 16
-bytes where one is not.
+bytes where one is not.  A non-trivial family also memoises its value at
+each coordinate the box reaches.
 """
 
 from __future__ import annotations
@@ -225,7 +226,9 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     zero and 16 bytes a term otherwise.  Both sums are correctly rounded,
     so the half sum has the bits of a separate run at N//2 and reordering
     the points changes nothing.  The second value is None when N < 2,
-    where the half box is empty.
+    where the half box is empty.  The coefficient product reads each
+    family's memoised value, so a non-trivial family keeps a value for
+    every coordinate the box reaches.
     """
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)

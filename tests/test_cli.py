@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import mdseries
+from mdseries import coefficients
+from mdseries.arith import primes_up_to
 from mdseries.cli import main
 from mdseries.descriptor import (family_from_record, parse_descriptor,
                                  record_from_family, serialize_descriptor)
@@ -355,6 +358,19 @@ class TestCliMoment:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lhs"] == [0.0, 0.0] and out["warnings"] == []
+
+    def test_family_values_once_per_job(self, tmp_path, capsys):
+        # the reference direct sum memoises the Hecke values on the
+        # diagonal, and the class-sum pass reads them: one product per n
+        N = 300
+        hecke = {"type": "hecke_gl2",
+                 "lambda": {str(p): 0.1 * (p % 7) - 0.3 for p in primes_up_to(N)}}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[{"type": "trivial"}, hecke])))
+        with mock.patch.object(coefficients, "factorize", wraps=coefficients.factorize) as f:
+            code = main(["moment", "--system", str(path), "--q", "11,31", "--N", str(N)])
+        assert code == 0 and json.loads(capsys.readouterr().out)["errors"]
+        assert sorted(c.args[0] for c in f.call_args_list) == list(range(2, N + 1))
 
 
 class TestCliEnumerate:

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mdseries import momentlab
+from mdseries import coefficients, momentlab
 from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
@@ -362,17 +362,22 @@ class TestDecayExperiment:
         assert exp.warnings == ("direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
 
     def test_family_values_once_per_job(self):
-        hecke = HeckeGL2Family(HECKE.lambda_p)
-        calls = []
-        value = hecke.uncached_value
-        hecke.uncached_value = lambda n: calls.append(n) or value(n)
+        # each n's value is computed once in the job: without a reference the
+        # direct sum memoises the values it needs, and the class-sum pass
+        # reads them and keeps none of its own
         N = 400
         S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
-        # a given reference leaves the moduli as the only callers
-        decay_experiment(S, (TrivialFamily(), hecke), (2, 2), [11, 31, 101], N,
-                         reference=1.0)
-        assert calls == list(range(1, N + 1))
-        assert not hecke.__dict__.get("_memo")
+        for reference in (1.0, None):
+            hecke, alone = HeckeGL2Family(HECKE.lambda_p), HeckeGL2Family(HECKE.lambda_p)
+            if reference is None:
+                direct_sum_and_half(S, (TrivialFamily(), alone), (2, 2), N)
+                assert 0 < len(alone._memo) < N - 1
+            with mock.patch.object(coefficients, "factorize",
+                                   wraps=coefficients.factorize) as f:
+                decay_experiment(S, (TrivialFamily(), hecke), (2, 2), [11, 31, 101], N,
+                                 reference=reference)
+            assert sorted(c.args[0] for c in f.call_args_list) == list(range(2, N + 1))
+            assert hecke.__dict__.get("_memo", {}) == alone.__dict__.get("_memo", {})
 
     def test_empirical_error_envelope(self):
         # measured envelope, not a guarantee: diagonal errors sit below 10/q
