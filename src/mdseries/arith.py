@@ -31,7 +31,9 @@ _sieve = None          # np.bool_ array, _sieve[n] == True iff n prime
 _primes_list = []      # ascending primes below _sieve_limit
 
 _lpf_limit = 0
-_lpf = None            # np.int32 array, _lpf[n] = least prime factor of n
+_lpf = None            # np.int32 array, _lpf[n] = least prime factor of n;
+                       # it grows to a request, and at least doubles, so it
+                       # stays within twice the largest n factorized
 
 
 def _grow_sieve(limit: int) -> None:
@@ -53,7 +55,7 @@ def _grow_lpf(limit: int) -> None:
     global _lpf_limit, _lpf
     if limit <= _lpf_limit:
         return
-    limit = min(max(limit, 1 << 16, 2 * _lpf_limit), LPF_SIEVE_LIMIT)
+    limit = min(max(limit, 2 * _lpf_limit), LPF_SIEVE_LIMIT)
     lpf = np.zeros(limit + 1, dtype=np.int32)
     for i in range(2, math.isqrt(limit) + 1):
         if lpf[i] == 0:
@@ -105,7 +107,12 @@ def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
     """Exact prime factorization of n >= 1 as ((p, e), ...), p ascending.
 
     Uses a least-prime-factor sieve for small n and trial division by sieved
-    primes beyond; inputs above `limit` are rejected.
+    primes beyond; inputs above `limit` are rejected.  The sieve is shared
+    module-wide and grown on demand: an n past it but at most
+    LPF_SIEVE_LIMIT // 4 grows it to max(n, twice its size), capped at
+    LPF_SIEVE_LIMIT, so it holds about as many entries as the largest n
+    asked of it (q - 1 for a character table mod q) and never more than
+    twice that.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -11,9 +11,12 @@ and tau families compute it across primes with the same floating-point
 operations as `prime_power`, so each entry equals the scalar value and a
 missing value raises the same MissingPrimePowerError.
 
-The Ramanujan tau table is exact: it is built in int64 modulo primes whose
-product exceeds twice Deligne's bound on every coefficient, and rebuilt by
-the Chinese remainder theorem.
+Ramanujan tau values are exact: residue passes of the eta product run in
+int64 modulo primes whose product exceeds twice Deligne's bound on every
+coefficient, and the Chinese remainder theorem rebuilds tau(n) at the
+indices asked for.  `ramanujan_tau_table(N)` asks for every n <= N; the
+tau family asks only for the prime powers up to its bound, the values the
+multiplicative extension reads.
 """
 
 from __future__ import annotations
@@ -92,14 +95,14 @@ def tau_moduli(N: int) -> tuple:
     return tuple(moduli)
 
 
-def ramanujan_tau_table(N: int) -> list[int]:
-    """Exact tau(1..N) from the degree-N truncation of q * prod (1-q^k)^24.
+def _tau_residues(N: int) -> tuple:
+    """(moduli, R) with moduli = tau_moduli(N) and R[k, n - 1] = tau(n) mod
+    moduli[k] for 1 <= n <= N, from the degree-N truncation of
+    q * prod (1-q^k)^24.
 
     The cube of the Euler factor is Jacobi's sparse series g, and the 24th
     power is g^8, built by 7 dense-by-sparse passes in int64 modulo each
-    prime of tau_moduli(N).  One array step of the Chinese remainder
-    theorem, in Python ints, rebuilds every coefficient in the symmetric
-    range.  Returns a list with tau[n] at index n (index 0 unused).
+    prime of tau_moduli(N).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -121,14 +124,29 @@ def ramanujan_tau_table(N: int) -> list[int]:
             new[:, d:] += tmp[:, :L - d]
         new %= column
         cur, new = new, cur
+    return moduli, cur
+
+
+def _tau_crt(moduli: tuple, residues: np.ndarray, ns: np.ndarray) -> list[int]:
+    """Exact tau(n) for each n of ns, in order, from _tau_residues' output:
+    one array step of the Chinese remainder theorem, in Python ints, into
+    the symmetric range."""
     M = math.prod(moduli)
     half = M // 2                           # M is odd
     basis = [M // m * pow(M // m, -1, m) for m in moduli]
-    out = [0]
-    for lo in range(0, L, 1024):            # bounds the Python ints alive
-        x = sum(row[lo:lo + 1024].astype(object) * b for row, b in zip(cur, basis))
+    out = []
+    for lo in range(0, len(ns), 1024):      # bounds the Python ints alive
+        cols = residues[:, ns[lo:lo + 1024] - 1]
+        x = sum(row.astype(object) * b for row, b in zip(cols, basis))
         out += ((x + half) % M - half).tolist()
     return out
+
+
+def ramanujan_tau_table(N: int) -> list[int]:
+    """Exact tau(1..N): _tau_residues(N), then _tau_crt at every n <= N.
+    Returns a list with tau[n] at index n (index 0 unused)."""
+    moduli, residues = _tau_residues(N)
+    return [0] + _tau_crt(moduli, residues, np.arange(1, N + 1))
 
 
 class CoefficientFamily:
@@ -256,9 +274,12 @@ class TableFamily(CoefficientFamily):
 class TauFamily(CoefficientFamily):
     """Analytically normalized Ramanujan tau: lambda(p^e) = tau(p^e) / p^{11e/2}.
 
-    Values come from the exact eta-product table up to `bound`; prime powers
-    past the table (but with p itself inside it) extend by the Hecke
-    recursion, which the normalized tau satisfies.
+    Only the prime powers p^e <= `bound` are read, so only they are rebuilt
+    exactly: the residue passes of the eta product run to `bound`, and the
+    Chinese remainder step runs at the prime powers alone (1,280 of the
+    10^4 indices at the default bound).  Prime powers past the table (but
+    with p itself inside it) extend by the Hecke recursion, which the
+    normalized tau satisfies.
     """
 
     DEFAULT_BOUND = 10_000
@@ -268,26 +289,30 @@ class TauFamily(CoefficientFamily):
         self.bound = bound
         cached = self._table_cache.get(bound)
         if cached is None:
-            table = ramanujan_tau_table(bound)
+            powers = []                     # (p, e, p^e) for every p^e <= bound
+            for p in primes_up_to(bound):
+                pe, e = p, 1
+                while pe <= bound:
+                    powers.append((p, e, pe))
+                    pe, e = pe * p, e + 1
+            moduli, residues = _tau_residues(bound)
+            taus = _tau_crt(moduli, residues,
+                            np.array([pe for _, _, pe in powers], dtype=np.int64))
             # prime_power's values at 1 and the prime powers <= bound, and
             # top[p] = the largest e with p^e <= bound
             norm, top = np.zeros(bound + 2), np.zeros(bound + 2, dtype=np.int64)
             norm[1] = 1.0
-            for p in primes_up_to(bound):
-                pe, e = p, 1
-                while pe <= bound:
-                    norm[pe], top[p] = table[pe] / p ** (5.5 * e), e
-                    pe, e = pe * p, e + 1
-            cached = self._table_cache[bound] = table, norm, top
-        self.table, self._norm, self._top = cached
+            for (p, e, pe), tau in zip(powers, taus):
+                norm[pe], top[p] = tau / p ** (5.5 * e), e
+            cached = self._table_cache[bound] = norm, top
+        self._norm, self._top = cached
 
     def prime_power(self, p, e):
         pe = p**e
         if pe <= self.bound:
-            return complex(self.table[pe] / p ** (5.5 * e))
+            return complex(float(self._norm[pe]))
         if p <= self.bound:
-            lam = self.table[p] / p**5.5
-            return hecke_prime_power(lam, e)
+            return hecke_prime_power(float(self._norm[p]), e)
         raise MissingPrimePowerError(
             f"tau table (bound {self.bound}) cannot reach prime {p}")
 

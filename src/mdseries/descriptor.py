@@ -17,7 +17,13 @@ from .errors import DescriptorError
 from .limits import TAU_TABLE_LIMIT
 from .system import LaurentMonomialSystem
 
-_PRIME_POWER_KEY = re.compile(r"^(\d+)\^(\d+)$")
+# Twists, lambda keys and table keys take ASCII decimal digits only: str.isdigit
+# and a Unicode \d also accept '²' or '٣', which int() rejects or reads as 3.
+_PRIME_POWER_KEY = re.compile(r"^(\d+)\^(\d+)$", re.ASCII)
+
+
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def _complex_from(value, path):
@@ -37,7 +43,7 @@ def _int_from(value, path):
 
 def _twist_from(value, path):
     if isinstance(value, str):
-        if not value.isdigit():
+        if not _is_decimal(value):
             raise DescriptorError(path, f"expected a decimal string, got {value!r}")
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -63,7 +69,7 @@ def family_from_record(rec, path) -> CoefficientFamily:
             raise DescriptorError(f"{path}.lambda", "expected a prime -> value map")
         out = {}
         for key, val in lam.items():
-            if not str(key).isdigit():
+            if not _is_decimal(str(key)):
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be primes")
             out[int(key)] = _complex_from(val, f"{path}.lambda.{key}")
         return HeckeGL2Family(out)

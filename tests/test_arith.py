@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mdseries import arith
 from mdseries.arith import (char_eval, character_table, factorize,
                             factorize_twist, iroot, is_prime, primes_up_to,
                             valuation)
@@ -75,6 +76,35 @@ class TestFactorize:
         for _ in range(200):
             n = rng.randint(1, 10**9)
             assert factorize(n) == trial_division(n)
+
+
+class TestLpfSieveGrowth:
+    """The least-prime-factor sieve grows from what is asked of it."""
+
+    @pytest.fixture
+    def empty_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "_lpf", None)
+        monkeypatch.setattr(arith, "_lpf_limit", 0)
+
+    NS = [n for k in range(18) for n in (2**k - 1, 2**k, 2**k + 1) if n >= 1]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_factorize_across_every_growth(self, empty_sieve, order):
+        ns = sorted(set(self.NS), reverse=order == "descending")
+        for i, n in enumerate(ns):
+            before = arith._lpf_limit
+            assert factorize(n) == trial_division(n), n
+            largest = max(ns[:i + 1])
+            if largest > 1:
+                assert largest <= arith._lpf_limit <= 2 * largest
+                assert len(arith._lpf) == arith._lpf_limit + 1
+            if arith._lpf_limit != before:      # each growth at least doubles
+                assert arith._lpf_limit >= 2 * before
+
+    def test_character_table_sieves_only_what_it_factors(self, empty_sieve):
+        tb = character_table(101)
+        assert tb.g == primitive_root_oracle(101)
+        assert 100 <= arith._lpf_limit <= 2**11
 
 
 class TestFactorizeTwist:

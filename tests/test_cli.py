@@ -127,6 +127,27 @@ class TestDescriptor:
         assert capsys.readouterr().err == (
             f"mds: coefficients[1].bound: expected 1..100000, got {bound}\n")
 
+    @pytest.mark.parametrize("field, edit, stderr", [
+        ("omega", lambda doc: doc.update(m=2, A=[[1, -1], [1, 1]], omega=["6", "\u00b2"],
+                                         omega_prime=["1", "1"]),
+         "mds: omega[1]: expected a decimal string, got '\u00b2'\n"),
+        ("lambda", lambda doc: doc["coefficients"].__setitem__(
+            1, {"type": "hecke_gl2", "lambda": {"2": 0.5, "\u00b2": 1.0}}),
+         "mds: coefficients[1].lambda.\u00b2: keys must be primes\n"),
+        ("table", lambda doc: doc["coefficients"].__setitem__(
+            0, {"type": "table", "values": {"\u0663^1": 1.0}}),
+         "mds: coefficients[0].values.\u0663^1: keys look like 'p^e', e.g. '2^1'\n"),
+    ])
+    def test_non_ascii_digits_name_their_field(self, tmp_path, capsys, field, edit, stderr):
+        # '\u00b2' (superscript two) passes str.isdigit and '\u0663' (Arabic-Indic
+        # three) a Unicode \d; only ASCII decimal digits are accepted
+        doc = json.loads(json.dumps(DIAG_DOC))
+        edit(doc)
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
+        assert capsys.readouterr().err == stderr
+
     def test_table_key_format(self):
         rec = {"type": "table", "values": {"12": 1.0}}
         with pytest.raises(DescriptorError):

@@ -1,12 +1,13 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from mdseries.arith import character_table, is_prime, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
-                                   TauFamily, TrivialFamily,
+                                   TauFamily, TrivialFamily, _tau_crt, _tau_residues,
                                    eval_product_coefficient, hecke_prime_power,
                                    ramanujan_tau_table, tau_moduli, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
@@ -165,6 +166,78 @@ class TestTauTable:
             assert tau[p * p] == tau[p] ** 2 - p**11
 
 
+class TauFromFullTable:
+    """Oracle: the normalized tau values built from the whole table tau(1..bound),
+    in the operations TauFamily used when it kept that table."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.table = ramanujan_tau_table(bound)
+        self.norm = np.zeros(bound + 2)
+        self.top = np.zeros(bound + 2, dtype=np.int64)
+        self.norm[1] = 1.0
+        for p in primes_up_to(bound):
+            pe, e = p, 1
+            while pe <= bound:
+                self.norm[pe], self.top[p] = self.table[pe] / p ** (5.5 * e), e
+                pe, e = pe * p, e + 1
+
+    def prime_power(self, p, e):
+        if p**e <= self.bound:
+            return complex(self.table[p**e] / p ** (5.5 * e))
+        return hecke_prime_power(self.table[p] / p**5.5, e)
+
+
+def complex_bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestTauPrimePowers:
+    BOUNDS = [1, 2, 3, 4, 10, 500, 2000, 10**4]
+    EXPS = list(range(27))          # past the table at every bound here
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """TauFamily with an empty table cache, so each bound is built here."""
+        monkeypatch.setattr(TauFamily, "_table_cache", {})
+        return TauFamily
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_arrays_equal_the_full_table_oracle(self, fresh, bound):
+        fam, oracle = fresh(bound), TauFromFullTable(bound)
+        assert fam._norm.dtype == oracle.norm.dtype and fam._top.dtype == oracle.top.dtype
+        assert fam._norm.tobytes() == oracle.norm.tobytes()
+        assert fam._top.tobytes() == oracle.top.tobytes()
+        assert not hasattr(fam, "table")
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_values_equal_the_full_table_oracle(self, fresh, bound):
+        fam, oracle = fresh(bound), TauFromFullTable(bound)
+        primes = primes_up_to(bound)
+        for p in primes:
+            assert oracle.top[p] < self.EXPS[-1]
+            for e in self.EXPS:
+                got = fam.prime_power(p, e)
+                assert type(got) is complex
+                assert complex_bits(got) == complex_bits(oracle.prime_power(p, e)), (p, e)
+        table = fam.prime_power_table(primes, self.EXPS)
+        want = [[oracle.prime_power(p, e) for e in self.EXPS] for p in primes]
+        assert table.tobytes() == np.array(want, dtype=complex).reshape(table.shape).tobytes()
+        assert complex_bits(fam.prime_power(2, 0)) == complex_bits(1 + 0j)
+
+    def test_crt_at_scattered_indices(self):
+        N = 5000
+        table = ramanujan_tau_table(N)
+        rng = random.Random(13)
+        # unordered, with repeats and both ends, and longer than one CRT chunk
+        ns = [N, 1, 2, 2] + [rng.randint(1, N) for _ in range(1500)]
+        moduli, residues = _tau_residues(N)
+        got = _tau_crt(moduli, residues, np.array(ns, dtype=np.int64))
+        assert got == [table[n] for n in ns]
+        assert all(type(x) is int for x in got)
+        assert _tau_crt(moduli, residues, np.array([], dtype=np.int64)) == []
+
+
 class TestFamilies:
     def test_trivial(self):
         assert TrivialFamily().value(360) == 1
@@ -192,7 +265,7 @@ class TestFamilies:
     def test_tau_normalized_values(self):
         fam = TauFamily(1000)
         assert fam.value(2) == pytest.approx(-24 / 2**5.5)
-        tau = fam.table
+        tau = ramanujan_tau_table(1000)
         assert fam.value(12) == pytest.approx(tau[12] / 12**5.5)
 
     def test_tau_hecke_extension_consistent(self):
