@@ -32,8 +32,7 @@ _primes_list = []      # ascending primes below _sieve_limit
 
 _lpf_limit = 0
 _lpf = None            # np.int32 array, _lpf[n] = least prime factor of n;
-                       # it grows to a request, and at least doubles, so it
-                       # stays within twice the largest n factorized
+                       # sized to what factorize asks of it (see there)
 
 
 def _grow_sieve(limit: int) -> None:
@@ -108,11 +107,10 @@ def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
 
     Uses a least-prime-factor sieve for small n and trial division by sieved
     primes beyond; inputs above `limit` are rejected.  The sieve is shared
-    module-wide and grown on demand: an n past it but at most
-    LPF_SIEVE_LIMIT // 4 grows it to max(n, twice its size), capped at
-    LPF_SIEVE_LIMIT, so it holds about as many entries as the largest n
-    asked of it (q - 1 for a character table mod q) and never more than
-    twice that.
+    module-wide: an n past it, up to LPF_SIEVE_LIMIT // 4, grows it to
+    max(n, twice its size), capped at LPF_SIEVE_LIMIT.  So it never holds
+    more than twice the largest n asked of it (q - 1 for a character table
+    mod q), and ascending requests re-sieve O(that) entries in all.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -19,7 +19,8 @@ from .system import LaurentMonomialSystem
 
 # Twists, lambda keys and table keys take ASCII decimal digits only: str.isdigit
 # and a Unicode \d also accept '²' or '٣', which int() rejects or reads as 3.
-_PRIME_POWER_KEY = re.compile(r"^(\d+)\^(\d+)$", re.ASCII)
+# Table keys are matched whole, so '2^1\n' is rejected as '2\n' is.
+_PRIME_POWER_KEY = re.compile(r"(\d+)\^(\d+)", re.ASCII)
 
 
 def _is_decimal(text: str) -> bool:
@@ -84,7 +85,7 @@ def family_from_record(rec, path) -> CoefficientFamily:
             raise DescriptorError(f"{path}.values", "expected a prime-power -> value map")
         out = {}
         for key, val in values.items():
-            match = _PRIME_POWER_KEY.match(str(key))
+            match = _PRIME_POWER_KEY.fullmatch(str(key))
             if not match:
                 raise DescriptorError(f"{path}.values.{key}",
                                       "keys look like 'p^e', e.g. '2^1'")

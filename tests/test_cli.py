@@ -137,10 +137,13 @@ class TestDescriptor:
         ("table", lambda doc: doc["coefficients"].__setitem__(
             0, {"type": "table", "values": {"\u0663^1": 1.0}}),
          "mds: coefficients[0].values.\u0663^1: keys look like 'p^e', e.g. '2^1'\n"),
+        ("table-newline", lambda doc: doc["coefficients"].__setitem__(
+            0, {"type": "table", "values": {"2^1\n": 1.0}}),
+         "mds: coefficients[0].values.2^1\n: keys look like 'p^e', e.g. '2^1'\n"),
     ])
-    def test_non_ascii_digits_name_their_field(self, tmp_path, capsys, field, edit, stderr):
-        # '\u00b2' (superscript two) passes str.isdigit and '\u0663' (Arabic-Indic
-        # three) a Unicode \d; only ASCII decimal digits are accepted
+    def test_keyed_fields_take_ascii_digits_only(self, tmp_path, capsys, field, edit, stderr):
+        # '\u00b2' (superscript two) passes str.isdigit, '\u0663' (Arabic-Indic
+        # three) a Unicode \d, and a trailing newline a regex '$'
         doc = json.loads(json.dumps(DIAG_DOC))
         edit(doc)
         path = tmp_path / f"{field}.json"
