@@ -149,6 +149,15 @@ def ramanujan_tau_table(N: int) -> list[int]:
     return [0] + _tau_crt(moduli, residues, np.arange(1, N + 1))
 
 
+def _prime_powers(bound: int):
+    """(p, e, p^e) for every prime power p^e <= bound, by p, then e."""
+    for p in primes_up_to(bound):
+        pe, e = p, 1
+        while pe <= bound:
+            yield p, e, pe
+            pe, e = pe * p, e + 1
+
+
 class CoefficientFamily:
     """Base class: a multiplicative function given by prime-power values."""
 
@@ -289,20 +298,14 @@ class TauFamily(CoefficientFamily):
         self.bound = bound
         cached = self._table_cache.get(bound)
         if cached is None:
-            powers = []                     # (p, e, p^e) for every p^e <= bound
-            for p in primes_up_to(bound):
-                pe, e = p, 1
-                while pe <= bound:
-                    powers.append((p, e, pe))
-                    pe, e = pe * p, e + 1
             moduli, residues = _tau_residues(bound)
-            taus = _tau_crt(moduli, residues,
-                            np.array([pe for _, _, pe in powers], dtype=np.int64))
+            taus = _tau_crt(moduli, residues, np.array(
+                [pe for _, _, pe in _prime_powers(bound)], dtype=np.int64))
             # prime_power's values at 1 and the prime powers <= bound, and
             # top[p] = the largest e with p^e <= bound
             norm, top = np.zeros(bound + 2), np.zeros(bound + 2, dtype=np.int64)
             norm[1] = 1.0
-            for (p, e, pe), tau in zip(powers, taus):
+            for (p, e, pe), tau in zip(_prime_powers(bound), taus):
                 norm[pe], top[p] = tau / p ** (5.5 * e), e
             cached = self._table_cache[bound] = norm, top
         self._norm, self._top = cached
