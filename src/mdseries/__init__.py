@@ -5,8 +5,8 @@ evaluation, row-operation invariances, Property (S) counterexample search,
 and character-moment reconstruction experiments.
 """
 
-from .arith import (CharacterTable, char_eval, character_table, factorize,
-                    factorize_twist, iroot, is_prime, primes_up_to, valuation)
+from .arith import (CharacterTable, character_table, factorize, factorize_twist,
+                    iroot, is_prime, primes_up_to, valuation)
 from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
                            TableFamily, TauFamily, TrivialFamily,
                            eval_product_coefficient, hecke_prime_power,

@@ -147,6 +147,40 @@ def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
     return tuple(out)
 
 
+def factor_levels(n: np.ndarray) -> list:
+    """The factorizations of a 1-D int64 array of n >= 1, as arrays: a list
+    of (rows, p, e), where p[i]^e[i] exactly divides n[rows[i]], and each
+    row's primes come in ascending order down the list.
+
+    An n that factorize would sieve is factored with the sieve, one level
+    (prime) at a time for all such n at once; each distinct n past the
+    sieve goes through factorize.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if (n < 1).any():
+        raise ValueError(f"factorize requires n >= 1, got {n.min()}")
+    _grow_lpf(int(n[n <= LPF_SIEVE_LIMIT // 4].max(initial=0)))
+    out = []
+    rows = np.flatnonzero((n > 1) & (n <= _lpf_limit))
+    rest = n[rows]
+    while len(rows):
+        p = _lpf[rest].astype(np.int64)
+        e = np.zeros_like(rest)
+        hit = np.ones(len(rest), dtype=bool)
+        while hit.any():
+            rest[hit] //= p[hit]
+            e[hit] += 1
+            hit[hit] = rest[hit] % p[hit] == 0
+        out.append((rows, p, e))
+        left = rest > 1
+        rows, rest = rows[left], rest[left]
+    far = np.flatnonzero(n > _lpf_limit)
+    for m in sorted(set(n[far].tolist())):
+        at = far[n[far] == m]
+        out += [(at, np.full(len(at), p), np.full(len(at), e)) for p, e in factorize(m)]
+    return out
+
+
 def _rho_factor(n: int) -> int:
     """A proper divisor of the odd composite n, by Brent's variant of
     Pollard's rho with polynomials x^2 + c, c = 1, 2, ... in turn, so the
@@ -310,10 +344,3 @@ def character_table(q: int) -> CharacterTable:
         cur = cur * g % q
     return CharacterTable(q=q, g=g, log=tuple(log))
 
-
-def char_eval(table: CharacterTable, k: int, n: int) -> complex:
-    """chi_k(n) as a complex number; 0 when q | n.
-
-    k is taken mod q-1, so negative k selects the conjugate character.
-    """
-    return table.char_value(k, n)

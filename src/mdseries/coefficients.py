@@ -9,7 +9,9 @@ prime powers as one array, for the Euler product.  The base class loops
 over `prime_power`, so every family has it; the trivial, character, Hecke
 and tau families compute it across primes with the same floating-point
 operations as `prime_power`, so each entry equals the scalar value and a
-missing value raises the same MissingPrimePowerError.
+missing value raises the same MissingPrimePowerError.  `values(n)` is
+the multiplicative extension at an array of integers, factored in arrays
+and read from `prime_power_table`; a family keeps no per-integer state.
 
 Ramanujan tau values are exact: residue passes of the eta product run in
 int64 modulo primes whose product exceeds twice Deligne's bound on every
@@ -26,9 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import _unit_roots, factorize, is_prime, primes_up_to
+from .arith import _unit_roots, factor_levels, factorize, is_prime, primes_up_to
 from .errors import MissingPrimePowerError
 from .limits import TAU_TABLE_LIMIT
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """The complex product a * b on real and imaginary parts, in the
+    operations of Python's complex product.  numpy's complex multiply may
+    fuse them, which would make a value's bits depend on its place in an
+    array."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def hecke_prime_power(lambda_p: complex, e: int) -> complex:
@@ -46,11 +56,7 @@ def hecke_prime_power(lambda_p: complex, e: int) -> complex:
 
 def _hecke_table(lam: np.ndarray, exps: Sequence[int]) -> np.ndarray:
     """hecke_prime_power(lam[i], e) for every i and every e in exps, with the
-    recursion run on all of lam at once.
-
-    Complex products are written out on real and imaginary parts, the
-    operations of Python's complex product; numpy's complex multiply may
-    fuse them, and its bits would then differ from the scalar recursion."""
+    recursion run on all of lam at once, its complex products by _cmul."""
     if any(e < 0 for e in exps):
         raise ValueError("exponent must be >= 0")
     out = np.ones((len(lam), len(exps)), dtype=complex)
@@ -62,7 +68,8 @@ def _hecke_table(lam: np.ndarray, exps: Sequence[int]) -> np.ndarray:
         if exps[k] == 0:
             continue
         while e < exps[k]:
-            pr, pi, cr, ci = cr, ci, lr * cr - li * ci - pr, lr * ci + li * cr - pi
+            nr, ni = _cmul(lr, li, cr, ci)
+            pr, pi, cr, ci = cr, ci, nr - pr, ni - pi
             e += 1
         out.real[:, k], out.imag[:, k] = cr, ci
     return out
@@ -173,20 +180,40 @@ class CoefficientFamily:
                 out[i, k] = self.prime_power(p, e)
         return out
 
-    def value(self, n: int, *, store: bool = True) -> complex:
-        """Multiplicative extension: prod over p^e || n of prime_power(p, e),
-        memoised per instance.  With store=False a memoised value is still
-        read, but a new one is not kept: for callers that visit each n once."""
-        if n == 1:
-            return 1 + 0j
-        cache = self.__dict__.setdefault("_memo", {})
-        got = cache.get(n)
-        if got is None:
-            got = 1 + 0j
-            for p, e in factorize(n):
-                got *= self.prime_power(p, e)
-            if store:
-                cache[n] = got
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """The multiplicative extension at each n >= 1 of a 1-D int64 array:
+        prod over p^e || n of prime_power(p, e), in ascending p from 1+0j,
+        with the operations of Python's complex product, so each entry has
+        the bits of value(n).  The factors come from arith.factor_levels and
+        prime_power_table, one call per distinct exponent; a missing value
+        raises the error of the smallest prime that lacks one."""
+        levels = factor_levels(n)
+        p = np.concatenate([lv[1] for lv in levels] or [np.zeros(0, np.int64)])
+        e = np.concatenate([lv[2] for lv in levels] or [np.zeros(0, np.int64)])
+        coef = np.empty(len(p), dtype=complex)
+        try:
+            for k in np.flatnonzero(np.bincount(e)).tolist():
+                at = np.flatnonzero(e == k)
+                coef[at] = self.prime_power_table(p[at].tolist(), [k])[:, 0]
+        except MissingPrimePowerError:
+            for q, k in sorted(set(zip(p.tolist(), e.tolist()))):
+                self.prime_power_table([q], [k])
+            raise
+        out = np.ones(len(n), dtype=complex)
+        lo = 0
+        for rows, _, _ in levels:
+            c = coef[lo:lo + len(rows)]
+            out.real[rows], out.imag[rows] = _cmul(out.real[rows], out.imag[rows],
+                                                   c.real, c.imag)
+            lo += len(rows)
+        return out
+
+    def value(self, n: int) -> complex:
+        """The scalar multiplicative extension at one n, the reference that
+        values reproduces: prod over p^e || n of prime_power(p, e)."""
+        got = 1 + 0j
+        for p, e in factorize(n):
+            got *= self.prime_power(p, e)
         return got
 
 
@@ -199,8 +226,8 @@ class TrivialFamily(CoefficientFamily):
     def prime_power_table(self, primes, exps):
         return np.ones((len(primes), len(exps)), dtype=complex)
 
-    def value(self, n, *, store=True):
-        return 1 + 0j
+    def values(self, n):
+        return np.ones(len(n), dtype=complex)
 
     def __repr__(self):
         return "TrivialFamily()"
@@ -212,6 +239,10 @@ class CharacterFamily(CoefficientFamily):
     def __init__(self, table, k: int):
         self.table = table
         self.k = k % (table.q - 1)
+        # chi by residue: the root of unity at index k * log(r) mod q-1
+        logs = np.asarray(table.log)
+        self._by_residue = np.array(_unit_roots(table.q - 1))[self.k * logs % (table.q - 1)]
+        self._by_residue[logs < 0] = 0     # r = 0
 
     def prime_power(self, p, e):
         return self.table.char_value(self.k, pow(p, e, self.table.q))
@@ -227,9 +258,10 @@ class CharacterFamily(CoefficientFamily):
         out[(logs < 0)[:, None] & (e > 0)] = 0     # q | p
         return out
 
-    def value(self, n, *, store=True):
-        if n == 1:
-            return 1 + 0j
+    def values(self, n):
+        return self._by_residue[np.asarray(n, dtype=np.int64) % self.table.q]
+
+    def value(self, n):
         return self.table.char_value(self.k, n)
 
     def __repr__(self):
@@ -267,17 +299,17 @@ class TableFamily(CoefficientFamily):
 
     def __init__(self, values: dict):
         # keys are (p, e) pairs
-        self.values = {(int(p), int(e)): complex(v) for (p, e), v in values.items()}
+        self.entries = {(int(p), int(e)): complex(v) for (p, e), v in values.items()}
 
     def prime_power(self, p, e):
         try:
-            return self.values[(p, e)]
+            return self.entries[(p, e)]
         except KeyError:
             raise MissingPrimePowerError(
                 f"explicit table has no entry for {p}^{e}") from None
 
     def __repr__(self):
-        return f"TableFamily({len(self.values)} entries)"
+        return f"TableFamily({len(self.entries)} entries)"
 
 
 class TauFamily(CoefficientFamily):
@@ -342,15 +374,19 @@ class TauFamily(CoefficientFamily):
 CoefficientTuple = Sequence[CoefficientFamily]
 
 
-def eval_product_coefficient(c: CoefficientTuple, n: Sequence[int]) -> complex:
-    """a(n) = prod_j c_j(n_j); requires len(n) == len(c) and every n_j >= 1."""
-    if len(c) != len(n):
-        raise ValueError(f"coefficient tuple has {len(c)} families, point has {len(n)}")
-    out = 1 + 0j
-    for fam, nj in zip(c, n):
-        if nj < 1:
-            raise ValueError("family arguments are positive integers")
-        out *= fam.value(nj)
+def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
+    """a(n) = prod_j c_j(n_j) for each row n of the K x t integer array X,
+    column by column from 1+0j by _cmul; requires t == len(c) and every
+    n_j >= 1."""
+    X = np.asarray(X, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != len(c):
+        raise ValueError(f"coefficient tuple has {len(c)} families, points have shape {X.shape}")
+    if (X < 1).any():
+        raise ValueError("family arguments are positive integers")
+    out = np.ones(len(X), dtype=complex)
+    for j, fam in enumerate(c):
+        v = fam.values(X[:, j])
+        out.real, out.imag = _cmul(out.real, out.imag, v.real, v.imag)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 
-from .arith import character_table, is_prime
+from .arith import character_table, is_prime, primes_up_to
 from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
                            TableFamily, TauFamily, TrivialFamily, trivial_tuple)
 from .errors import DescriptorError
@@ -21,6 +21,9 @@ from .system import LaurentMonomialSystem
 # and a Unicode \d also accept '²' or '٣', which int() rejects or reads as 3.
 # Table keys are matched whole, so '2^1\n' is rejected as '2\n' is.
 _PRIME_POWER_KEY = re.compile(r"(\d+)\^(\d+)", re.ASCII)
+# lambda keys up to this are checked against one prime sieve, larger ones
+# by is_prime
+_SIEVED_KEYS = 10**6
 
 
 def _is_decimal(text: str) -> bool:
@@ -68,11 +71,15 @@ def family_from_record(rec, path) -> CoefficientFamily:
         lam = rec.get("lambda")
         if not isinstance(lam, dict):
             raise DescriptorError(f"{path}.lambda", "expected a prime -> value map")
+        ints = {key: int(key) for key in map(str, lam) if _is_decimal(key)}
+        sieved = set(primes_up_to(max((k for k in ints.values() if k <= _SIEVED_KEYS),
+                                      default=0)))
         out = {}
         for key, val in lam.items():
-            if not _is_decimal(str(key)):
+            k = ints.get(str(key))
+            if k is None or not (k in sieved if k <= _SIEVED_KEYS else is_prime(k)):
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be primes")
-            out[int(key)] = _complex_from(val, f"{path}.lambda.{key}")
+            out[k] = _complex_from(val, f"{path}.lambda.{key}")
         return HeckeGL2Family(out)
     if kind == "tau":
         bound = _int_from(rec.get("bound", TauFamily.DEFAULT_BOUND), f"{path}.bound")
@@ -108,7 +115,7 @@ def record_from_family(f: CoefficientFamily) -> dict:
     if isinstance(f, TableFamily):
         return {"type": "table",
                 "values": {f"{p}^{e}": _complex_out(v)
-                           for (p, e), v in sorted(f.values.items())}}
+                           for (p, e), v in sorted(f.entries.items())}}
     raise TypeError(f"cannot serialize {type(f).__name__}")
 
 

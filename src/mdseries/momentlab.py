@@ -21,9 +21,8 @@ value is the product of the plain sums, computed once per job.
 
 The reference is the direct box sum and its N/2 tail
 (series.direct_sum_and_half); no Euler product is evaluated.  Its memory
-does grow with N: it keeps the N/2-box terms, the imaginary parts of
-windows where one is nonzero, and each non-trivial family's memoised
-values, which the average then reads instead of computing them again.
+does grow with N, through the N/2-box terms and the imaginary parts it
+keeps.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ from typing import Optional
 import numpy as np
 
 from .arith import character_table, is_prime, _unit_roots
-from .coefficients import TrivialFamily
+from .coefficients import TrivialFamily, _cmul
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
 # module's name
-from .series import (EMPTY_VARIETY_WARNING, EvalParams, _cmul, _fsum,  # noqa: F401
+from .series import (EMPTY_VARIETY_WARNING, EvalParams, _fsum,  # noqa: F401
                      check_series_point, compare, direct_sum_and_half,
                      direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
@@ -80,9 +79,8 @@ def _class_sums(families, s, N: int, qs) -> dict:
     over n <= N with n = a mod q, from one pass over n in chunks of
     _N_CHUNK.  A chunk's terms are float64 when s_j and the family's values
     in the chunk are real, else complex, and T_j turns complex at the first
-    complex chunk.  A non-trivial family's value is read from its memo
-    where the reference direct sum left it, and otherwise computed and not
-    kept, so each n's value is computed once per job."""
+    complex chunk.  A non-trivial family's values come from its values(n)
+    on the chunk."""
     sums = {q: [np.zeros(q) for _ in families] for q in qs}
     for lo in range(1, N + 1, _N_CHUNK):
         n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
@@ -91,7 +89,7 @@ def _class_sums(families, s, N: int, qs) -> dict:
         for j, (fam, z) in enumerate(zip(families, s)):
             terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
             if not isinstance(fam, TrivialFamily):
-                values = np.array([fam.value(k, store=False) for k in n.tolist()], dtype=complex)
+                values = fam.values(n)
                 terms = terms * (values if values.imag.any() else values.real)
             for r, T in residues:
                 if np.iscomplexobj(terms) and not np.iscomplexobj(T[j]):
@@ -103,16 +101,19 @@ def _class_sums(families, s, N: int, qs) -> dict:
 def _plain_product(families, s, N: int) -> complex:
     """The m = 0 value: the product of the untwisted truncated L-sums, each
     summed term by term in ascending n, which keeps the bits of a
-    sequential sum of n ** -s_j."""
+    sequential sum of n ** -s_j; a family's values come in chunks of
+    _N_CHUNK."""
     out = 1 + 0j
     for fam, z in zip(families, s):
         trivial = isinstance(fam, TrivialFamily)
         tot = 0j
-        for n in range(1, N + 1):
-            term = n ** (-z)
+        for lo in range(1, N + 1, _N_CHUNK):
+            n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
+            terms = [k ** (-z) for k in n.tolist()]
             if not trivial:
-                term *= fam.value(n, store=False)
-            tot += term
+                terms = [term * v for term, v in zip(terms, fam.values(n).tolist())]
+            for term in terms:
+                tot += term
         out *= tot
     return out
 

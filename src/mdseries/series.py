@@ -47,8 +47,7 @@ window by window (variety.box_windows): its real parts go into math.fsum
 as each window arrives, so the full box is never held.  It keeps the
 imaginary parts of the windows where one is nonzero, and the half-box
 terms: 8 bytes a term where a window's imaginary parts are all zero, 16
-bytes where one is not.  A non-trivial family also memoises its value at
-each coordinate the box reaches.
+bytes where one is not.  Only these grow with N.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import primes_up_to
-from .coefficients import all_trivial, eval_product_coefficient
+from .coefficients import _cmul, all_trivial, eval_product_coefficient
 from .errors import ConvergenceError, MissingPrimePowerError
 from .system import LaurentMonomialSystem
 # enumerate_box is not called here; perfbench's layer trace wraps it by
@@ -226,9 +225,8 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     zero and 16 bytes a term otherwise.  Both sums are correctly rounded,
     so the half sum has the bits of a separate run at N//2 and reordering
     the points changes nothing.  The second value is None when N < 2,
-    where the half box is empty.  The coefficient product reads each
-    family's memoised value, so a non-trivial family keeps a value for
-    every coordinate the box reaches.
+    where the half box is empty.  The coefficient product is one
+    eval_product_coefficient call per window.
     """
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)
@@ -246,8 +244,7 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
             if not trivial:
                 # not in place: numpy's in-place complex product on a one-term
                 # array rounds differently from the product on longer ones
-                terms = terms * np.array([eval_product_coefficient(c, row)
-                                          for row in X.tolist()], dtype=complex)
+                terms = terms * eval_product_coefficient(c, X)
             if terms.imag.any():
                 imag.append(terms.imag.copy())
             if half_N is not None:
@@ -271,14 +268,6 @@ def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
 _BLOCK_TERMS = 1 << 13
 # Primes of a block whose terms are made Python floats at once, for fsum.
 _FSUM_ROWS = 64
-
-
-def _cmul(ar, ai, br, bi) -> tuple:
-    """The complex product a * b on real and imaginary parts, in the
-    operations of Python's complex product.  numpy's complex multiply may
-    fuse them, which would make a value's bits depend on its place in an
-    array."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _local_factors(c, s, primes, sols) -> list:

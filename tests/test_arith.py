@@ -5,9 +5,8 @@ import random
 import pytest
 
 from mdseries import arith
-from mdseries.arith import (char_eval, character_table, factorize,
-                            factorize_twist, iroot, is_prime, primes_up_to,
-                            valuation)
+from mdseries.arith import (character_table, factorize, factorize_twist, iroot,
+                            is_prime, primes_up_to, valuation)
 from mdseries.limits import TWIST_LIMIT
 
 
@@ -221,12 +220,12 @@ class TestCharacterTable:
 
     def test_mod3_legendre(self):
         tb = character_table(3)
-        assert char_eval(tb, 1, 2) == pytest.approx(-1)
+        assert tb.char_value(1, 2) == pytest.approx(-1)
 
     def test_mod7_primitive_root(self):
         tb = character_table(7)
         assert tb.g == primitive_root_oracle(7)
-        assert char_eval(tb, 1, 3) == pytest.approx(cmath.exp(2j * math.pi / 6))
+        assert tb.char_value(1, 3) == pytest.approx(cmath.exp(2j * math.pi / 6))
 
     def test_rejects_bad_modulus(self):
         for q in (2, 4, 9, 15, 100):
@@ -243,29 +242,29 @@ class TestCharacterTable:
 class TestCharEval:
     def test_principal(self):
         tb = character_table(5)
-        assert char_eval(tb, 0, 7) == pytest.approx(1)
+        assert tb.char_value(0, 7) == pytest.approx(1)
 
     def test_vanishes_on_multiples(self):
         tb = character_table(5)
-        assert char_eval(tb, 1, 5) == 0
-        assert char_eval(tb, 3, 100) == 0
+        assert tb.char_value(1, 5) == 0
+        assert tb.char_value(3, 100) == 0
 
     def test_chi2_of_2_mod5(self):
         tb = character_table(5)
-        assert char_eval(tb, 2, 2) == pytest.approx(-1)
+        assert tb.char_value(2, 2) == pytest.approx(-1)
 
     def test_negative_k_is_conjugate(self):
         tb = character_table(13)
         for k in range(1, 12):
             for n in (2, 5, 7):
-                assert char_eval(tb, -k, n) == pytest.approx(
-                    char_eval(tb, k, n).conjugate())
+                assert tb.char_value(-k, n) == pytest.approx(
+                    tb.char_value(k, n).conjugate())
 
     def test_orthogonality(self):
         for q in [p for p in primes_up_to(101) if p > 2]:
             tb = character_table(q)
             for u in range(1, q):
-                total = sum(char_eval(tb, k, u) for k in range(q - 1))
+                total = sum(tb.char_value(k, u) for k in range(q - 1))
                 if u % q == 1:
                     assert total == pytest.approx(q - 1)
                 else:
@@ -277,5 +276,5 @@ class TestCharEval:
         for _ in range(200):
             a = rng.randint(1, 10**4)
             b = rng.randint(1, 10**4)
-            assert char_eval(tb, 5, a * b) == pytest.approx(
-                char_eval(tb, 5, a) * char_eval(tb, 5, b))
+            assert tb.char_value(5, a * b) == pytest.approx(
+                tb.char_value(5, a) * tb.char_value(5, b))

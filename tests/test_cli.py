@@ -2,20 +2,23 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import mdseries
-from mdseries import coefficients
-from mdseries.arith import primes_up_to
+from mdseries import arith, descriptor
+from mdseries.arith import factorize, primes_up_to
 from mdseries.cli import main
 from mdseries.descriptor import (family_from_record, parse_descriptor,
                                  record_from_family, serialize_descriptor)
 from mdseries.errors import DescriptorError
+from mdseries.momentlab import moment_rhs
+from mdseries.series import direct_sum_and_half
+from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.variety import box_array
 
 DIAG_DOC = {
@@ -150,6 +153,20 @@ class TestDescriptor:
         path.write_text(json.dumps(doc))
         assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
         assert capsys.readouterr().err == stderr
+
+    @pytest.mark.parametrize("key", ["0", "1", "4", "1000001"])
+    def test_lambda_keys_must_be_primes(self, tmp_path, capsys, key):
+        # 1000001 = 101 * 9901 is past the sieved keys, so is_prime decides
+        # it, as it accepts the prime 1000003
+        lam = {"2": 0.5, "1000003": 0.25}
+        fam = family_from_record({"type": "hecke_gl2", "lambda": lam}, "coefficients[1]")
+        assert sorted(fam.lambda_p) == [2, 1000003]
+        doc = dict(DIAG_DOC, coefficients=[{"type": "trivial"},
+                                           {"type": "hecke_gl2", "lambda": dict(lam, **{key: 1.0})}])
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
+        assert capsys.readouterr().err == f"mds: coefficients[1].lambda.{key}: keys must be primes\n"
 
     def test_table_key_format(self):
         rec = {"type": "table", "values": {"12": 1.0}}
@@ -383,18 +400,37 @@ class TestCliMoment:
         out = json.loads(capsys.readouterr().out)
         assert out["lhs"] == [0.0, 0.0] and out["warnings"] == []
 
-    def test_family_values_once_per_job(self, tmp_path, capsys):
-        # the reference direct sum memoises the Hecke values on the
-        # diagonal, and the class-sum pass reads them: one product per n
+    def test_families_keep_no_state(self, tmp_path, capsys, monkeypatch):
+        # a family keeps no per-integer values: its attributes are unchanged
+        # by an `mds moment` job (whose reference is the direct sum), a direct
+        # sum and an m = 0 moment; and values() factors no n inside the
+        # sieve's reach one by one: factorize runs only for the character
+        # tables' q - 1
         N = 300
-        hecke = {"type": "hecke_gl2",
-                 "lambda": {str(p): 0.1 * (p % 7) - 0.3 for p in primes_up_to(N)}}
+        records = [{"type": "hecke_gl2",
+                    "lambda": {str(p): 0.1 * (p % 7) - 0.3 for p in primes_up_to(N)}},
+                   {"type": "tau", "bound": 1000}, {"type": "character", "q": 7, "k": 2}]
         path = tmp_path / "h.json"
-        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[{"type": "trivial"}, hecke])))
-        with mock.patch.object(coefficients, "factorize", wraps=coefficients.factorize) as f:
-            code = main(["moment", "--system", str(path), "--q", "11,31", "--N", str(N)])
+        path.write_text(json.dumps(dict(DIAG_DOC, t=3, A=[[1, 1, -1]], coefficients=records,
+                                        s=[[2, 0]] * 3)))
+        built, calls = [], []
+
+        def build(rec, where):
+            fam = family_from_record(rec, where)
+            built.append((fam, pickle.dumps(vars(fam))))
+            return fam
+
+        monkeypatch.setattr(descriptor, "family_from_record", build)
+        monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        code = main(["moment", "--system", str(path), "--q", "11,31", "--N", str(N)])
         assert code == 0 and json.loads(capsys.readouterr().out)["errors"]
-        assert sorted(c.args[0] for c in f.call_args_list) == list(range(2, N + 1))
+        fams = [fam for fam, _ in built]
+        direct_sum_and_half(make_system([[1, 1, -1]]), fams, (2, 2, 2), N)
+        moment_rhs(LaurentMonomialSystem(t=3, m=0, A=(), omega=(), omega_prime=()),
+                   fams, (2, 2, 2), 7, N)
+        assert len(built) == 3
+        assert all(pickle.dumps(vars(fam)) == before for fam, before in built)
+        assert calls and set(calls) <= {6, 10, 30}
 
 
 class TestCliEnumerate:

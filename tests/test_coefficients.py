@@ -5,13 +5,14 @@ import struct
 import numpy as np
 import pytest
 
-from mdseries.arith import character_table, is_prime, primes_up_to
+from mdseries import arith
+from mdseries.arith import character_table, factorize, is_prime, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
                                    TauFamily, TrivialFamily, _tau_crt, _tau_residues,
                                    eval_product_coefficient, hecke_prime_power,
                                    ramanujan_tau_table, tau_moduli, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
-from mdseries.limits import TAU_TABLE_LIMIT
+from mdseries.limits import LPF_SIEVE_LIMIT, TAU_TABLE_LIMIT
 
 
 def naive_delta_expansion(N):
@@ -303,23 +304,92 @@ class TestFamilies:
 
 class TestProductCoefficient:
     def test_all_trivial(self):
-        assert eval_product_coefficient(trivial_tuple(3), (4, 9, 25)) == 1
+        assert eval_product_coefficient(trivial_tuple(3), [(4, 9, 25)]).tolist() == [1]
 
     def test_mixed(self):
         c = 0.5 + 0.5j
         fams = (TrivialFamily(), HeckeGL2Family({2: c}))
-        assert eval_product_coefficient(fams, (3, 2)) == pytest.approx(c)
+        assert eval_product_coefficient(fams, [(3, 2)])[0] == pytest.approx(c)
 
     def test_tau_point(self):
         fams = (TauFamily(1000),)
-        assert eval_product_coefficient(fams, (2,)) == pytest.approx(
+        assert eval_product_coefficient(fams, [(2,)])[0] == pytest.approx(
             -0.530330085889910, abs=1e-12)
+
+    def test_window_bitwise_the_scalar_product(self):
+        # trivial columns are multiplied too: a Hecke value whose imaginary
+        # part is -0.0, times 1+0j, has +0.0, as in the scalar product
+        fams = (CharacterFamily(character_table(7), 3),
+                HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5) for p in primes_up_to(50)}),
+                TrivialFamily())
+        X = np.array([(a, b, c) for a in (1, 5, 14) for b in range(1, 51) for c in (1, 7)])
+        assert np.signbit(fams[1].values(X[:, 1]).imag).any()
+        want = [math.prod((f.value(n) for f, n in zip(fams, row)), start=1 + 0j)
+                for row in X.tolist()]
+        assert eval_product_coefficient(fams, X).tobytes() == np.array(want).tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            eval_product_coefficient(trivial_tuple(2), (1, 2, 3))
+            eval_product_coefficient(trivial_tuple(2), [(1, 2, 3)])
 
     def test_rejects_nonpositive(self):
         for point in ((0, 2), (3, -1)):
             with pytest.raises(ValueError, match="positive"):
-                eval_product_coefficient(trivial_tuple(2), point)
+                eval_product_coefficient(trivial_tuple(2), [point])
+
+
+def _gapped_table():
+    """Entries for p < 50, e <= 24, with (p + e) % 5 == 0 left out."""
+    return TableFamily({(p, e): complex(math.cos(p * e), math.sin(p - e))
+                        for p in primes_up_to(50) for e in range(1, 25) if (p + e) % 5})
+
+
+class TestValues:
+    """values(n) against the scalar value(n), bit for bit."""
+
+    KINDS = {
+        "trivial": TrivialFamily,
+        "character": lambda: CharacterFamily(character_table(7), 3),
+        "hecke real": lambda: HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5)
+                                              for p in primes_up_to(1000)}),
+        "hecke complex": lambda: HeckeGL2Family({p: complex(math.cos(p), math.sin(p) / 2)
+                                                 for p in primes_up_to(1000)}),
+        "tau": lambda: TauFamily(1000),
+        "gapped table": _gapped_table,
+    }
+    # past LPF_SIEVE_LIMIT // 4 (and past LPF_SIEVE_LIMIT from 3^15 on),
+    # all with prime factors below 1000, some repeated; 7 | n for several
+    FAR = [LPF_SIEVE_LIMIT // 4 + 8, LPF_SIEVE_LIMIT // 4 + 20, 2**22, 3**15,
+           2**24 * 3, 997 * 991 * 13, 2**3 * 7 * 997 * 97, 3**15]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bitwise_the_scalar_value(self, kind, monkeypatch):
+        fam = self.KINDS[kind]()
+        ns = [n for n in list(range(1, 1001)) + self.FAR
+              if kind != "gapped table" or all(pe in fam.entries for pe in factorize(n))]
+        assert len(ns) > 100
+        want = np.array([fam.value(n) for n in ns], dtype=complex)
+        calls = []
+        monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        got = fam.values(np.array(ns, dtype=np.int64))
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
+        # one factorize call per distinct n past the sieve, none inside it
+        assert len(calls) == len(set(calls))
+        assert all(n > max(arith._lpf_limit, LPF_SIEVE_LIMIT // 4) for n in calls)
+        assert fam.values(np.array([1], dtype=np.int64)).tobytes() == \
+            np.array([1 + 0j]).tobytes()
+        assert fam.values(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("fam,ns,message", [
+        # 5 comes first and lacks lambda(5); 3 lacks it too, and is smaller
+        (HeckeGL2Family({2: 0.5}), [2, 5, 9, 4], r"no lambda\(3\) supplied for hecke_gl2 family"),
+        (TableFamily({(2, 1): 1.0, (3, 1): 1.0}), [6, 12], r"explicit table has no entry for 2\^2"),
+        (TauFamily(100), [4, 2 * 103, 101], r"tau table \(bound 100\) cannot reach prime 101"),
+    ], ids=["hecke", "table", "tau"])
+    def test_missing_value_names_the_smallest_prime(self, fam, ns, message):
+        with pytest.raises(MissingPrimePowerError, match=f"^{message}$"):
+            fam.values(np.array(ns, dtype=np.int64))
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            HeckeGL2Family({2: 0.5}).values(np.array([2, 0]))

@@ -27,8 +27,7 @@ from hypothesis import given, settings, strategies as st
 from mdseries import series, variety
 from mdseries.arith import character_table, iroot, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
-                                   TrivialFamily, all_trivial,
-                                   eval_product_coefficient)
+                                   TrivialFamily, all_trivial)
 from mdseries.errors import WorkCapExceeded
 from mdseries.limits import FACTOR_INPUT_LIMIT, TWIST_LIMIT
 from mdseries.system import LaurentMonomialSystem, make_system
@@ -354,8 +353,9 @@ def whole_array_sums(S, fams, s, N):
         expo += logX[:, j] * z
     terms = np.exp(-expo)
     if not all_trivial(fams):
-        coef = np.array([eval_product_coefficient(fams, row) for row in X.tolist()],
-                        dtype=complex)
+        # the scalar values' product, column by column from 1+0j
+        coef = np.array([math.prod((f.value(n) for f, n in zip(fams, row)), start=1 + 0j)
+                         for row in X.tolist()], dtype=complex)
         # the formula multiplied in place; numpy's in-place product rounds
         # a one-term array differently, so a box of one point is left out
         in_place = terms.copy()

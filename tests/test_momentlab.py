@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mdseries import coefficients, momentlab
+from mdseries import momentlab
 from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
@@ -361,24 +361,6 @@ class TestDecayExperiment:
         assert exp.lhs_tail is None
         assert exp.warnings == ("direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
 
-    def test_family_values_once_per_job(self):
-        # each n's value is computed once in the job: without a reference the
-        # direct sum memoises the values it needs, and the class-sum pass
-        # reads them and keeps none of its own
-        N = 400
-        S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
-        for reference in (1.0, None):
-            hecke, alone = HeckeGL2Family(HECKE.lambda_p), HeckeGL2Family(HECKE.lambda_p)
-            if reference is None:
-                direct_sum_and_half(S, (TrivialFamily(), alone), (2, 2), N)
-                assert 0 < len(alone._memo) < N - 1
-            with mock.patch.object(coefficients, "factorize",
-                                   wraps=coefficients.factorize) as f:
-                decay_experiment(S, (TrivialFamily(), hecke), (2, 2), [11, 31, 101], N,
-                                 reference=reference)
-            assert sorted(c.args[0] for c in f.call_args_list) == list(range(2, N + 1))
-            assert hecke.__dict__.get("_memo", {}) == alone.__dict__.get("_memo", {})
-
     def test_empirical_error_envelope(self):
         # measured envelope, not a guarantee: diagonal errors sit below 10/q
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 10**4)
@@ -437,16 +419,6 @@ class TestClassSumPass:
         with mock.patch.object(momentlab, "_N_CHUNK", 100):
             sums = momentlab._class_sums((TrivialFamily(), MIXED), (2 + 0j, 2 + 0j), 250, (11,))
         assert sums[11][0].dtype == np.float64 and sums[11][1].imag.any()
-
-    def test_moment_pass_leaves_the_memo_empty(self):
-        hecke, tau = HeckeGL2Family(HECKE.lambda_p), TauFamily(1000)
-        hecke.value(6)
-        m0 = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
-        for S in (make_system([[1, -2]], omega=(2,), omega_prime=(3,)), m0):
-            moment_rhs(S, (tau, hecke), (2.5 + 1j, 2), 7, 300)
-        decay_experiment(DIAG, (tau, hecke), (2, 2), [11, 31], 300, reference=1.0)
-        assert list(hecke._memo) == [6]
-        assert not tau.__dict__.get("_memo")
 
     def test_memory_does_not_grow_with_N(self):
         # N-long arrays would add 2 MiB a family at N = 2^18

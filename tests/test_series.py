@@ -11,7 +11,7 @@ from mdseries import series, variety
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
-                                   eval_product_coefficient, trivial_tuple)
+                                   trivial_tuple)
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
@@ -360,7 +360,9 @@ class TestFsumRule:
         X = box_array(DIAG, N)
         terms = np.exp(-(np.log(X) @ np.array(s, dtype=complex)))
         if imag != "negative zeros":
-            terms = terms * np.array([eval_product_coefficient(fams, row)
+            # the scalar values' product, column by column from 1+0j
+            terms = terms * np.array([math.prod((f.value(n) for f, n in zip(fams, row)),
+                                                start=1 + 0j)
                                       for row in X.tolist()], dtype=complex)
         if imag == "later":
             assert not terms[:16].imag.any() and terms.imag.any()
