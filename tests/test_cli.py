@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -7,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mdseries
-from mdseries import arith, descriptor
+from mdseries import arith, coefficients, descriptor
 from mdseries.arith import factorize, primes_up_to
 from mdseries.cli import main
 from mdseries.descriptor import (family_from_record, parse_descriptor,
@@ -399,6 +401,24 @@ class TestCliMoment:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lhs"] == [0.0, 0.0] and out["warnings"] == []
+
+    def test_family_values_once_per_job(self, tmp_path, capsys, monkeypatch):
+        # the Hecke family keeps no values, so each pass of the job factors
+        # each n <= N once: the reference direct sum on the diagonal, and the
+        # class-sum pass once for both moduli
+        N = 300
+        hecke = {"type": "hecke_gl2",
+                 "lambda": {str(p): 0.1 * (p % 7) - 0.3 for p in primes_up_to(N)}}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[{"type": "trivial"}, hecke])))
+        seen = []
+        factor_levels = coefficients.factor_levels
+        monkeypatch.setattr(coefficients, "factor_levels",
+                            lambda n: seen.append(np.array(n)) or factor_levels(n))
+        code = main(["moment", "--system", str(path), "--q", "11,31", "--N", str(N)])
+        assert code == 0 and json.loads(capsys.readouterr().out)["errors"]
+        got = collections.Counter(np.concatenate(seen).tolist())
+        assert got == collections.Counter(2 * list(range(1, N + 1)))
 
     def test_families_keep_no_state(self, tmp_path, capsys, monkeypatch):
         # a family keeps no per-integer values: its attributes are unchanged

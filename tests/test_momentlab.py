@@ -1,4 +1,6 @@
+import collections
 import itertools
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -6,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mdseries import momentlab
+from mdseries import coefficients, momentlab
 from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
@@ -361,6 +363,34 @@ class TestDecayExperiment:
         assert exp.lhs_tail is None
         assert exp.warnings == ("direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
 
+    def test_family_values_once_per_job(self):
+        # a family keeps no values, so each pass of the job factors each n it
+        # reads once: the class-sum pass every n <= N, once for all three
+        # moduli, and without a reference the direct sum each coordinate its
+        # box reaches
+        N = 400
+        S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
+        fams = (TrivialFamily(), HECKE)
+        seen = []
+        factor_levels = coefficients.factor_levels
+
+        def factored():
+            got = collections.Counter(np.concatenate(seen).tolist())
+            seen.clear()
+            return got
+
+        with mock.patch.object(coefficients, "factor_levels",
+                               lambda n: seen.append(np.array(n)) or factor_levels(n)):
+            direct_sum_and_half(S, fams, (2, 2), N)
+            direct = factored()
+            for reference in (1.0, None):
+                decay_experiment(S, fams, (2, 2), [11, 31, 101], N, reference=reference)
+                want = collections.Counter(range(1, N + 1))
+                if reference is None:
+                    want += direct
+                assert factored() == want
+        assert set(direct.values()) == {1} and 0 < len(direct) < N
+
     def test_empirical_error_envelope(self):
         # measured envelope, not a guarantee: diagonal errors sit below 10/q
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 10**4)
@@ -419,6 +449,19 @@ class TestClassSumPass:
         with mock.patch.object(momentlab, "_N_CHUNK", 100):
             sums = momentlab._class_sums((TrivialFamily(), MIXED), (2 + 0j, 2 + 0j), 250, (11,))
         assert sums[11][0].dtype == np.float64 and sums[11][1].imag.any()
+
+    def test_moment_pass_leaves_the_memo_empty(self):
+        # a family keeps no memo: moment_rhs (twisted and m = 0) and the
+        # class-sum pass of a decay experiment leave its attributes as they were
+        hecke, tau = HeckeGL2Family(HECKE.lambda_p), TauFamily(1000)
+        hecke.value(6)
+        before = [pickle.dumps(vars(f)) for f in (hecke, tau)]
+        m0 = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
+        for S in (make_system([[1, -2]], omega=(2,), omega_prime=(3,)), m0):
+            moment_rhs(S, (tau, hecke), (2.5 + 1j, 2), 7, 300)
+        decay_experiment(DIAG, (tau, hecke), (2, 2), [11, 31], 300, reference=1.0)
+        assert [pickle.dumps(vars(f)) for f in (hecke, tau)] == before
+        assert not any(hasattr(f, "_memo") for f in (hecke, tau))
 
     def test_memory_does_not_grow_with_N(self):
         # N-long arrays would add 2 MiB a family at N = 2^18
