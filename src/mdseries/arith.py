@@ -27,8 +27,7 @@ Factorization = tuple
 # prime sieves (grown lazily, shared module-wide)
 
 _sieve_limit = 0
-_sieve = None          # np.bool_ array, _sieve[n] == True iff n prime
-_primes_list = []      # ascending primes below _sieve_limit
+_primes_list = []      # ascending primes <= _sieve_limit
 
 _lpf_limit = 0
 _lpf = None            # np.int32 array, _lpf[n] = least prime factor of n;
@@ -36,16 +35,17 @@ _lpf = None            # np.int32 array, _lpf[n] = least prime factor of n;
 
 
 def _grow_sieve(limit: int) -> None:
-    global _sieve_limit, _sieve, _primes_list
+    """Sieve to the power of two above limit (at least 2^10), so requests
+    in one octave share one sieve and each growth at least doubles it."""
+    global _sieve_limit, _primes_list
     if limit <= _sieve_limit:
         return
-    limit = max(limit, 1 << 10, 2 * _sieve_limit)
+    limit = max(1 << 10, 1 << int(limit).bit_length())
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = False
-    _sieve = flags
     _sieve_limit = limit
     _primes_list = np.flatnonzero(flags).tolist()
 

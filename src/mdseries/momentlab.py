@@ -15,9 +15,10 @@ relabelled by the discrete log of the residue into T_j, and one
 length-(q-1) DFT of T_j gives the twisted L-sums L_j(K) for every
 character index K.  The average over character tuples k is a gather,
 chi_k(w) conj(chi_k(w')) prod_j L_j(K_j) with K_j = sum_i k_i A_ij mod q-1,
-made in fixed-size chunks of tuples and summed by one correctly rounded
-math.fsum per part (series._fsum).  With m = 0 there is no average: the
-value is the product of the plain sums, computed once per job.
+made in fixed-size chunks of tuples and summed in one pass by
+series._fsum.  With m = 0 there is no average: the value is the product of
+the plain sums, each the _fsum of the same chunk terms, computed once per
+job.
 
 The reference is the direct box sum and its N/2 tail
 (series.direct_sum_and_half); no Euler product is evaluated.  Its memory
@@ -39,9 +40,8 @@ from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
 # module's name
-from .series import (EMPTY_VARIETY_WARNING, EvalParams, _fsum,  # noqa: F401
-                     check_series_point, compare, direct_sum_and_half,
-                     direct_tail_skip_reason)
+from .series import (EMPTY_VARIETY_WARNING, _checked_point, _fsum,  # noqa: F401
+                     compare, direct_sum_and_half, direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
 
 # Integers n whose terms are made at once.  Each term is made on its own,
@@ -51,13 +51,6 @@ _N_CHUNK = 1 << 12
 # Character tuples whose terms are held at once.  Each tuple's term is made
 # on its own, so any chunk size gives the same bits; this bounds the memory.
 _TUPLE_CHUNK = 1 << 12
-
-
-def _checked(S: LaurentMonomialSystem, families, s) -> tuple:
-    s = tuple(complex(z) for z in s)
-    if len(s) != S.t or len(families) != S.t:
-        raise ValueError("s and families must both have length t")
-    return s
 
 
 def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
@@ -74,23 +67,33 @@ def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
                               "use a smaller q, or a system with fewer rows")
 
 
-def _class_sums(families, s, N: int, qs) -> dict:
-    """{q: [T_j]} for every q in qs: T_j[a] is the sum of lambda_j(n) n^(-s_j)
-    over n <= N with n = a mod q, from one pass over n in chunks of
-    _N_CHUNK.  A chunk's terms are float64 when s_j and the family's values
-    in the chunk are real, else complex, and T_j turns complex at the first
-    complex chunk.  A non-trivial family's values come from its values(n)
-    on the chunk."""
-    sums = {q: [np.zeros(q) for _ in families] for q in qs}
+def _n_chunks(N: int):
+    """The integers 1..N in chunks of _N_CHUNK, each with its logarithms."""
     for lo in range(1, N + 1, _N_CHUNK):
         n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
-        logn = np.log(n)
+        yield n, np.log(n)
+
+
+def _terms(fam, z: complex, n, logn):
+    """lambda(n) n^(-z) on a chunk: float64 when z and the family's values
+    there are real, else complex.  A non-trivial family's values come from
+    its values(n)."""
+    terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
+    if not isinstance(fam, TrivialFamily):
+        values = fam.values(n)
+        terms = terms * (values if values.imag.any() else values.real)
+    return terms
+
+
+def _class_sums(families, s, N: int, qs) -> dict:
+    """{q: [T_j]} for every q in qs: T_j[a] is the sum of lambda_j(n) n^(-s_j)
+    over n <= N with n = a mod q, from one pass over the chunks of
+    _n_chunks.  T_j turns complex at the first complex chunk of terms."""
+    sums = {q: [np.zeros(q) for _ in families] for q in qs}
+    for n, logn in _n_chunks(N):
         residues = [(n % q, sums[q]) for q in qs]
         for j, (fam, z) in enumerate(zip(families, s)):
-            terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
-            if not isinstance(fam, TrivialFamily):
-                values = fam.values(n)
-                terms = terms * (values if values.imag.any() else values.real)
+            terms = _terms(fam, z, n, logn)
             for r, T in residues:
                 if np.iscomplexobj(terms) and not np.iscomplexobj(T[j]):
                     T[j] = T[j].astype(complex)
@@ -100,21 +103,10 @@ def _class_sums(families, s, N: int, qs) -> dict:
 
 def _plain_product(families, s, N: int) -> complex:
     """The m = 0 value: the product of the untwisted truncated L-sums, each
-    summed term by term in ascending n, which keeps the bits of a
-    sequential sum of n ** -s_j; a family's values come in chunks of
-    _N_CHUNK."""
+    the _fsum of its chunk terms, so any chunk size gives the same bits."""
     out = 1 + 0j
     for fam, z in zip(families, s):
-        trivial = isinstance(fam, TrivialFamily)
-        tot = 0j
-        for lo in range(1, N + 1, _N_CHUNK):
-            n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
-            terms = [k ** (-z) for k in n.tolist()]
-            if not trivial:
-                terms = [term * v for term, v in zip(terms, fam.values(n).tolist())]
-            for term in terms:
-                tot += term
-        out *= tot
+        out *= _fsum(_terms(fam, z, n, logn) for n, logn in _n_chunks(N))
     return out
 
 
@@ -158,7 +150,7 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
             chunk.real, chunk.imag = tr, ti
             yield chunk
 
-    return _fsum(chunks) / tuples
+    return _fsum(chunks()) / tuples
 
 
 def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
@@ -171,7 +163,7 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
     the plain product of untwisted truncated L-sums (no average, all n <= N
     included).
     """
-    s = _checked(S, families, s)
+    s = _checked_point(S, families, s, True)
     if S.m == 0:
         return _plain_product(families, s, N)
     _check_modulus(S, q, tuple_cap)
@@ -240,19 +232,17 @@ def _fit_decay(qs, errs):
 
 def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
                      *, reference: Optional[complex] = None,
-                     reference_params: Optional[EvalParams] = None) -> MomentExperiment:
+                     reference_N: Optional[int] = None) -> MomentExperiment:
     """Measure e(q) = |moment_rhs(q) - LHS| over ascending prime moduli and
     fit the decay exponent.
 
     Unless supplied, the LHS reference is the direct box sum at
-    reference_params.N (default N), with the tail |v(N) - v(N/2)| when
-    reference_params.tail_estimates; reference_params.P and .B are unused.
+    reference_N (default N), with the tail |v(N) - v(N/2)|.
     A warning is raised when that tail is above a tenth of the smallest
     measured error, since the measurement floor is then suspect.  One pass
     over n makes the class sums of every modulus.
     """
-    s = _checked(S, families, s)
-    check_series_point(s, S.t, False)
+    s = _checked_point(S, families, s, False)
     qs = [int(q) for q in q_list]
     if qs != sorted(qs) or len(set(qs)) != len(qs):
         raise ValueError("q_list must be strictly ascending")
@@ -266,15 +256,14 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
     if reference is not None:
         lhs = complex(reference)
     else:
-        ref_N = N if reference_params is None else reference_params.N
+        ref_N = N if reference_N is None else reference_N
         if S.empty_variety_flag:
             warnings.append(EMPTY_VARIETY_WARNING)
         lhs, half = direct_sum_and_half(S, families, s, ref_N)
-        if reference_params is None or reference_params.tail_estimates:
-            if half is not None:
-                lhs_tail = abs(lhs - half)
-            else:
-                warnings.append(direct_tail_skip_reason(ref_N))
+        if half is not None:
+            lhs_tail = abs(lhs - half)
+        else:
+            warnings.append(direct_tail_skip_reason(ref_N))
     if S.m == 0:
         rhs = _plain_product(families, s, N)
         errors = [(q, abs(rhs - lhs)) for q in qs]

@@ -38,16 +38,16 @@ checked (a complex lambda(p) of modulus <= 2 does not give it).  The same
 bound |c(p^e)| <= e + 1 keeps every other column's factor at most 1.
 A TableFamily has no such C, so its dropped terms are not bounded.
 
-Sums, of box terms and of local-factor terms alike, are math.fsum on the
-real and imaginary parts: correctly rounded and independent of the order of
-the terms, so a value depends only on the term set.  Box points come from
-exact membership (see variety), so row operations, which keep the solution
-set, keep every direct sum bit for bit.  The direct sum streams the box
-window by window (variety.box_windows): its real parts go into math.fsum
-as each window arrives, so the full box is never held.  It keeps the
-imaginary parts of the windows where one is nonzero, and the half-box
-terms: 8 bytes a term where a window's imaginary parts are all zero, 16
-bytes where one is not.  Only these grow with N.
+Sums, of box terms, local-factor terms and moment terms alike, are
+math.fsum on the real and imaginary parts (_fsum): correctly rounded and
+independent of the order of the terms, so a value depends only on the term
+set.  Box points come from exact membership (see variety), so row
+operations, which keep the solution set, keep every direct sum bit for
+bit.  The direct sum streams the box window by window (variety.box_windows)
+through _fsum, so the full box is never held.  It keeps the imaginary parts
+of the windows where one is nonzero, and the half-box terms: 8 bytes a term
+where a window's imaginary parts are all zero, 16 bytes where one is not.
+Only these grow with N.
 """
 
 from __future__ import annotations
@@ -74,12 +74,11 @@ from .variety import box_windows, enumerate_box, local_solutions, monomial_rhs_a
 @dataclass(frozen=True)
 class EvalParams:
     """Truncation controls: box bound N, prime bound P, local exponent
-    bound B (None picks the default from min Re s), tail-estimate flag."""
+    bound B (None picks the default from min Re s)."""
 
     N: int
     P: int
     B: Optional[int] = None
-    tail_estimates: bool = True
 
     def __post_init__(self):
         if self.N < 1:
@@ -174,32 +173,30 @@ def euler_tail_skip_reason(S: LaurentMonomialSystem, P: int) -> Optional[str]:
     return None
 
 
-def _fsum(z) -> complex:
+def _fsum(chunks) -> complex:
     """Correctly rounded sum of complex terms, real and imaginary parts apart.
 
-    z is an array of terms, or a function returning an iterator over arrays
-    of terms.  The function is called once per part, so terms made chunk by
-    chunk are summed in bounded memory, each part by one math.fsum.  The
-    result depends only on the multiset of terms, not on their order or
-    chunking.  The imaginary sum is skipped when every imaginary part is
-    zero; this keeps its bits, since math.fsum of any run of +-0.0 is 0.0.
+    chunks is one array of terms, or an iterable of arrays, read once: each
+    chunk's real parts go into one math.fsum as it arrives, and its
+    imaginary parts are kept only if one is nonzero.  The result depends
+    only on the multiset of terms, not on their order or chunking: math.fsum
+    of any run of +-0.0 is 0.0, so the chunks not kept add nothing, and
+    with none kept the imaginary part is 0.0 without a second sum.
     """
-    if not callable(z):
-        arr = np.asarray(z)
-        z = lambda: (arr,)                       # noqa: E731
-    nonzero_imag = False
+    if isinstance(chunks, np.ndarray):
+        chunks = (chunks,)
+    imag = []
 
     def real_parts():
-        nonlocal nonzero_imag
-        for chunk in z():
-            nonzero_imag = nonzero_imag or bool(chunk.imag.any())
+        for chunk in chunks:
+            if chunk.imag.any():
+                imag.append(chunk.imag.copy())
             yield chunk.real.tolist()
 
     re = math.fsum(itertools.chain.from_iterable(real_parts()))
-    if not nonzero_imag:
+    if not imag:
         return complex(re, 0.0)
-    return complex(re, math.fsum(itertools.chain.from_iterable(
-        chunk.imag.tolist() for chunk in z())))
+    return complex(re, math.fsum(itertools.chain.from_iterable(x.tolist() for x in imag)))
 
 
 def _kept(terms):
@@ -217,23 +214,21 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     The box is streamed: for each window of box_windows, the terms
     a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
     product unless every family is trivial, elementwise, so a term has the
-    same bits in any window.  Each window's real parts go straight into one
-    math.fsum as the windows arrive; its imaginary parts are kept only if
-    one of them is nonzero (math.fsum of any run of +-0.0 is 0.0, so the
-    others add nothing).  The half-box terms, those with max(n) <= N//2,
-    are kept, 8 bytes a term for a window whose imaginary parts are all
-    zero and 16 bytes a term otherwise.  Both sums are correctly rounded,
-    so the half sum has the bits of a separate run at N//2 and reordering
-    the points changes nothing.  The second value is None when N < 2,
-    where the half box is empty.  The coefficient product is one
-    eval_product_coefficient call per window.
+    same bits in any window.  The windows stream through _fsum.  The
+    half-box terms, those with max(n) <= N//2, are kept, 8 bytes a term for
+    a window whose imaginary parts are all zero and 16 bytes a term
+    otherwise.  Both sums are correctly rounded, so the half sum has the
+    bits of a separate run at N//2 and reordering the points changes
+    nothing.  The second value is None when N < 2, where the half box is
+    empty.  The coefficient product is one eval_product_coefficient call
+    per window.
     """
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)
     half_N = N // 2 if direct_tail_skip_reason(N) is None else None
-    imag, half = [], []
+    half = []
 
-    def real_parts():
+    def windows():
         for X in box_windows(S, N, work_cap=work_cap):
             X = X.astype(np.int64, copy=False)
             logX = np.log(X)
@@ -245,15 +240,11 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
                 # not in place: numpy's in-place complex product on a one-term
                 # array rounds differently from the product on longer ones
                 terms = terms * eval_product_coefficient(c, X)
-            if terms.imag.any():
-                imag.append(terms.imag.copy())
             if half_N is not None:
                 half.append(_kept(terms[X.max(axis=1, initial=1) <= half_N]))
-            yield terms.real.tolist()
+            yield terms
 
-    re = math.fsum(itertools.chain.from_iterable(real_parts()))
-    im = math.fsum(itertools.chain.from_iterable(x.tolist() for x in imag)) if imag else 0.0
-    return complex(re, im), None if half_N is None else _fsum(lambda: iter(half))
+    return _fsum(windows()), None if half_N is None else _fsum(half)
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
@@ -435,15 +426,14 @@ def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
     euler, euler_half = euler_product_and_half(
         S, c, s, params.P, B, override_convergence=override_convergence)
     direct_tail = euler_tail = None
-    if params.tail_estimates:
-        if direct_half is not None:
-            direct_tail = abs(direct - direct_half)
-        else:
-            warnings.append(direct_tail_skip_reason(params.N))
-        if euler_half is not None:
-            euler_tail = abs(euler - euler_half)
-        else:
-            warnings.append(euler_tail_skip_reason(S, params.P))
+    if direct_half is not None:
+        direct_tail = abs(direct - direct_half)
+    else:
+        warnings.append(direct_tail_skip_reason(params.N))
+    if euler_half is not None:
+        euler_tail = abs(euler - euler_half)
+    else:
+        warnings.append(euler_tail_skip_reason(S, params.P))
     wall = time.perf_counter() - t0
     return EvalReport(
         direct=direct,
@@ -452,7 +442,6 @@ def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
         direct_tail=direct_tail,
         euler_tail=euler_tail,
         wall_time=wall,
-        params=EvalParams(N=params.N, P=params.P, B=B,
-                          tail_estimates=params.tail_estimates),
+        params=EvalParams(N=params.N, P=params.P, B=B),
         warnings=tuple(warnings),
     )

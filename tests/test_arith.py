@@ -106,6 +106,35 @@ class TestLpfSieveGrowth:
         assert 100 <= arith._lpf_limit <= 2**11
 
 
+class TestPrimeSieveGrowth:
+    """The prime sieve grows to the power of two above a request."""
+
+    @pytest.fixture
+    def empty_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "_primes_list", [])
+        monkeypatch.setattr(arith, "_sieve_limit", 0)
+
+    def test_one_growth_for_one_octave(self, empty_sieve):
+        # a descriptor's lambda-key check, then an Euler product at P = 10^4
+        assert primes_up_to(9973)[-1] == 9973
+        assert arith._sieve_limit == 1 << 14
+        sieved = arith._primes_list
+        assert primes_up_to(10000)[-1] == 9973
+        assert arith._primes_list is sieved
+
+    PS = [P for k in range(1, 16) for P in (2**k - 1, 2**k, 2**k + 1) if P >= 2]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_against_trial_division(self, empty_sieve, order):
+        prime = [n >= 2 and trial_division(n) == ((n, 1),) for n in range(max(self.PS) + 1)]
+        Ps = sorted(set(self.PS), reverse=order == "descending")
+        for i, P in enumerate(Ps):
+            assert primes_up_to(P) == [n for n in range(P + 1) if prime[n]], P
+            largest = max(Ps[:i + 1])
+            limit = arith._sieve_limit     # a power of two, at most twice a request
+            assert largest <= limit <= max(1 << 10, 2 * largest) and limit & (limit - 1) == 0
+
+
 class TestFactorizeTwist:
     def test_agrees_with_factorize_below_its_cap(self):
         rng = random.Random(12)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
 from mdseries.errors import WorkCapExceeded
 from mdseries.momentlab import decay_experiment, moment_rhs
-from mdseries.series import EMPTY_VARIETY_WARNING, EvalParams, direct_sum_and_half
+from mdseries.series import EMPTY_VARIETY_WARNING, direct_sum_and_half
 from mdseries.system import LaurentMonomialSystem, make_system, negate_system
 
 DIAG = make_system([[1, -1]])
@@ -50,17 +51,25 @@ def naive_moment_rhs(S, families, s, q, N):
     return total / order**S.m
 
 
-def loop_class_sums(f, table, s, N):
-    """Oracle: T[a] = sum of lambda(n) n^{-s} over n <= N with
-    log(n mod q) = a, by bincount over the discrete-log classes, with every
-    term made at once: n^{-s} by the real exp when s is real, as momentlab
-    makes it (the complex exp can differ from it in the last bit)."""
-    q = table.q
+def oracle_terms(f, s, N):
+    """Oracle: lambda(n) n^{-s} for every n <= N at once, n^{-s} by the real
+    exp when s is real, as momentlab makes it (the complex exp can differ
+    from it in the last bit)."""
     n = np.arange(1, N + 1)
     s = complex(s)
     terms = np.exp(-s.real * np.log(n)) if s.imag == 0 else np.exp(-s * np.log(n))
     if not isinstance(f, TrivialFamily):
         terms = terms * np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
+    return terms
+
+
+def loop_class_sums(f, table, s, N):
+    """Oracle: T[a] = sum of lambda(n) n^{-s} over n <= N with
+    log(n mod q) = a, by bincount over the discrete-log classes of
+    oracle_terms."""
+    q = table.q
+    n = np.arange(1, N + 1)
+    terms = oracle_terms(f, s, N)
     classes = np.asarray(table.log)[n % q]
     keep = classes >= 0
     classes = classes[keep]
@@ -255,10 +264,11 @@ class TestMomentRhs:
                          loop_moment_rhs(system, fams, point, q, N))
 
     def test_matches_loop_oracle_m0(self):
+        # the oracle sums in sequence, moment_rhs correctly rounded
         S = LaurentMonomialSystem(t=3, m=0, A=(), omega=(), omega_prime=())
         fams = (TauFamily(1000), HECKE, CharacterFamily(character_table(13), 5))
         for s in ((2.5 + 1j, 2, 3), (2.5 - 1j, 2, 3)):
-            assert moment_rhs(S, fams, s, 7, 300) == loop_moment_rhs(S, fams, s, 7, 300)
+            assert_close(moment_rhs(S, fams, s, 7, 300), loop_moment_rhs(S, fams, s, 7, 300))
 
     def test_conjugation_of_real_families(self):
         # with real coefficients, conjugating s conjugates every L-sum and
@@ -306,11 +316,11 @@ class TestDecayExperiment:
         assert len(exp.residuals) == 3
 
     def test_m0_zero_errors(self):
+        # the plain sum and the direct-sum reference follow one summation
+        # rule over the same terms, so they agree to the bit
         S = LaurentMonomialSystem(t=1, m=0, A=(), omega=(), omega_prime=())
-        fams = trivial_tuple(1)
-        ref = sum(n**-2.0 for n in range(1, 201))
-        exp = decay_experiment(S, fams, (2,), [11, 31], 200, reference=ref)
-        assert all(e < 1e-13 for _, e in exp.errors)
+        exp = decay_experiment(S, trivial_tuple(1), (2,), [11, 31], 200)
+        assert all(e == 0 for _, e in exp.errors)
         assert exp.eta_hat is None
 
     def test_diagonal_shift_system(self):
@@ -323,7 +333,7 @@ class TestDecayExperiment:
     def test_reference_tail_warning(self):
         # deliberately poor reference truncation floods the measurement
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [101, 307], 5000,
-                               reference_params=EvalParams(N=10, P=10, B=20))
+                               reference_N=10)
         assert any("tail" in w for w in exp.warnings)
 
     def test_validation(self):
@@ -345,8 +355,7 @@ class TestDecayExperiment:
         direct, half = direct_sum_and_half(S, fams, s, 300)
         assert exp.lhs == direct
         assert exp.lhs_tail == abs(direct - half)
-        ref = decay_experiment(S, fams, s, [11], 400,
-                               reference_params=EvalParams(N=300, P=2, B=1))
+        ref = decay_experiment(S, fams, s, [11], 400, reference_N=300)
         assert ref.lhs == direct and ref.lhs_tail == exp.lhs_tail
 
     def test_reference_warnings(self):
@@ -422,7 +431,7 @@ def residue_sums(T, table):
 
 
 class TestClassSumPass:
-    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 4096])
     @pytest.mark.parametrize("case", range(len(CHUNK_CASES)))
     def test_chunks_keep_the_oracle_bits(self, case, chunk):
         S, fams, s, qs, N = CHUNK_CASES[case]
@@ -440,6 +449,21 @@ class TestClassSumPass:
                 want = momentlab._average(S, oracle, q)
                 assert (rhs.real.hex(), rhs.imag.hex()) == (want.real.hex(), want.imag.hex())
         assert moment_rhs(S, fams, s, qs[0], N) == rhs
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 4096])
+    @pytest.mark.parametrize("case", range(len(CHUNK_CASES)))
+    def test_m0_product_keeps_the_oracle_bits(self, case, chunk):
+        # each plain sum is math.fsum of the oracle terms, part by part, and
+        # the product runs in family order from 1 + 0j
+        _, fams, s, _, N = CHUNK_CASES[case]
+        m0 = LaurentMonomialSystem(t=len(fams), m=0, A=(), omega=(), omega_prime=())
+        want = 1 + 0j
+        for f, z in zip(fams, s):
+            terms = oracle_terms(f, z, N)
+            want *= complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        with mock.patch.object(momentlab, "_N_CHUNK", chunk):
+            got = moment_rhs(m0, fams, s, 7, N)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_real_chunks_then_complex(self):
         # at chunk 100 the first chunk of MIXED's terms is real, a later one

@@ -293,9 +293,9 @@ class TestEulerBlocks:
 
 def old_fsum(z):
     """Oracle: the complex-sum rule with both parts always summed.  z is an
-    array, or a function returning an iterator over arrays, as for _fsum."""
-    if callable(z):
-        z = np.concatenate([np.zeros(0, dtype=complex), *z()])
+    array, or an iterable of arrays, as for _fsum."""
+    if not isinstance(z, np.ndarray):
+        z = np.concatenate([np.zeros(0, dtype=complex), *z])
     z = np.asarray(z, dtype=complex)
     return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
@@ -314,21 +314,40 @@ class TestFsumRule:
         assert np.all(np.signbit(z.imag))
         assert self.bits(series._fsum(z)) == self.bits(old_fsum(z)) == self.bits(1.25 + 2.0**-60 + 0j)
 
-    def test_chunk_function_equals_array(self):
+    def test_chunks_equal_array(self):
         rng = random.Random(5)
         z = np.array([complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20),
                               rng.choice([0.0, -0.0, rng.uniform(-1, 1)])) for _ in range(500)])
         for cuts in ([], [1], [7, 200, 201], list(range(0, 500, 3))):
             bounds = [0, *cuts, len(z)]
-            got = series._fsum(lambda: (z[a:b] for a, b in zip(bounds, bounds[1:])))
+            got = series._fsum(z[a:b] for a, b in zip(bounds, bounds[1:]))
             assert self.bits(got) == self.bits(old_fsum(z))
         real = z.real.copy()
         assert self.bits(series._fsum(real)) == self.bits(old_fsum(real))
         # a nonzero imaginary part in the first chunk only still counts
         w = real.astype(complex)
         w[0] += 0.5j
-        got = series._fsum(lambda: (w[a:a + 100] for a in range(0, len(w), 100)))
+        got = series._fsum(w[a:a + 100] for a in range(0, len(w), 100))
         assert self.bits(got) == self.bits(old_fsum(w)) and got.imag == 0.5
+
+    def test_reads_a_generator_once(self):
+        # the imaginary parts of the third chunk are nonzero, so both parts
+        # are summed, from the one pass over the generator
+        rng = random.Random(6)
+        chunks = [np.array([complex(rng.uniform(-1, 1), 0.0) for _ in range(50)])
+                  for _ in range(5)]
+        chunks[2] += 0.25j
+        pulled = []
+
+        def one_shot():
+            for chunk in chunks:
+                pulled.append(chunk)
+                yield chunk
+
+        gen = one_shot()
+        got = series._fsum(gen)
+        assert len(pulled) == len(chunks) and next(gen, None) is None
+        assert self.bits(got) == self.bits(old_fsum(chunks)) and got.imag == 50 * 0.25
 
     @pytest.mark.parametrize("S,fams", [
         (DIAG, TRIV2),
