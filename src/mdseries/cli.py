@@ -51,10 +51,8 @@ def cmd_eval(args) -> int:
     warnings = list(series.check_series_point(s, system.t, args.override_convergence))
     value, half = series.direct_sum_and_half(
         system, families, s, args.N, override_convergence=args.override_convergence)
-    tail = None
-    if half is not None:
-        tail = abs(value - half)
-    else:
+    tail = None if half is None else abs(value - half)
+    if half is None:
         warnings.append(series.direct_tail_skip_reason(args.N))
     if system.empty_variety_flag:
         warnings.append(series.EMPTY_VARIETY_WARNING)
@@ -264,10 +262,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
-    except MDSeriesError as exc:
-        _warn(str(exc))
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (MDSeriesError, ValueError, OverflowError, OSError) as exc:
         _warn(str(exc))
         return EXIT_ERROR
 

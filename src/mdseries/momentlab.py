@@ -21,9 +21,7 @@ the plain sums, each the _fsum of the same chunk terms, computed once per
 job.
 
 The reference is the direct box sum and its N/2 tail
-(series.direct_sum_and_half); no Euler product is evaluated.  Its memory
-does grow with N, through the N/2-box terms and the imaginary parts it
-keeps.
+(series.direct_sum_and_half); no Euler product is evaluated.
 """
 
 from __future__ import annotations
@@ -146,8 +144,8 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
             for j, (Lr, Li) in enumerate(L):
                 K = sum(k * row[j] for k, row in zip(ks, A)) % order
                 tr, ti = _cmul(tr, ti, Lr[K], Li[K])
-            chunk = np.empty(len(tr), dtype=complex)
-            chunk.real, chunk.imag = tr, ti
+            chunk = tr.astype(complex)
+            chunk.imag = ti
             yield chunk
 
     return _fsum(chunks()) / tuples
@@ -158,10 +156,8 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
     """The full average over all (q-1)^m character tuples of
     prod_j L_N(s_j, Pi_j x prod_i chi_i^{a_ij}) * prod_i chi_i(w_i) conj(chi_i)(w'_i).
 
-    Composite characters are realized by index arithmetic mod q-1, so each
-    factor is a gather from the DFT of the class sums.  For m = 0 this is
-    the plain product of untwisted truncated L-sums (no average, all n <= N
-    included).
+    Each factor is a gather from the DFT of the class sums.  For m = 0 this
+    is the plain product of untwisted truncated L-sums.
     """
     s = _checked_point(S, families, s, True)
     if S.m == 0:
@@ -207,10 +203,11 @@ class MomentExperiment:
         return [("q", "error")] + [(q, e) for q, e in self.errors]
 
 
-def _fit_decay(qs, errs):
-    """Least-squares fit of log e = C - eta log q; returns (eta, C, stderr,
-    residuals) or Nones when the fit is degenerate (zero errors etc.)."""
-    pts = [(math.log(q), math.log(e)) for q, e in zip(qs, errs) if e > 0]
+def _fit_decay(errors):
+    """Least-squares fit of log e = C - eta log q to the (q, e) pairs:
+    (eta, C, stderr, residuals), or Nones when degenerate (zero errors
+    etc.); two points leave no residual, so no stderr."""
+    pts = [(math.log(q), math.log(e)) for q, e in errors if e > 0]
     if len(pts) < 2:
         return None, None, None, ()
     n = len(pts)
@@ -223,10 +220,7 @@ def _fit_decay(qs, errs):
     slope = sxy / sxx
     intercept = my - slope * mx
     residuals = tuple(y - (intercept + slope * x) for x, y in pts)
-    if n > 2:
-        stderr = math.sqrt(sum(r * r for r in residuals) / (n - 2) / sxx)
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(sum(r * r for r in residuals) / (n - 2) / sxx) if n > 2 else None
     return -slope, intercept, stderr, residuals
 
 
@@ -234,7 +228,7 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
                      *, reference: Optional[complex] = None,
                      reference_N: Optional[int] = None) -> MomentExperiment:
     """Measure e(q) = |moment_rhs(q) - LHS| over ascending prime moduli and
-    fit the decay exponent.
+    fit the decay exponent, except at m = 0, where e(q) does not depend on q.
 
     Unless supplied, the LHS reference is the direct box sum at
     reference_N (default N), with the tail |v(N) - v(N/2)|.
@@ -265,18 +259,21 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
         else:
             warnings.append(direct_tail_skip_reason(ref_N))
     if S.m == 0:
+        warnings.append("no decay fit at m = 0: the moment is the direct sum over the "
+                        "same box, so its error against that sum is rounding only")
         rhs = _plain_product(families, s, N)
         errors = [(q, abs(rhs - lhs)) for q in qs]
+        fit = None, None, None, ()
     else:
         sums = _class_sums(families, s, N, qs)
         errors = [(q, abs(_average(S, sums[q], q) - lhs)) for q in qs]
+        fit = _fit_decay(errors)
     positive = [e for _, e in errors if e > 0]
     if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
         warnings.append(
             f"reference tail {lhs_tail:.3e} exceeds a tenth of the smallest "
             f"error {min(positive):.3e}; errors near the floor are unreliable")
-    eta, intercept, stderr, residuals = _fit_decay(
-        [q for q, _ in errors], [e for _, e in errors])
+    eta, intercept, stderr, residuals = fit
     return MomentExperiment(
         system=S,
         families=tuple(families),

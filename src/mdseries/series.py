@@ -6,7 +6,7 @@ by a prime bound P and a local exponent bound B at p = 2 (see below).  The
 two truncations never select the same finite term set, so comparisons are
 tolerance-based and both sides carry Richardson-style tail estimates
 |v(N) - v(N/2)| and |v(P) - v(P/2)|.  Each tail comes from the same single
-serial pass as its value: the N/2 sum keeps the box points with every
+serial pass as its value: the N/2 sum takes the box points with every
 coordinate <= N/2, and the P/2 product is the running product at the last
 prime <= P/2.  A tail that is not defined (N < 2, or no prime or not every
 twist prime <= P/2) is None, with a warning that names the cause.
@@ -38,23 +38,22 @@ checked (a complex lambda(p) of modulus <= 2 does not give it).  The same
 bound |c(p^e)| <= e + 1 keeps every other column's factor at most 1.
 A TableFamily has no such C, so its dropped terms are not bounded.
 
-Sums, of box terms, local-factor terms and moment terms alike, are
-math.fsum on the real and imaginary parts (_fsum): correctly rounded and
-independent of the order of the terms, so a value depends only on the term
-set.  Box points come from exact membership (see variety), so row
-operations, which keep the solution set, keep every direct sum bit for
-bit.  The direct sum streams the box window by window (variety.box_windows)
-through _fsum, so the full box is never held.  It keeps the imaginary parts
-of the windows where one is nonzero, and the half-box terms: 8 bytes a term
-where a window's imaginary parts are all zero, 16 bytes where one is not.
-Only these grow with N.
+Every sum of terms is exact (_ExactSum): a finite float64 is m 2^e
+(np.frexp) with m 2^53 an integer, whose 27-bit halves go into int64
+buckets by e; the total, one Python int over 2^1126, is rounded once by
+Python's correctly rounded int division.  So a sum has the bits of
+math.fsum, depends only on its term set, and holds about 67 KB whatever
+the number of terms.  Non-finite terms follow math.fsum (nan, +-inf,
+ValueError for inf - inf), and only a total beyond float64 overflows.  A
+local factor is the math.fsum of its row.  Box points come from exact
+membership (see variety), so row operations, which keep the solution
+set, keep every direct sum bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -173,37 +172,51 @@ def euler_tail_skip_reason(S: LaurentMonomialSystem, P: int) -> Optional[str]:
     return None
 
 
+# Exponents e run from -1073 to 1024.  A bincount of 27-bit halves is exact
+# below 2^26 terms, so longer arrays go in parts; an int64 bucket holds 2^36
+# halves, above the work cap of 10^8 terms.
+_BUCKETS, _ADD_TERMS = 2100, 1 << 26
+
+
+class _ExactSum:
+    """The exact sum of float64 or complex arrays, rounded by value()."""
+
+    def __init__(self):
+        self.buckets = np.zeros((2, 2, _BUCKETS), dtype=np.int64)
+        self.special = (set(), set())
+
+    def add(self, terms) -> None:
+        for x, buckets, special in zip((terms.real, terms.imag), self.buckets, self.special):
+            if not x.any():
+                continue
+            bad = ~np.isfinite(x)
+            special.update(map(repr, x[bad].tolist()))
+            x = np.where(bad, 0.0, x)
+            for a in range(0, len(x), _ADD_TERMS):
+                m, e = np.frexp(x[a:a + _ADD_TERMS])
+                mant = (m * 2.0**53).astype(np.int64)
+                for b, half in zip(buckets, (mant >> 27, mant & (1 << 27) - 1)):
+                    b += np.bincount(e + 1073, half.astype(float), _BUCKETS).astype(np.int64)
+
+    def value(self) -> complex:
+        parts = []
+        for (hi, lo), special in zip(self.buckets, self.special):
+            total = sum(((int(hi[b]) << 27) + int(lo[b])) << b
+                        for b in np.flatnonzero(hi | lo).tolist())
+            try:
+                parts.append(math.fsum(map(float, special)) if special else total / (1 << 1126))
+            except OverflowError:
+                raise OverflowError("the sum overflows float64") from None
+        return complex(*parts)
+
+
 def _fsum(chunks) -> complex:
-    """Correctly rounded sum of complex terms, real and imaginary parts apart.
-
-    chunks is one array of terms, or an iterable of arrays, read once: each
-    chunk's real parts go into one math.fsum as it arrives, and its
-    imaginary parts are kept only if one is nonzero.  The result depends
-    only on the multiset of terms, not on their order or chunking: math.fsum
-    of any run of +-0.0 is 0.0, so the chunks not kept add nothing, and
-    with none kept the imaginary part is 0.0 without a second sum.
-    """
-    if isinstance(chunks, np.ndarray):
-        chunks = (chunks,)
-    imag = []
-
-    def real_parts():
-        for chunk in chunks:
-            if chunk.imag.any():
-                imag.append(chunk.imag.copy())
-            yield chunk.real.tolist()
-
-    re = math.fsum(itertools.chain.from_iterable(real_parts()))
-    if not imag:
-        return complex(re, 0.0)
-    return complex(re, math.fsum(itertools.chain.from_iterable(x.tolist() for x in imag)))
-
-
-def _kept(terms):
-    """The values of a window's terms that its sum needs: the complex terms
-    if some imaginary part is nonzero, else a copy of the real parts (so
-    the complex buffer is freed)."""
-    return terms if terms.imag.any() else terms.real.copy()
+    """The exact sum of one array of terms, or of an iterable of arrays
+    read once."""
+    acc = _ExactSum()
+    for chunk in (chunks,) if isinstance(chunks, np.ndarray) else chunks:
+        acc.add(chunk)
+    return acc.value()
 
 
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
@@ -214,11 +227,9 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     The box is streamed: for each window of box_windows, the terms
     a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
     product unless every family is trivial, elementwise, so a term has the
-    same bits in any window.  The windows stream through _fsum.  The
-    half-box terms, those with max(n) <= N//2, are kept, 8 bytes a term for
-    a window whose imaginary parts are all zero and 16 bytes a term
-    otherwise.  Both sums are correctly rounded, so the half sum has the
-    bits of a separate run at N//2 and reordering the points changes
+    same bits in any window.  Each window goes into the full sum, and its
+    terms with max(n) <= N//2 into the half sum; both are exact, so the half
+    sum has the bits of a run at N//2, and reordering the points changes
     nothing.  The second value is None when N < 2, where the half box is
     empty.  The coefficient product is one eval_product_coefficient call
     per window.
@@ -226,25 +237,22 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)
     half_N = N // 2 if direct_tail_skip_reason(N) is None else None
-    half = []
-
-    def windows():
-        for X in box_windows(S, N, work_cap=work_cap):
-            X = X.astype(np.int64, copy=False)
-            logX = np.log(X)
-            expo = np.zeros(len(X), dtype=complex)
-            for j, z in enumerate(s):
-                expo += logX[:, j] * z
-            terms = np.exp(-expo)
-            if not trivial:
-                # not in place: numpy's in-place complex product on a one-term
-                # array rounds differently from the product on longer ones
-                terms = terms * eval_product_coefficient(c, X)
-            if half_N is not None:
-                half.append(_kept(terms[X.max(axis=1, initial=1) <= half_N]))
-            yield terms
-
-    return _fsum(windows()), None if half_N is None else _fsum(half)
+    full, half = _ExactSum(), _ExactSum()
+    for X in box_windows(S, N, work_cap=work_cap):
+        X = X.astype(np.int64, copy=False)
+        logX = np.log(X)
+        expo = np.zeros(len(X), dtype=complex)
+        for j, z in enumerate(s):
+            expo += logX[:, j] * z
+        terms = np.exp(-expo)
+        if not trivial:
+            # not in place: numpy's in-place complex product on a one-term
+            # array rounds differently from the product on longer ones
+            terms = terms * eval_product_coefficient(c, X)
+        full.add(terms)
+        if half_N is not None:
+            half.add(terms[X.max(axis=1, initial=1) <= half_N])
+    return full.value(), None if half_N is None else half.value()
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
@@ -303,8 +311,8 @@ def _local_factors(c, s, primes, sols) -> list:
             table_r[:, used], table_i[:, used] = _cmul(
                 pow_r[col][:, used - 1], pow_i[col][:, used - 1], coef.real, coef.imag)
             tr, ti = _cmul(tr, ti, table_r[:, gather], table_i[:, gather])
-        # each factor is _fsum of its row; the rows go to Python floats a
-        # few at a time, and an all-zero imaginary part is not summed
+        # rows go to Python floats a few at a time, and an all-zero
+        # imaginary part is not summed
         for r0 in range(0, len(block), _FSUM_ROWS):
             rows_r, rows_i = tr[r0:r0 + _FSUM_ROWS], ti[r0:r0 + _FSUM_ROWS]
             if rows_i.any():
@@ -363,12 +371,9 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
 
     The second value is None when no prime is <= P//2 or a twist prime
     exceeds P//2, since the product over p <= P//2 is then not defined
-    (euler_tail_skip_reason names the cause).
-    Every prime dividing a twist must be <= P.  Primes are grouped by their
-    twist-valuation right-hand side and local exponent bound, which fix the
-    local solution set: each group costs one enumeration and one array
-    kernel call.  A prime with a nonzero right-hand side forms its own group,
-    with bound B; the others form one group per bound B_p.
+    (euler_tail_skip_reason names the cause).  Every prime dividing a twist
+    must be <= P.  Each group of _local_groups is one enumeration and one
+    kernel call.
     """
     s = _checked_point(S, c, s, override_convergence)
     if B is None:
@@ -389,24 +394,18 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         for p, key in sorted((p, key) for key, ps in groups.items() for p in ps):
             _local_factors(c, s, [p], sols[key])
         raise
-    half_P = P // 2
-    out = 1 + 0j
-    half = None
+    out, half = 1 + 0j, None
     for p in primes:
         out *= factor[p]
-        if p <= half_P:
+        if p <= P // 2:
             half = out
-    if euler_tail_skip_reason(S, P) is not None:
-        half = None
-    return out, half
+    return out, half if euler_tail_skip_reason(S, P) is None else None
 
 
 def euler_product(S: LaurentMonomialSystem, c, s, P: int, B: Optional[int] = None,
                   *, override_convergence: bool = False) -> complex:
-    """Product of local factors over primes p <= P, in ascending prime order.
-
-    Every prime dividing a twist must be <= P.
-    """
+    """Product of local factors over primes p <= P, in ascending prime order;
+    every prime dividing a twist must be <= P."""
     return euler_product_and_half(S, c, s, P, B,
                                   override_convergence=override_convergence)[0]
 
@@ -425,14 +424,11 @@ def compare(S: LaurentMonomialSystem, c, s, params: EvalParams,
         S, c, s, params.N, override_convergence=override_convergence)
     euler, euler_half = euler_product_and_half(
         S, c, s, params.P, B, override_convergence=override_convergence)
-    direct_tail = euler_tail = None
-    if direct_half is not None:
-        direct_tail = abs(direct - direct_half)
-    else:
+    direct_tail = None if direct_half is None else abs(direct - direct_half)
+    euler_tail = None if euler_half is None else abs(euler - euler_half)
+    if direct_half is None:
         warnings.append(direct_tail_skip_reason(params.N))
-    if euler_half is not None:
-        euler_tail = abs(euler - euler_half)
-    else:
+    if euler_half is None:
         warnings.append(euler_tail_skip_reason(S, params.P))
     wall = time.perf_counter() - t0
     return EvalReport(

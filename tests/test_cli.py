@@ -237,6 +237,15 @@ class TestCliEval:
             assert captured.err.count(label) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_sum_is_one_error_line(self, tmp_path, capsys):
+        # each term n^102.5 <= 1000^102.5 is finite; their sum is not
+        doc = dict(DIAG_DOC, s=[[-51.25, 0], [-51.25, 0]])
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["eval", "--N", "1000"], ["compare", "--N", "1000", "--P", "10"]):
+            assert main(argv + ["--system", str(path), "--override-convergence"]) == 1
+            assert capsys.readouterr().err == "mds: the sum overflows float64\n"
+
 
 class TestCliCompare:
     def test_product_system(self, tmp_path, capsys):
@@ -543,14 +552,14 @@ class TestConsoleScript:
         assert abs(doc["direct"][0] - math.pi**4 / 90) < 1e-3
 
     def test_eval_memory_does_not_grow_with_the_box(self, diag_file):
-        # the direct sum keeps one float per term (and per half-box term),
-        # not the K x t box and its K-long temporaries; at N = 10^5 on the
-        # diagonal that is about 2.4 MiB over the import, where the whole
+        # the direct sum holds one window of the box and two fixed-size exact
+        # sums, not the K x t box and its K-long temporaries; at N = 10^5 on
+        # the diagonal that is about 1.6 MiB over the import, where the whole
         # box took about 13 MiB
         base = maxrss_kib(["-c", "import numpy, mdseries.cli"])
         run = maxrss_kib(["-m", "mdseries.cli", "eval", "--system", diag_file,
                           "--N", "100000"])
-        assert run - base < 6 * 1024
+        assert run - base < 4 * 1024
 
     def test_compare_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy.ma is imported lazily by some numpy calls (np.unique among

@@ -419,7 +419,7 @@ class TestStreamedDirectSum:
     ])
     def test_windows_with_and_without_imaginary_parts(self, S, N):
         # a character mod 7 is real at some n and not at others, so with
-        # small windows some keep only real parts and some complex terms
+        # small windows some have all-zero imaginary parts and some do not
         fams = (CharacterFamily(character_table(7), 2),) + (TrivialFamily(),) * (S.t - 1)
         for s in ((2.0,) * S.t, (2.0 + 0.5j,) * S.t):
             for fam_tuple in (fams, (TrivialFamily(),) * S.t):

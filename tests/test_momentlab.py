@@ -323,6 +323,27 @@ class TestDecayExperiment:
         assert all(e == 0 for _, e in exp.errors)
         assert exp.eta_hat is None
 
+    def test_m0_has_no_fit(self):
+        # at m = 0 the errors are rounding of the same box sum, equal at
+        # every q: no fit is made, and one warning says why
+        S = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
+        fams = (TauFamily(), CharacterFamily(character_table(7), 2))
+        doc = decay_experiment(S, fams, (2, 2.5 + 1j), [11, 31], 5000).to_dict()
+        assert 0 < doc["errors"]["11"] == doc["errors"]["31"] < 1e-15
+        assert (doc["eta_hat"], doc["intercept"], doc["stderr"], doc["residuals"]) == (
+            None, None, None, [])
+        assert [w for w in doc["warnings"] if "m = 0" in w] == [
+            "no decay fit at m = 0: the moment is the direct sum over the same box, "
+            "so its error against that sum is rounding only"]
+
+    def test_two_moduli_have_no_stderr(self):
+        # a line through two points leaves no residual to estimate it by
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31], 5000)
+        assert exp.eta_hat > 0.5 and exp.intercept is not None
+        assert exp.stderr is None and len(exp.residuals) == 2
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 5000)
+        assert exp.stderr > 0 and not any("m = 0" in w for w in exp.warnings)
+
     def test_diagonal_shift_system(self):
         S = make_system([[1, -1]], omega=(1,), omega_prime=(2,))
         exp = decay_experiment(S, TRIV2, (2, 2), [11, 31, 101], 5000)

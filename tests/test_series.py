@@ -6,11 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdseries import series, variety
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
+                                   all_trivial, eval_product_coefficient,
                                    trivial_tuple)
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
@@ -127,13 +130,13 @@ class TestDirectSum:
 
 
 class TestDirectSumMemory:
-    """The direct sum streams the box: it keeps 8 bytes per half-box term,
-    not the terms of the whole box, the K x t box or its K-long
-    temporaries."""
+    """The direct sum streams the box into two exact sums of fixed size: it
+    holds no term of the box or the N/2 box beyond the current window, nor
+    the K x t box or its K-long temporaries."""
 
     @staticmethod
-    def traced_peak(S, N):
-        fams, s = trivial_tuple(S.t), (2.0,) * S.t
+    def traced_peak(S, N, z=2.0):
+        fams, s = trivial_tuple(S.t), (z,) * S.t
         direct_sum_and_half(S, fams, s, 20)       # warm the import-time caches
         tracemalloc.start()
         try:
@@ -143,13 +146,20 @@ class TestDirectSumMemory:
             tracemalloc.stop()
 
     def test_diagonal_at_1e5(self):
-        # 10^5 + 5 * 10^4 kept floats are 1.1 MiB; the whole box took 10.7
-        assert self.traced_peak(DIAG, 10**5) <= 3 * 2**20
+        # about 1.0 MiB, one window and two exact sums; the whole box took 10.7
+        assert self.traced_peak(DIAG, 10**5) <= 1.5 * 2**20
 
     def test_free_last_coordinate_at_600(self):
-        # 600^2 + 300^2 kept floats are 3.4 MiB; the whole box took 46.7, and
-        # one block of N rows per prefix would still take 36.4
-        assert self.traced_peak(make_system([[1, -1, 0]]), 600) <= 8 * 2**20
+        # about 0.9 MiB; the whole box took 46.7, and one block of N rows per
+        # prefix would still take 36.4
+        assert self.traced_peak(make_system([[1, -1, 0]]), 600) <= 2 * 2**20
+
+    def test_complex_terms_do_not_grow_with_the_box(self):
+        # about 1.5 MiB at both N; keeping the N/2-box terms and the
+        # imaginary parts took 5.1 MiB at N = 2.5 * 10^4 and 18.6 at 10^5
+        S = make_system([[1, 1, -1]])
+        small, large = (self.traced_peak(S, N, 2 + 1j) for N in (25_000, 10**5))
+        assert large <= 1.5 * small and large <= 3 * 2**20
 
 
 class TestLocalFactor:
@@ -292,8 +302,8 @@ class TestEulerBlocks:
 
 
 def old_fsum(z):
-    """Oracle: the complex-sum rule with both parts always summed.  z is an
-    array, or an iterable of arrays, as for _fsum."""
+    """Oracle: math.fsum of the real parts and of the imaginary parts.  z is
+    an array, or an iterable of arrays, as for _fsum."""
     if not isinstance(z, np.ndarray):
         z = np.concatenate([np.zeros(0, dtype=complex), *z])
     z = np.asarray(z, dtype=complex)
@@ -301,13 +311,96 @@ def old_fsum(z):
 
 
 class TestFsumRule:
-    """_fsum skips the imaginary sum when every imaginary part is zero; the
-    bits must be those of summing both parts."""
+    """_fsum sums exactly into buckets and rounds once; the bits must be
+    those of math.fsum on each part (old_fsum), whatever the chunking."""
 
     @staticmethod
     def bits(z):
         return (math.copysign(1.0, z.real), z.real.hex(), math.copysign(1.0, z.imag),
                 z.imag.hex())
+
+    @pytest.mark.parametrize("terms", [
+        [],
+        [-0.0],
+        [0.0, -0.0, -0.0],
+        [5e-324],
+        [-5e-324, -5e-324, 5e-324],
+        [5e-324, -5e-324],                             # cancels to exactly 0
+        [2.0**-1022, -5e-324, 2.0**-1030, -(2.0**-1074) * 3],
+        [1.0, 1e100, -1e100, -1.0],                    # cancels to exactly 0
+        [0.1, 0.2, -0.3],
+        [2.0**53, 1.0, -(2.0**53), 2.0**-60],
+        [1.7976931348623157e308, -1.7976931348623157e308, 2.0**-1074],
+    ])
+    def test_oracle_bits(self, terms):
+        x = np.array(terms, dtype=float)
+        z = x + 1j * x[::-1]
+        assert self.bits(series._fsum(x)) == self.bits(old_fsum(x))
+        assert self.bits(series._fsum(z)) == self.bits(old_fsum(z))
+
+    def test_magnitudes_across_the_range(self):
+        # one array from 1e-320 to 1e300, with cancelling pairs, in chunkings
+        rng = random.Random(7)
+        x = [rng.choice([-1, 1]) * rng.uniform(1, 10) * 10.0 ** k for k in range(-320, 301)]
+        x += [-v for v in rng.sample(x, 200)]
+        rng.shuffle(x)
+        x = np.array(x)
+        assert x.min() < 0 < x.max() and np.abs(x).min() < 1e-319
+        want = self.bits(old_fsum(x))
+        for step in (1, 3, 64, len(x)):
+            got = series._fsum(x[a:a + step] for a in range(0, len(x), step))
+            assert self.bits(got) == want
+        # an array longer than one bincount may add goes in parts
+        with mock.patch.object(series, "_ADD_TERMS", 5):
+            assert self.bits(series._fsum(x)) == want
+
+    def test_signed_zero_imaginary_parts(self):
+        # a complex stream whose imaginary parts are all +-0.0 sums to +0.0
+        rng = random.Random(8)
+        z = np.array([complex(rng.uniform(-1, 1), rng.choice([0.0, -0.0])) for _ in range(300)])
+        z[:100] = z[:100].real - 0j
+        assert np.signbit(z.imag).any() and not z.imag.any()
+        got = series._fsum(z[a:a + 50] for a in range(0, 300, 50))
+        assert self.bits(got) == self.bits(old_fsum(z)) and self.bits(got)[2:] == (1.0, "0x0.0p+0")
+
+    def test_non_finite_terms_follow_fsum(self):
+        inf, nan = math.inf, math.nan
+        for terms, want in (([1.0, inf, 2.0], inf), ([-inf, 1e308, 1.0], -inf),
+                            ([inf, inf], inf)):
+            assert series._fsum(np.array(terms)) == complex(want, 0.0) == old_fsum(np.array(terms))
+        for terms in ([nan, 1.0], [1.0, nan, inf]):
+            assert math.isnan(series._fsum(np.array(terms)).real)
+            assert math.isnan(old_fsum(np.array(terms)).real)
+        for terms in ([inf, 1.0, -inf], [nan, -inf, inf]):
+            with pytest.raises(ValueError):
+                old_fsum(np.array(terms))
+            with pytest.raises(ValueError):
+                series._fsum(np.array(terms))
+        # inf and -inf in different chunks, and in the imaginary parts alone
+        with pytest.raises(ValueError):
+            series._fsum(iter([np.array([inf]), np.array([2.0]), np.array([-inf])]))
+        got = series._fsum(np.array([complex(1.0, inf), complex(2.0, 1.0)]))
+        assert got.real == 3.0 and got.imag == inf
+
+    def test_overflow_only_in_the_total(self):
+        # math.fsum raises on the partial sum 2e308; the exact total is 1e308
+        terms = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            old_fsum(terms)
+        assert self.bits(series._fsum(terms)) == self.bits(1e308 + 0j)
+        with pytest.raises(OverflowError, match="^the sum overflows float64$"):
+            series._fsum(np.array([1e308, 1e308]))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=40),
+           st.lists(st.integers(0, 80), max_size=4), st.integers(0, 40))
+    def test_random_arrays_and_cuts_keep_the_fsum_bits(self, values, cuts, negated):
+        x = np.array(values + [-v for v in values[:negated]], dtype=float)
+        bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
+        got = series._fsum(x[a:b] for a, b in zip(bounds, bounds[1:]))
+        want = math.fsum(x.tolist())
+        assert (math.copysign(1.0, got.real), got.real.hex()) == (math.copysign(1.0, want),
+                                                                   want.hex())
 
     def test_negative_zero_imaginary_parts(self):
         z = np.array([complex(1.5, -0.0), complex(2.0**-60, -0.0), complex(-0.25, -0.0)])
@@ -355,12 +448,20 @@ class TestFsumRule:
         (TWISTED, real_twisted_families()),
     ])
     def test_direct_sums_of_real_systems_bitwise(self, S, fams):
-        s = (2.0,) * S.t
-        with mock.patch.object(series.math, "fsum", wraps=math.fsum) as spy:
-            got = direct_sum_and_half(S, fams, s, 60)
-        assert spy.call_count == 2        # the imaginary sums were skipped
-        with mock.patch.object(series, "_fsum", old_fsum):
-            want = direct_sum_and_half(S, fams, s, 60)
+        # the whole box's terms at once, made as the direct sum makes them
+        # and summed by the oracle, against the sums streamed over windows
+        s, N = (2.0,) * S.t, 60
+        X = box_array(S, N).astype(np.int64)
+        logX = np.log(X)
+        expo = np.zeros(len(X), dtype=complex)
+        for j, z in enumerate(s):
+            expo += logX[:, j] * z
+        terms = np.exp(-expo)
+        if not all_trivial(fams):
+            terms = terms * eval_product_coefficient(fams, X)
+        assert not terms.imag.any()
+        got = direct_sum_and_half(S, fams, s, N)
+        want = old_fsum(terms), old_fsum(terms[X.max(axis=1) <= N // 2])
         assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
 
     @pytest.mark.parametrize("fams,s,imag", [
