@@ -39,8 +39,8 @@ bound |c(p^e)| <= e + 1 keeps every other column's factor at most 1.
 A TableFamily has no such C, so its dropped terms are not bounded.
 
 Every sum of terms is exact (_ExactSum): a finite float64 is m 2^e
-(np.frexp) with m 2^53 an integer, whose 27-bit halves go into int64
-buckets by e; the total, one Python int over 2^1126, is rounded once by
+(np.frexp) with m 2^53 an integer, whose 27-bit halves are added into
+int64 buckets by e; the total, one Python int over 2^1126, is rounded once by
 Python's correctly rounded int division.  So a sum has the bits of
 math.fsum, depends only on its term set, and holds about 67 KB whatever
 the number of terms.  Non-finite terms follow math.fsum (nan, +-inf,
@@ -172,10 +172,9 @@ def euler_tail_skip_reason(S: LaurentMonomialSystem, P: int) -> Optional[str]:
     return None
 
 
-# Exponents e run from -1073 to 1024.  A bincount of 27-bit halves is exact
-# below 2^26 terms, so longer arrays go in parts; an int64 bucket holds 2^36
-# halves, above the work cap of 10^8 terms.
-_BUCKETS, _ADD_TERMS = 2100, 1 << 26
+# Exponents e run from -1073 to 1024.  Each term adds less than 2^27 to an
+# int64 bucket, so a bucket has room for 2^36 terms, above the work cap of 10^8.
+_BUCKETS = 2100
 
 
 class _ExactSum:
@@ -192,11 +191,9 @@ class _ExactSum:
             bad = ~np.isfinite(x)
             special.update(map(repr, x[bad].tolist()))
             x = np.where(bad, 0.0, x)
-            for a in range(0, len(x), _ADD_TERMS):
-                m, e = np.frexp(x[a:a + _ADD_TERMS])
-                mant = (m * 2.0**53).astype(np.int64)
-                for b, half in zip(buckets, (mant >> 27, mant & (1 << 27) - 1)):
-                    b += np.bincount(e + 1073, half.astype(float), _BUCKETS).astype(np.int64)
+            m, e = np.frexp(x)
+            for bucket, half in zip(buckets, np.divmod((m * 2.0**53).astype(np.int64), 1 << 27)):
+                np.add.at(bucket, e + 1073, half)
 
     def value(self) -> complex:
         parts = []
