@@ -22,10 +22,9 @@ from .system import (AddMultiple, LaurentMonomialSystem, Negate, RowOperation,
                      SupportSearch, Swap, apply_row_op, block_compose,
                      hnf_rows, make_system, negate_system, normalize,
                      permute_columns, support_reducible)
-from .variety import (CartesianCheck, IntegerPoint, LocalSolutionSet,
-                      PolynomialVariety, Witness, box_array, cartesian_check,
-                      check_property_S, enumerate_box, local_solutions,
-                      on_monomial_variety, on_monomial_variety_rational,
-                      parse_constraints, recombine)
+from .variety import (CartesianCheck, LocalSolutionSet, PolynomialVariety,
+                      Witness, box_array, cartesian_check, check_property_S,
+                      enumerate_box, local_solutions, on_monomial_variety,
+                      on_monomial_variety_rational, parse_constraints, recombine)
 
 __version__ = "0.1.0"

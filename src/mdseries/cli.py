@@ -121,10 +121,10 @@ def cmd_check_s(args) -> int:
     _warn("Property (S) violated; witness follows on stdout")
     _emit({
         "result": "witness",
-        "x": list(witness.x.coords),
-        "y": list(witness.y.coords),
+        "x": list(witness.x),
+        "y": list(witness.y),
         "choice": {str(p): side for p, side in witness.choice},
-        "point": list(witness.point.coords),
+        "point": list(witness.point),
     })
     return EXIT_WITNESS
 
@@ -203,10 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=int, help="variable count for --constraints")
         if N is not None:
             p.add_argument("--N", type=int, default=N, help="box bound")
-        # every run is single-process and bit-reproducible; the two flags
-        # stay accepted so existing command lines keep working
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; no effect")
+        # every run is single-process and bit-reproducible; the flag stays
+        # accepted so existing command lines keep working
         p.add_argument("--deterministic", action="store_true",
                        help="accepted for compatibility; no effect")
 

@@ -232,9 +232,9 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
 
     Unless supplied, the LHS reference is the direct box sum at
     reference_N (default N), with the tail |v(N) - v(N/2)|.
-    A warning is raised when that tail is above a tenth of the smallest
-    measured error, since the measurement floor is then suspect.  One pass
-    over n makes the class sums of every modulus.
+    At m >= 1 a warning is raised when that tail is above a tenth of the
+    smallest measured error, since the measurement floor is then suspect.
+    One pass over n makes the class sums of every modulus.
     """
     s = _checked_point(S, families, s, False)
     qs = [int(q) for q in q_list]
@@ -268,11 +268,11 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
         sums = _class_sums(families, s, N, qs)
         errors = [(q, abs(_average(S, sums[q], q) - lhs)) for q in qs]
         fit = _fit_decay(errors)
-    positive = [e for _, e in errors if e > 0]
-    if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
-        warnings.append(
-            f"reference tail {lhs_tail:.3e} exceeds a tenth of the smallest "
-            f"error {min(positive):.3e}; errors near the floor are unreliable")
+        positive = [e for _, e in errors if e > 0]
+        if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
+            warnings.append(
+                f"reference tail {lhs_tail:.3e} exceeds a tenth of the smallest "
+                f"error {min(positive):.3e}; errors near the floor are unreliable")
     eta, intercept, stderr, residuals = fit
     return MomentExperiment(
         system=S,

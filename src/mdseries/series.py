@@ -266,6 +266,7 @@ _BLOCK_TERMS = 1 << 13
 _FSUM_ROWS = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _local_factors(c, s, primes, sols) -> list:
     """The Euler factors at `primes`, which all have the local solution set
     `sols` (tuples alpha), in the order of `primes`.
@@ -277,7 +278,8 @@ def _local_factors(c, s, primes, sols) -> list:
     1.  The terms at p are prod_j table_j[p, E[:, j]], and the factor is
     their math.fsum.  Primes go in blocks of about _BLOCK_TERMS terms, and
     every operation acts on one prime's row alone, so a factor has the same
-    bits in any block, a block of one included.
+    bits in any block, a block of one included.  A term that overflows
+    float64 raises OverflowError, naming its prime.
     """
     K, t = len(sols), len(s)
     E = np.array(sols, dtype=np.intp).reshape(K, t)
@@ -308,6 +310,10 @@ def _local_factors(c, s, primes, sols) -> list:
             table_r[:, used], table_i[:, used] = _cmul(
                 pow_r[col][:, used - 1], pow_i[col][:, used - 1], coef.real, coef.imag)
             tr, ti = _cmul(tr, ti, table_r[:, gather], table_i[:, gather])
+        bad = ~(np.isfinite(tr) & np.isfinite(ti)).all(axis=1)
+        if bad.any():
+            raise OverflowError(f"the Euler factor at p = {block[bad.argmax()]} "
+                                "overflows float64")
         # rows go to Python floats a few at a time, and an all-zero
         # imaginary part is not summed
         for r0 in range(0, len(block), _FSUM_ROWS):
@@ -386,7 +392,7 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     try:
         for key, ps in groups.items():
             factor.update(zip(ps, _local_factors(c, s, ps, sols[key])))
-    except MissingPrimePowerError:
+    except (MissingPrimePowerError, OverflowError):
         # report the smallest prime whose factor fails, as an ascending pass would
         for p, key in sorted((p, key) for key, ps in groups.items() for p in ps):
             _local_factors(c, s, [p], sols[key])
@@ -396,6 +402,8 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         out *= factor[p]
         if p <= P // 2:
             half = out
+    if not cmath.isfinite(out):
+        raise OverflowError("the Euler product overflows float64")
     return out, half if euler_tail_skip_reason(S, P) is None else None
 
 

@@ -17,30 +17,33 @@ coordinate for a whole window at once, and yields each window's points
 as an array, in lexicographic order.  Its exact products are int64 when
 no row side can reach 2^63 on the box, and Python ints (object arrays,
 the same code) otherwise.  box_array concatenates the windows, and
-enumerate_box wraps its rows as IntegerPoints; a caller that folds the
-points window by window (the direct sum) never holds the box.
+enumerate_box lists its rows as tuples; a caller that folds the points
+window by window (the direct sum) never holds the box.
 on_monomial_variety_rational is the scalar form of the same exact check.
+
+A point is a row of a box array or a tuple of positive ints.  The Property
+(S) scan and the Cartesian check factor the box array's coordinates once,
+with arith.factor_levels; recombine and on_monomial_variety factor a tuple
+with arith.factorize, and stay as the independent references.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, iroot, primes_up_to, valuation
+from .arith import factor_levels, factorize, iroot, primes_up_to, valuation
 from .errors import ConstraintSyntaxError, WorkCapExceeded
 from .limits import work_cap as _work_cap
 from .system import LaurentMonomialSystem
 
 _EXPONENT_CAP = 10**6
-
-# Box scans revisit the same small coordinates constantly.
-_fact_cached = lru_cache(maxsize=1 << 17)(factorize)
 
 
 # ---------------------------------------------------------------------------
@@ -236,66 +239,6 @@ def parse_constraints(text: str, t: int) -> PolynomialVariety:
 
 
 # ---------------------------------------------------------------------------
-# integer points
-
-class IntegerPoint:
-    """A positive-integer point with per-coordinate factorizations."""
-
-    __slots__ = ("coords", "_facts")
-
-    def __init__(self, coords):
-        self.coords = tuple(int(c) for c in coords)
-        if any(c < 1 for c in self.coords):
-            raise ValueError("coordinates must be positive integers")
-        self._facts = None
-
-    @classmethod
-    def _trusted(cls, coords: tuple) -> "IntegerPoint":
-        """Wrap a tuple of positive Python ints without checking it again."""
-        point = cls.__new__(cls)
-        point.coords = coords
-        point._facts = None
-        return point
-
-    @property
-    def factorizations(self) -> tuple:
-        if self._facts is None:
-            self._facts = tuple(_fact_cached(c) for c in self.coords)
-        return self._facts
-
-    def support_primes(self) -> tuple:
-        ps = set()
-        for fact in self.factorizations:
-            for p, _ in fact:
-                ps.add(p)
-        return tuple(sorted(ps))
-
-    def exponent_column(self, p: int) -> tuple:
-        """(v_p(n_1), ..., v_p(n_t))."""
-        out = []
-        for fact in self.factorizations:
-            e = 0
-            for q, k in fact:
-                if q == p:
-                    e = k
-                    break
-            out.append(e)
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __lt__(self, other):
-        return self.coords < other.coords
-
-    def __repr__(self):
-        return f"IntegerPoint{self.coords}"
-
-
-# ---------------------------------------------------------------------------
 # membership tests for monomial systems
 
 @lru_cache(maxsize=256)
@@ -315,20 +258,21 @@ def monomial_rhs_at(S: LaurentMonomialSystem, p: int) -> tuple:
     return rhs.get(p, (0,) * S.m)
 
 
+def _valuations(coords) -> list:
+    """[{p: v_p(n_j)}] for the positive integers n_j of coords, by factorize."""
+    return [dict(factorize(int(n))) for n in coords]
+
+
 def on_monomial_variety(S: LaurentMonomialSystem, coords) -> bool:
     """Membership via the valuation identity at every relevant prime:
     sum_j a_ij * v_p(n_j) = v_p(omega'_i) - v_p(omega_i).
 
     Independent of the cross-multiplication kernel, and kept as its oracle;
     it factorises every coordinate and every twist."""
-    point = coords if isinstance(coords, IntegerPoint) else IntegerPoint(coords)
-    primes = set(point.support_primes())
-    primes.update(_twist_data(S)[0])
-    for p in sorted(primes):
-        col = point.exponent_column(p)
-        rhs = monomial_rhs_at(S, p)
-        for i in range(S.m):
-            if sum(a * e for a, e in zip(S.A[i], col)) != rhs[i]:
+    vals = _valuations(coords)
+    for p in sorted(set(_twist_data(S)[0]).union(*vals)):
+        for row, r in zip(S.A, monomial_rhs_at(S, p)):
+            if sum(a * v.get(p, 0) for a, v in zip(row, vals)) != r:
                 return False
     return True
 
@@ -353,9 +297,8 @@ def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
 
     The scalar form of the check that box enumeration makes on arrays;
     the Property (S) scan and the tests decide membership with it."""
-    cs = coords.coords if isinstance(coords, IntegerPoint) else tuple(coords)
     for row, w, wp in zip(S.A, S.omega, S.omega_prime):
-        lhs, rhs = _row_sides(row, w, wp, cs)
+        lhs, rhs = _row_sides(row, w, wp, coords)
         if lhs != rhs:
             return False
     return True
@@ -601,81 +544,97 @@ def box_array(V, N: int, *, work_cap=None):
 
 
 def enumerate_box(V, N: int, *, work_cap=None) -> list:
-    """All points of [1,N]^t on the variety, in lexicographic order."""
-    return [IntegerPoint._trusted(tuple(row))
-            for row in box_array(V, N, work_cap=work_cap).tolist()]
+    """All points of [1,N]^t on the variety as coordinate tuples, in
+    lexicographic order."""
+    return list(map(tuple, box_array(V, N, work_cap=work_cap).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Property (S)
 
-def recombine(x: IntegerPoint, y: IntegerPoint, choice: dict) -> IntegerPoint:
-    """Per-prime recombination: at each prime take the whole exponent column
-    from x or from y as directed by choice[p] in {'x','y'}."""
-    primes = sorted(set(x.support_primes()) | set(y.support_primes()))
+def recombine(x: tuple, y: tuple, choice: dict) -> tuple:
+    """Per-prime recombination of the positive-integer points x and y: at
+    each prime take the whole exponent column from x or from y as directed
+    by choice[p] in {'x','y'}.  It factorises every coordinate, and is the
+    reference that the witnesses of check_property_S are tested against."""
+    vx, vy = _valuations(x), _valuations(y)
+    primes = sorted(set().union(*vx, *vy))
     missing = [p for p in primes if p not in choice]
     if missing:
         raise ValueError(f"choice does not cover primes {missing}")
-    t = len(x.coords)
-    coords = [1] * t
+    coords = [1] * len(x)
     for p in primes:
         side = choice[p]
-        if side == "x":
-            col = x.exponent_column(p)
-        elif side == "y":
-            col = y.exponent_column(p)
-        else:
+        if side not in ("x", "y"):
             raise ValueError(f"choice[{p}] must be 'x' or 'y', got {side!r}")
-        for j in range(t):
-            if col[j]:
-                coords[j] *= p ** col[j]
-    return IntegerPoint(coords)
+        for j, v in enumerate(vx if side == "x" else vy):
+            coords[j] *= p ** v.get(p, 0)
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
 class Witness:
-    """A Property (S) violation: recombining x and y by `choice` leaves the
-    variety at `point`."""
-    x: IntegerPoint
-    y: IntegerPoint
+    """A Property (S) violation: recombining the points x and y by `choice`
+    leaves the variety at `point` (coordinate tuples)."""
+    x: tuple
+    y: tuple
     choice: tuple      # ((prime, 'x'|'y'), ...) sorted by prime
-    point: IntegerPoint
+    point: tuple
 
 
-def _on_variety(V, point: IntegerPoint) -> bool:
-    if isinstance(V, LaurentMonomialSystem):
-        return on_monomial_variety_rational(V, point)
-    return V.is_solution(point.coords)
+def _prime_parts(X) -> list:
+    """For each row x of the K x t array X of positive integers, the dict
+    {p: [p^v_p(x_1), ..., p^v_p(x_t)]} over the primes dividing x, from one
+    factor_levels pass."""
+    K, t = X.shape
+    parts = [{} for _ in range(K)]
+    for rows, p, e in factor_levels(X.ravel()):
+        for r, q, pe in zip(rows.tolist(), p.tolist(), (p**e).tolist()):
+            i, j = divmod(r, t)
+            parts[i].setdefault(q, [1] * t)[j] = pe
+    return parts
 
 
 def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
     """Exhaustive pairwise recombination scan over the box solutions.
 
-    Returns the first violating witness in deterministic order, or None.
-    Recombined points may leave the box; they are tested by direct
-    constraint evaluation, never by box membership.
+    Returns the first violating witness in deterministic order, or None:
+    pairs (x, y) in lexicographic order of the box rows, and for each, the
+    masks 1 .. 2^k - 2 over its k primes in ascending order, bit idx taking
+    the idx-th prime's column from y.  Each pair charges 2^k to the work
+    cap.  Each coordinate is factored once; a mask's point is the product
+    of the chosen prime parts.  Recombined points may leave the box; they
+    are tested by direct constraint evaluation, never by box membership.
     """
     cap = _work_cap(work_cap)
-    sols = enumerate_box(V, N, work_cap=cap)
+    X = box_array(V, N, work_cap=cap)
+    if len(X) < 2:
+        return None
+    sols, parts = list(map(tuple, X.tolist())), _prime_parts(X)
+    if isinstance(V, LaurentMonomialSystem):
+        def on_variety(point):
+            return on_monomial_variety_rational(V, point)
+    else:
+        on_variety = V.is_solution
+    ones = [1] * X.shape[1]
     spent = 0
-    for ix in range(len(sols)):
-        for iy in range(ix + 1, len(sols)):
-            x, y = sols[ix], sols[iy]
-            primes = sorted(set(x.support_primes()) | set(y.support_primes()))
-            k = len(primes)
-            spent += 1 << k
-            if spent > cap:
-                raise WorkCapExceeded(spent, cap, "Property (S) recombination scan")
-            for mask in range(1, (1 << k) - 1):  # skip all-x and all-y
-                choice = {p: ("y" if mask >> idx & 1 else "x")
-                          for idx, p in enumerate(primes)}
-                point = recombine(x, y, choice)
-                if not _on_variety(V, point):
-                    return Witness(
-                        x=x, y=y,
-                        choice=tuple(sorted(choice.items())),
-                        point=point,
-                    )
+    for ix, iy in itertools.combinations(range(len(sols)), 2):
+        px, py = parts[ix], parts[iy]
+        primes = sorted(px.keys() | py.keys())
+        spent += 1 << len(primes)
+        if spent > cap:
+            raise WorkCapExceeded(spent, cap, "Property (S) recombination scan")
+        # points[mask] for every mask, one prime (one bit) at a time
+        points = [ones]
+        for p in primes:
+            points = [[*map(operator.mul, c, part)]
+                      for part in (px.get(p, ones), py.get(p, ones)) for c in points]
+        for mask in range(1, len(points) - 1):   # skip all-x and all-y
+            if not on_variety(points[mask]):
+                choice = tuple((p, "y" if mask >> idx & 1 else "x")
+                               for idx, p in enumerate(primes))
+                return Witness(x=sols[ix], y=sols[iy], choice=choice,
+                               point=tuple(points[mask]))
     return None
 
 
@@ -744,18 +703,11 @@ def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int,
     for p in S.twist_primes():
         if p > P:
             raise ValueError(f"twist prime {p} exceeds the prime bound P={P}")
-    lhs = set()
-    for pt in enumerate_box(S, N, work_cap=cap):
-        ok = True
-        for fact in pt.factorizations:
-            for p, e in fact:
-                if p > P or e > B:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            lhs.add(pt.coords)
+    X = box_array(S, N, work_cap=cap)
+    fits = np.ones(X.size, dtype=bool)
+    for rows, p, e in factor_levels(X.ravel()):
+        fits[rows[(p > P) | (e > B)]] = False
+    lhs = set(map(tuple, X[fits.reshape(X.shape).all(axis=1)].tolist()))
 
     # Primes in (N, P] cannot contribute a factor inside the box; they only
     # matter through whether their local set admits the zero vector.

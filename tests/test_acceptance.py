@@ -52,10 +52,6 @@ def random_op(rng, m):
     return AddMultiple(i, j, rng.choice([-2, -1, 1, 2]))
 
 
-def box_coords(S, N):
-    return [p.coords for p in enumerate_box(S, N)]
-
-
 def test_criterion_1_zeta_collapse():
     t0 = time.perf_counter()
     fams = trivial_tuple(2)
@@ -94,7 +90,7 @@ def test_criterion_3_row_op_invariance():
         S = random_system(rng)
         s = tuple(2.0 + 0.25 * k for k in range(S.t))
         fams = trivial_tuple(S.t)
-        before_set = box_coords(S, 40)
+        before_set = enumerate_box(S, 40)
         before_sum = direct_sum(S, fams, s, 40)
         cur = S
         for _ in range(rng.randint(1, 10)):
@@ -104,7 +100,7 @@ def test_criterion_3_row_op_invariance():
                     break
                 except TwistOverflowError:
                     continue
-        assert box_coords(cur, 40) == before_set
+        assert enumerate_box(cur, 40) == before_set
         after_sum = direct_sum(cur, fams, s, 40)
         assert after_sum == before_sum  # bitwise under deterministic reduction
         checked += 1
@@ -119,7 +115,7 @@ def test_criterion_4_negation_and_block_identities():
     for _ in range(50):
         S = random_system(rng, tmax=3, mmax=2, wmax=4)
         N = rng.randint(5, 20)
-        assert box_coords(S, N) == box_coords(negate_system(S), N)
+        assert enumerate_box(S, N) == enumerate_box(negate_system(S), N)
         s = tuple(2.0 for _ in range(S.t))
         fams = trivial_tuple(S.t)
         assert direct_sum(S, fams, s, N) == direct_sum(negate_system(S), fams, s, N)
@@ -131,8 +127,8 @@ def test_criterion_4_negation_and_block_identities():
         got = direct_sum(B, trivial_tuple(B.t), s + s2, N)
         want = direct_sum(S, fams, s, N) * direct_sum(S2, fams2, s2, N)
         assert abs(got - want) < 1e-12
-        prod_set = {x + y for x in box_coords(S, N) for y in box_coords(S2, N)}
-        assert set(box_coords(B, N)) == prod_set
+        prod_set = {x + y for x in enumerate_box(S, N) for y in enumerate_box(S2, N)}
+        assert set(enumerate_box(B, N)) == prod_set
     print("\nACCEPTANCE 4: PASS negation and block identities on 50 random instances")
 
 
@@ -141,16 +137,16 @@ def test_criterion_5_property_s():
     V = parse_constraints("x1 + x2 - 5", 2)
     w = check_property_S(V, 5)
     assert w is not None
-    assert V.is_solution(w.x.coords) and V.is_solution(w.y.coords)
-    assert not V.is_solution(w.point.coords)
-    assert recombine(w.x, w.y, dict(w.choice)).coords == w.point.coords
+    assert V.is_solution(w.x) and V.is_solution(w.y)
+    assert not V.is_solution(w.point)
+    assert recombine(w.x, w.y, dict(w.choice)) == w.point
     rng = random.Random(555)
     for _ in range(50):
         S = random_system(rng, tmax=3, mmax=2)
         assert check_property_S(S, 30) is None
     wall = time.perf_counter() - t0
     assert wall < 60.0
-    print(f"\nACCEPTANCE 5: PASS Property (S): witness point={w.point.coords} "
+    print(f"\nACCEPTANCE 5: PASS Property (S): witness point={w.point} "
           f"violates x1+x2=5; 50 monomial systems clean; wall={wall:.1f}s")
 
 

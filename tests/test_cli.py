@@ -246,6 +246,22 @@ class TestCliEval:
             assert main(argv + ["--system", str(path), "--override-convergence"]) == 1
             assert capsys.readouterr().err == "mds: the sum overflows float64\n"
 
+    @pytest.mark.parametrize("s,P,B,err", [
+        # 2^(102.5 e) overflows in the factor at p = 2, the smallest such prime
+        (-51.25, 10, None, "the Euler factor at p = 2 overflows float64"),
+        # every factor 1 + p^6 is finite; their product up to 10^4 is not
+        (-3, 10000, 1, "the Euler product overflows float64"),
+    ])
+    def test_overflowing_euler_is_one_error_line(self, tmp_path, capsys, recwarn,
+                                                 s, P, B, err):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, s=[[s, 0], [s, 0]])))
+        argv = ["compare", "--system", str(path), "--N", "10", "--P", str(P),
+                "--override-convergence"] + (["--B", str(B)] if B else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"mds: {err}\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestCliCompare:
     def test_product_system(self, tmp_path, capsys):
@@ -317,14 +333,18 @@ class TestCliUsage:
         assert "usage" in capsys.readouterr().out
 
     def test_compatibility_flags_have_no_effect(self, diag_file, capsys):
+        # --deterministic is accepted and changes nothing; --threads is gone
+        argv = ["compare", "--system", diag_file, "--N", "200", "--P", "200"]
         docs = []
-        for extra in ([], ["--threads", "2"], ["--deterministic"]):
-            assert main(["compare", "--system", diag_file, "--N", "200",
-                         "--P", "200"] + extra) == 0
+        for extra in ([], ["--deterministic"]):
+            assert main(argv + extra) == 0
             doc = json.loads(capsys.readouterr().out)
             doc.pop("wall_time")
             docs.append(doc)
-        assert docs[0] == docs[1] == docs[2]
+        assert docs[0] == docs[1]
+        assert main(argv + ["--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--threads" in captured.err
 
 
 class TestCliCheckS:

@@ -14,10 +14,6 @@ from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
 from mdseries.variety import enumerate_box
 
 
-def box_solutions(S, N):
-    return [p.coords for p in enumerate_box(S, N)]
-
-
 def random_system(rng, tmax=4, mmax=3, amax=3, wmax=6):
     t = rng.randint(1, tmax)
     m = rng.randint(1, mmax)
@@ -82,7 +78,7 @@ class TestRowOps:
         S2 = apply_row_op(S, AddMultiple(0, 1, -1))
         assert S2.omega[0] == 3 and S2.omega_prime[0] == 2
         # dividing constraint 0 by constraint 1 preserves the solution set
-        assert box_solutions(S, 30) == box_solutions(S2, 30)
+        assert enumerate_box(S, 30) == enumerate_box(S2, 30)
 
     def test_swap(self):
         S = make_system([[1, 0], [0, 2]], omega=(1, 2), omega_prime=(3, 4))
@@ -111,7 +107,7 @@ class TestRowOps:
         rng = random.Random(2024)
         for _ in range(25):
             S = random_system(rng)
-            before = box_solutions(S, 25)
+            before = enumerate_box(S, 25)
             cur = S
             for _ in range(rng.randint(1, 6)):
                 for _attempt in range(10):
@@ -120,7 +116,7 @@ class TestRowOps:
                         break
                     except TwistOverflowError:
                         continue
-            assert box_solutions(cur, 25) == before
+            assert enumerate_box(cur, 25) == before
 
 
 class TestNegateSystem:
@@ -142,7 +138,7 @@ class TestNegateSystem:
         rng = random.Random(5)
         for _ in range(10):
             S = random_system(rng, tmax=3, mmax=2)
-            assert box_solutions(S, 20) == box_solutions(negate_system(S), 20)
+            assert enumerate_box(S, 20) == enumerate_box(negate_system(S), 20)
 
 
 class TestBlockCompose:
@@ -164,8 +160,8 @@ class TestBlockCompose:
         S1 = make_system([[1, -1]])
         S2 = make_system([[2]], omega=(1,), omega_prime=(4,))
         B = block_compose(S1, S2)
-        prod = {x + y for x in box_solutions(S1, 20) for y in box_solutions(S2, 20)}
-        assert set(box_solutions(B, 20)) == prod
+        prod = {x + y for x in enumerate_box(S1, 20) for y in enumerate_box(S2, 20)}
+        assert set(enumerate_box(B, 20)) == prod
 
 
 class TestNormalize:
@@ -207,9 +203,9 @@ class TestNormalize:
             except TwistOverflowError:
                 continue
             if C.empty_variety_flag:
-                assert box_solutions(S, 15) == []
+                assert enumerate_box(S, 15) == []
             else:
-                assert box_solutions(C, 15) == box_solutions(S, 15)
+                assert enumerate_box(C, 15) == enumerate_box(S, 15)
 
     def test_matrix_matches_plain_hnf_for_unit_twists(self):
         rng = random.Random(31)

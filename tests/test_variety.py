@@ -6,9 +6,10 @@ from unittest import mock
 import pytest
 
 from mdseries import variety
+from mdseries.arith import factorize, valuation
 from mdseries.errors import ConstraintSyntaxError, WorkCapExceeded
 from mdseries.system import LaurentMonomialSystem, make_system
-from mdseries.variety import (IntegerPoint, cartesian_check, check_property_S,
+from mdseries.variety import (Witness, cartesian_check, check_property_S,
                               enumerate_box, local_solutions,
                               on_monomial_variety, on_monomial_variety_rational,
                               parse_constraints, recombine)
@@ -60,11 +61,11 @@ class TestParser:
 
     def test_power(self):
         V = parse_constraints("x1^2 - 4", 1)
-        assert [p.coords for p in enumerate_box(V, 10)] == [(2,)]
+        assert enumerate_box(V, 10) == [(2,)]
 
     def test_multiple_constraints(self):
         V = parse_constraints("x1 - x2; x1 - 3", 2)
-        assert [p.coords for p in enumerate_box(V, 5)] == [(3, 3)]
+        assert enumerate_box(V, 5) == [(3, 3)]
 
     def test_parentheses_and_precedence(self):
         V = parse_constraints("(x1 + 1)*(x1 - 1) - x1^2 + 1", 1)
@@ -100,23 +101,23 @@ class TestParser:
 class TestEnumerateBox:
     def test_additive(self):
         V = parse_constraints("x1 + x2 - 5", 2)
-        assert [p.coords for p in enumerate_box(V, 5)] == [
+        assert enumerate_box(V, 5) == [
             (1, 4), (2, 3), (3, 2), (4, 1)]
 
     def test_diagonal(self):
         S = make_system([[1, -1]])
-        assert [p.coords for p in enumerate_box(S, 4)] == [
+        assert enumerate_box(S, 4) == [
             (1, 1), (2, 2), (3, 3), (4, 4)]
 
     def test_product_count(self):
         S = make_system([[1, 1, -1]])
         pts = enumerate_box(S, 4)
         assert len(pts) == 8
-        assert all(a * b == c for a, b, c in (p.coords for p in pts))
+        assert all(a * b == c for a, b, c in pts)
 
     def test_lexicographic_order(self):
         S = make_system([[1, 1, -1]])
-        pts = [p.coords for p in enumerate_box(S, 6)]
+        pts = enumerate_box(S, 6)
         assert pts == sorted(pts)
 
     def test_empty_variety(self):
@@ -132,13 +133,13 @@ class TestEnumerateBox:
         for _ in range(40):
             S = random_system(rng)
             N = rng.randint(2, 12)
-            assert [p.coords for p in enumerate_box(S, N)] == brute_force_box(S, N)
+            assert enumerate_box(S, N) == brute_force_box(S, N)
 
     def test_twisted_cases(self):
         S = make_system([[2]], omega=(1,), omega_prime=(4,))
-        assert [p.coords for p in enumerate_box(S, 10)] == [(2,)]
+        assert enumerate_box(S, 10) == [(2,)]
         S = make_system([[1, -1]], omega=(2,), omega_prime=(1,))
-        assert [p.coords for p in enumerate_box(S, 10)] == [
+        assert enumerate_box(S, 10) == [
             (1, 2), (2, 4), (3, 6), (4, 8), (5, 10)]
 
     def test_work_cap(self):
@@ -165,42 +166,96 @@ class TestMembership:
 
 class TestRecombine:
     def test_idempotent(self):
-        x = IntegerPoint((4, 9))
-        assert recombine(x, x, {2: "x", 3: "y"}).coords == (4, 9)
+        assert recombine((4, 9), (4, 9), {2: "x", 3: "y"}) == (4, 9)
 
     def test_mixed_choice(self):
-        x, y = IntegerPoint((4, 1)), IntegerPoint((2, 3))
-        assert recombine(x, y, {2: "x", 3: "y"}).coords == (4, 3)
+        assert recombine((4, 1), (2, 3), {2: "x", 3: "y"}) == (4, 3)
 
     def test_all_x(self):
-        x, y = IntegerPoint((4, 1)), IntegerPoint((2, 3))
-        assert recombine(x, y, {2: "x", 3: "x"}).coords == (4, 1)
+        assert recombine((4, 1), (2, 3), {2: "x", 3: "x"}) == (4, 1)
 
     def test_valuations_match_chosen_side(self):
         rng = random.Random(13)
         for _ in range(50):
-            x = IntegerPoint(tuple(rng.randint(1, 400) for _ in range(3)))
-            y = IntegerPoint(tuple(rng.randint(1, 400) for _ in range(3)))
-            primes = sorted(set(x.support_primes()) | set(y.support_primes()))
+            x = tuple(rng.randint(1, 400) for _ in range(3))
+            y = tuple(rng.randint(1, 400) for _ in range(3))
+            primes = sorted({p for n in x + y for p, _ in factorize(n)})
             choice = {p: rng.choice(["x", "y"]) for p in primes}
             z = recombine(x, y, choice)
             for p in primes:
                 src = x if choice[p] == "x" else y
-                assert z.exponent_column(p) == src.exponent_column(p)
+                assert [valuation(p, n) for n in z] == [valuation(p, n) for n in src]
 
     def test_missing_choice(self):
         with pytest.raises(ValueError):
-            recombine(IntegerPoint((2,)), IntegerPoint((3,)), {2: "x"})
+            recombine((2,), (3,), {2: "x"})
+
+
+def scan_property_S(V, N):
+    """Oracle: the per-mask scan that check_property_S once ran, pair by
+    pair and mask by mask, on recombine and the scalar membership tests;
+    it charges no work cap."""
+    if isinstance(V, LaurentMonomialSystem):
+        def on_variety(point):
+            return on_monomial_variety_rational(V, point)
+    else:
+        on_variety = V.is_solution
+    sols = enumerate_box(V, N)
+    for ix, x in enumerate(sols):
+        for y in sols[ix + 1:]:
+            primes = sorted({p for n in x + y for p, _ in factorize(n)})
+            for mask in range(1, (1 << len(primes)) - 1):
+                choice = {p: "y" if mask >> idx & 1 else "x" for idx, p in enumerate(primes)}
+                point = recombine(x, y, choice)
+                if not on_variety(point):
+                    return Witness(x, y, tuple(sorted(choice.items())), point)
+    return None
+
+
+def random_constraints(rng):
+    """A random text "f - (g); ..." over t = 2 or 3 variables, and t; f and
+    g are sums of monomials with positive coefficients."""
+    t = rng.randint(2, 3)
+
+    def side():
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            xs = [f"x{rng.randint(1, t)}" + ("^2" if rng.random() < 0.2 else "")
+                  for _ in range(rng.randint(1, 2))]
+            terms.append("*".join([str(rng.randint(1, 2))] + xs))
+        if rng.random() < 0.3:
+            terms.append(str(rng.randint(1, 9)))
+        return " + ".join(terms)
+
+    return "; ".join(f"{side()} - ({side()})" for _ in range(rng.choice([1, 1, 2]))), t
 
 
 class TestPropertyS:
+    def test_matches_per_mask_scan_on_random_constraints(self):
+        rng = random.Random(2718)
+        found = 0
+        for _ in range(30):
+            text, t = random_constraints(rng)
+            V = parse_constraints(text, t)
+            w = check_property_S(V, 10)
+            assert w == scan_property_S(V, 10), text
+            found += w is not None
+        # both outcomes are exercised
+        assert 3 <= found <= 27
+
+    def test_matches_per_mask_scan_on_random_systems(self):
+        rng = random.Random(1618)
+        for _ in range(25):
+            S = random_system(rng, amax=2, wmax=2)
+            assert check_property_S(S, 10) is scan_property_S(S, 10) is None
+
     def test_additive_witness(self):
         V = parse_constraints("x1 + x2 - 5", 2)
         w = check_property_S(V, 5)
         assert w is not None
-        assert V.is_solution(w.x.coords) and V.is_solution(w.y.coords)
-        assert not V.is_solution(w.point.coords)
-        assert recombine(w.x, w.y, dict(w.choice)).coords == w.point.coords
+        assert V.is_solution(w.x) and V.is_solution(w.y)
+        assert not V.is_solution(w.point)
+        assert recombine(w.x, w.y, dict(w.choice)) == w.point
 
     def test_monomial_systems_pass(self):
         S = make_system([[1, 1, -1]])
@@ -384,26 +439,12 @@ class TestCartesianCheck:
         # so the least passing cap is the count the full scan reached
         if not S.twist_primes():
             assert least == sum(
-                all(p <= P and e <= B for fact in pt.factorizations for p, e in fact)
+                all(p <= P and e <= B for n in pt for p, e in factorize(n))
                 for pt in enumerate_box(S, N))
         # the box enumeration runs uncapped, so only the recombination counts
-        box = variety.enumerate_box
-        with mock.patch.object(variety, "enumerate_box",
+        box = variety.box_array
+        with mock.patch.object(variety, "box_array",
                                lambda V, N, work_cap=None: box(V, N)):
             assert cartesian_check(S, N, P, B, work_cap=least).equal
             with pytest.raises(WorkCapExceeded, match="Cartesian recombination"):
                 cartesian_check(S, N, P, B, work_cap=least - 1)
-
-
-class TestIntegerPoint:
-    def test_factorizations(self):
-        p = IntegerPoint((12, 1))
-        assert p.factorizations == (((2, 2), (3, 1)), ())
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            IntegerPoint((0, 1))
-
-    def test_ordering_and_hash(self):
-        a, b = IntegerPoint((1, 2)), IntegerPoint((1, 3))
-        assert a < b and len({a, b, IntegerPoint((1, 2))}) == 2
