@@ -106,15 +106,17 @@ def _load_variety(args):
             raise MDSeriesError("--t is required with --constraints")
         with open(args.constraints) as fh:
             text = fh.read()
-        return variety.parse_constraints(text, args.t)
+        from .recombination import parse_constraints
+        return parse_constraints(text, args.t)
     if args.system:
         return load_descriptor(args.system)[0]
     raise MDSeriesError("give either --constraints (with --t) or --system")
 
 
 def cmd_check_s(args) -> int:
+    from .recombination import check_property_S
     V = _load_variety(args)
-    witness = variety.check_property_S(V, args.N)
+    witness = check_property_S(V, args.N)
     if witness is None:
         _emit({"result": "no_counterexample", "N": args.N})
         return EXIT_OK
@@ -149,6 +151,8 @@ def cmd_reduce_support(args) -> int:
 def cmd_moment(args) -> int:
     system, families, s = _load_system(args, need_s=True)
     q_list = [int(x) for x in args.q.split(",") if x.strip()]
+    if not q_list:
+        raise MDSeriesError(f"--q {args.q!r} lists no modulus")
     experiment = momentlab.decay_experiment(system, families, s, q_list, args.N)
     for w in experiment.warnings:
         _warn(w)

@@ -233,11 +233,15 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
     Unless supplied, the LHS reference is the direct box sum at
     reference_N (default N), with the tail |v(N) - v(N/2)|.
     At m >= 1 a warning is raised when that tail is above a tenth of the
-    smallest measured error, since the measurement floor is then suspect.
+    smallest measured error, since the measurement floor is then suspect,
+    and when fewer than two moduli have a positive error, so that no fit
+    is made.
     One pass over n makes the class sums of every modulus.
     """
     s = _checked_point(S, families, s, False)
     qs = [int(q) for q in q_list]
+    if not qs:
+        raise ValueError("q_list is empty: give at least one prime modulus")
     if qs != sorted(qs) or len(set(qs)) != len(qs):
         raise ValueError("q_list must be strictly ascending")
     for q in qs:
@@ -269,6 +273,9 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
         errors = [(q, abs(_average(S, sums[q], q) - lhs)) for q in qs]
         fit = _fit_decay(errors)
         positive = [e for _, e in errors if e > 0]
+        if len(positive) < 2:
+            warnings.append(f"no decay fit: a fit needs two moduli with a positive "
+                            f"error, and {len(positive)} of {len(qs)} have one")
         if lhs_tail is not None and positive and lhs_tail > min(positive) / 10:
             warnings.append(
                 f"reference tail {lhs_tail:.3e} exceeds a tenth of the smallest "

@@ -18,8 +18,9 @@ from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
                              apply_row_op, block_compose, express_in_rows,
                              hnf_rows, lattice_contains, make_system,
                              negate_system, support_reducible)
-from mdseries.variety import (cartesian_check, check_property_S, enumerate_box,
-                              parse_constraints, recombine)
+from mdseries.recombination import (cartesian_check, check_property_S,
+                                    parse_constraints, recombine)
+from mdseries.variety import enumerate_box
 
 ZETA4 = math.pi**4 / 90
 DIAG = make_system([[1, -1]])

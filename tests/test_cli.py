@@ -421,6 +421,14 @@ class TestCliMoment:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "q,error" and len(lines) == 4
 
+    @pytest.mark.parametrize("q", [",", "", " , "])
+    def test_empty_modulus_list_is_an_error(self, diag_file, capsys, q):
+        # a document with "q": [] would have measured nothing
+        assert main(["moment", "--system", diag_file, "--q", q, "--N", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mds: --q {q!r} lists no modulus\n"
+
     def test_twist_prime_above_N(self, tmp_path, capsys):
         # the reference is the direct sum alone, so a twist prime above N
         # (and above any prime bound) is no error
@@ -672,3 +680,66 @@ class TestConsoleScript:
         for out in outputs:
             out.pop("wall_time", None)
         assert outputs[0] == outputs[1]
+
+
+def run_python(code: str) -> str:
+    """stdout of `python -c code` on this package; it must exit 0."""
+    src = str(Path(mdseries.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportSurface:
+    """What each entry point loads, each in a fresh interpreter: the package
+    exports lazily, and a job compiles only the modules it runs."""
+
+    LOADED = "print(*sorted(m for m in sys.modules if m.startswith('mdseries.')))\n"
+
+    def test_package_import_loads_no_submodule(self):
+        assert run_python("import sys, mdseries\n" + self.LOADED) == "\n"
+
+    def test_jobs_load_recombination_only_for_property_s(self, diag_file, tmp_path):
+        cons = tmp_path / "c.txt"
+        cons.write_text("x1*x2 - x3")
+        jobs = [["compare", "--system", diag_file, "--N", "30", "--P", "30"],
+                ["moment", "--system", diag_file, "--q", "11,31", "--N", "30"],
+                ["check-s", "--constraints", str(cons), "--t", "3", "--N", "6"]]
+        loaded = []
+        for argv in jobs:
+            out = run_python("import contextlib, io, sys\n"
+                             "from mdseries.cli import main\n"
+                             "with contextlib.redirect_stdout(io.StringIO()):\n"
+                             f"    rc = main({argv!r})\n"
+                             "print(rc)\n" + self.LOADED)
+            rc, modules = out.splitlines()
+            assert rc == "0"
+            loaded.append("mdseries.recombination" in modules.split())
+        assert loaded == [False, False, True]
+
+    def test_every_export_resolves_to_its_module_object(self):
+        out = run_python(
+            "import importlib, mdseries\n"
+            "names = dir(mdseries)\n"
+            "for name in mdseries.__all__:\n"
+            "    module = importlib.import_module('mdseries.' + mdseries._EXPORTS[name])\n"
+            "    assert getattr(mdseries, name) is getattr(module, name), name\n"
+            "    assert name in names, name\n"
+            "print(len(mdseries.__all__), len(set(mdseries.__all__)))\n")
+        count, distinct = out.split()
+        assert int(count) == int(distinct) > 0
+
+    def test_unknown_name_raises_attribute_error(self):
+        out = run_python("import mdseries\n"
+                         "try:\n"
+                         "    mdseries.nope\n"
+                         "except AttributeError as exc:\n"
+                         "    print(exc)\n")
+        assert out == "module 'mdseries' has no attribute 'nope'\n"
+
+    def test_from_import_gives_the_submodule(self):
+        out = run_python("import types\n"
+                         "from mdseries import series\n"
+                         "print(isinstance(series, types.ModuleType), series.__name__)\n")
+        assert out == "True mdseries.series\n"

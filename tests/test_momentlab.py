@@ -344,6 +344,19 @@ class TestDecayExperiment:
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 5000)
         assert exp.stderr > 0 and not any("m = 0" in w for w in exp.warnings)
 
+    def test_one_positive_error_has_no_fit(self):
+        # one modulus gives no line to fit; a warning says why the fit is null
+        no_fit = ("no decay fit: a fit needs two moduli with a positive error, "
+                  "and 1 of 1 have one")
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [11], 100)
+        assert exp.errors[0][1] > 0
+        assert (exp.eta_hat, exp.intercept, exp.stderr, exp.residuals) == (
+            None, None, None, ())
+        assert exp.warnings == (no_fit,)
+        # the benchmark's diag-moment job fits, and warns of nothing
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 100000)
+        assert exp.eta_hat is not None and exp.warnings == ()
+
     def test_diagonal_shift_system(self):
         S = make_system([[1, -1]], omega=(1,), omega_prime=(2,))
         exp = decay_experiment(S, TRIV2, (2, 2), [11, 31, 101], 5000)
@@ -362,6 +375,8 @@ class TestDecayExperiment:
             decay_experiment(DIAG, TRIV2, (2, 2), [31, 11], 100)
         with pytest.raises(ValueError):
             decay_experiment(DIAG, TRIV2, (2, 2), [12], 100)
+        with pytest.raises(ValueError, match="q_list is empty"):
+            decay_experiment(DIAG, TRIV2, (2, 2), [], 100)
 
     def test_serialization(self):
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31], 500)
@@ -391,7 +406,9 @@ class TestDecayExperiment:
         assert not any("euler" in w for w in exp.warnings)
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11], 1)
         assert exp.lhs_tail is None
-        assert exp.warnings == ("direct tail estimate skipped: N < 2 leaves the N/2 box empty",)
+        assert exp.warnings == (
+            "direct tail estimate skipped: N < 2 leaves the N/2 box empty",
+            "no decay fit: a fit needs two moduli with a positive error, and 0 of 1 have one")
 
     def test_family_values_once_per_job(self):
         # a family keeps no values, so each pass of the job factors each n it

@@ -5,14 +5,14 @@ from unittest import mock
 
 import pytest
 
-from mdseries import variety
+from mdseries import recombination, variety
 from mdseries.arith import factorize, valuation
 from mdseries.errors import ConstraintSyntaxError, WorkCapExceeded
 from mdseries.system import LaurentMonomialSystem, make_system
-from mdseries.variety import (Witness, cartesian_check, check_property_S,
-                              enumerate_box, local_solutions,
-                              on_monomial_variety, on_monomial_variety_rational,
-                              parse_constraints, recombine)
+from mdseries.recombination import (Witness, cartesian_check, check_property_S,
+                                    parse_constraints, recombine)
+from mdseries.variety import (enumerate_box, local_solutions, on_monomial_variety,
+                              on_monomial_variety_rational)
 
 
 def random_system(rng, tmax=3, mmax=2, amax=3, wmax=6):
@@ -146,6 +146,13 @@ class TestEnumerateBox:
         V = parse_constraints("x1 - x2", 2)
         with pytest.raises(WorkCapExceeded):
             enumerate_box(V, 100, work_cap=100)
+
+    @pytest.mark.parametrize("V", [[[1, -1]], "x1 - x2", None])
+    def test_unsupported_object_raises_type_error_naming_it(self, V):
+        with pytest.raises(TypeError, match=f"cannot enumerate {type(V).__name__}$"):
+            list(variety.box_windows(V, 5))
+        with pytest.raises(TypeError, match=f"cannot enumerate {type(V).__name__}$"):
+            variety.box_array(V, 5)
 
 
 class TestMembership:
@@ -443,7 +450,7 @@ class TestCartesianCheck:
                 for pt in enumerate_box(S, N))
         # the box enumeration runs uncapped, so only the recombination counts
         box = variety.box_array
-        with mock.patch.object(variety, "box_array",
+        with mock.patch.object(recombination, "box_array",
                                lambda V, N, work_cap=None: box(V, N)):
             assert cartesian_check(S, N, P, B, work_cap=least).equal
             with pytest.raises(WorkCapExceeded, match="Cartesian recombination"):
