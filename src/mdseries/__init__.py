@@ -23,6 +23,9 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("ConstraintSyntaxError", "ConvergenceError", "DescriptorError",
                "MDSeriesError", "MissingPrimePowerError", "TwistOverflowError",
                "WorkCapExceeded"),
+    "lattice": ("AddMultiple", "Negate", "RowOperation", "SupportSearch", "Swap",
+                "apply_row_op", "block_compose", "hnf_rows", "negate_system",
+                "normalize", "permute_columns", "support_reducible"),
     "momentlab": ("MomentExperiment", "decay_experiment", "moment_rhs"),
     "recombination": ("CartesianCheck", "PolynomialVariety", "Witness",
                       "cartesian_check", "check_property_S", "parse_constraints",
@@ -30,10 +33,7 @@ _EXPORTS = {name: module for module, names in {
     "series": ("EvalParams", "EvalReport", "compare", "default_exponent_bound",
                "direct_sum", "direct_sum_and_half", "euler_product",
                "euler_product_and_half", "local_factor"),
-    "system": ("AddMultiple", "LaurentMonomialSystem", "Negate", "RowOperation",
-               "SupportSearch", "Swap", "apply_row_op", "block_compose",
-               "hnf_rows", "make_system", "negate_system", "normalize",
-               "permute_columns", "support_reducible"),
+    "system": ("LaurentMonomialSystem", "make_system"),
     "variety": ("LocalSolutionSet", "box_array", "enumerate_box", "local_solutions",
                 "on_monomial_variety", "on_monomial_variety_rational"),
 }.items() for name in names}

@@ -14,7 +14,6 @@ import json
 import sys
 import time
 
-from . import momentlab, series, system as system_mod, variety
 from .descriptor import load_descriptor, serialize_descriptor
 from .errors import MDSeriesError
 
@@ -46,6 +45,7 @@ def _cx(z: complex) -> list:
 
 
 def cmd_eval(args) -> int:
+    from . import series
     system, families, s = _load_system(args, need_s=True)
     t0 = time.perf_counter()
     warnings = list(series.check_series_point(s, system.t, args.override_convergence))
@@ -69,6 +69,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import series
     system, families, s = _load_system(args, need_s=True)
     params = series.EvalParams(N=args.N, P=args.P, B=args.B)
     report = series.compare(system, families, s, params,
@@ -80,8 +81,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .lattice import normalize
     system, families, s = _load_system(args)
-    canonical, ops = system_mod.normalize(system)
+    canonical, ops = normalize(system)
     doc = serialize_descriptor(canonical, families=None, s=s)
     _emit({
         "system": doc,
@@ -93,9 +95,10 @@ def cmd_normalize(args) -> int:
 
 
 def _op_to_json(op) -> dict:
-    if isinstance(op, system_mod.Swap):
+    from .lattice import Negate, Swap
+    if isinstance(op, Swap):
         return {"op": "swap", "i": op.i, "j": op.j}
-    if isinstance(op, system_mod.Negate):
+    if isinstance(op, Negate):
         return {"op": "negate", "i": op.i}
     return {"op": "add", "i": op.i, "j": op.j, "b": op.b}
 
@@ -132,8 +135,9 @@ def cmd_check_s(args) -> int:
 
 
 def cmd_reduce_support(args) -> int:
+    from .lattice import support_reducible
     system, _, _ = _load_system(args)
-    result = system_mod.support_reducible(system.A, args.bound)
+    result = support_reducible(system.A, args.bound)
     if result.reducible:
         _emit({
             "result": "reducible",
@@ -149,10 +153,19 @@ def cmd_reduce_support(args) -> int:
 
 
 def cmd_moment(args) -> int:
+    from . import momentlab
     system, families, s = _load_system(args, need_s=True)
-    q_list = [int(x) for x in args.q.split(",") if x.strip()]
+    q_list = []
+    for field in args.q.split(","):
+        if field.strip():
+            try:
+                q_list.append(int(field))
+            except ValueError:
+                raise MDSeriesError(f"--q {args.q!r}: {field!r} is not an integer") from None
     if not q_list:
         raise MDSeriesError(f"--q {args.q!r} lists no modulus")
+    if q_list != sorted(set(q_list)):
+        raise MDSeriesError(f"--q {args.q!r} is not strictly ascending")
     experiment = momentlab.decay_experiment(system, families, s, q_list, args.N)
     for w in experiment.warnings:
         _warn(w)
@@ -176,6 +189,7 @@ def _points_json(X) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    from . import variety
     V = _load_variety(args)
     windows = [X for X in variety.box_windows(V, args.N) if len(X)]
     # _emit's document, a window at a time rather than as a list of lists

@@ -270,28 +270,47 @@ class CharacterFamily(CoefficientFamily):
 
 class HeckeGL2Family(CoefficientFamily):
     """Normalized GL(2) coefficients generated from lambda(p) by the Hecke
-    recursion; lambda(p) values are supplied per prime."""
+    recursion; lambda(p) values are supplied per prime.
+
+    They are kept as two arrays: the sorted primes (int64) and lambda at
+    each (complex), looked up by binary search."""
 
     def __init__(self, lambda_p: dict):
-        self.lambda_p = {int(p): complex(v) for p, v in lambda_p.items()}
+        lam = {int(p): complex(v) for p, v in lambda_p.items()}
+        self.primes = np.array(sorted(lam), dtype=np.int64)
+        self.lam = np.array([lam[p] for p in self.primes.tolist()], dtype=complex)
+
+    @property
+    def lambda_p(self) -> dict:
+        """{p: lambda(p)}, in ascending p."""
+        return dict(zip(self.primes.tolist(), self.lam.tolist()))
+
+    def _find(self, primes) -> tuple:
+        """(index, known): the position of each prime in self.primes, and
+        whether it is there."""
+        p = np.asarray(primes, dtype=np.int64).reshape(len(primes))
+        at = np.searchsorted(self.primes, p)
+        known = at < len(self.primes)
+        known[known] = self.primes[at[known]] == p[known]
+        return at, known
 
     def prime_power(self, p, e):
-        lam = self.lambda_p.get(p)
-        if lam is None:
+        at, known = self._find([p])
+        if not known[0]:
             raise MissingPrimePowerError(f"no lambda({p}) supplied for hecke_gl2 family")
-        return hecke_prime_power(lam, e)
+        return hecke_prime_power(complex(self.lam[at[0]]), e)
 
     def prime_power_table(self, primes, exps):
-        if len(exps):
-            for p in primes:
-                if p not in self.lambda_p:
-                    raise MissingPrimePowerError(
-                        f"no lambda({p}) supplied for hecke_gl2 family")
-        lam = np.array([self.lambda_p.get(p, 0j) for p in primes], dtype=complex)
+        at, known = self._find(primes)
+        if len(exps) and not known.all():
+            p = primes[int(np.argmin(known))]
+            raise MissingPrimePowerError(f"no lambda({p}) supplied for hecke_gl2 family")
+        lam = np.zeros(len(at), dtype=complex)
+        lam[known] = self.lam[at[known]]
         return _hecke_table(lam, exps)
 
     def __repr__(self):
-        return f"HeckeGL2Family({len(self.lambda_p)} primes)"
+        return f"HeckeGL2Family({len(self.primes)} primes)"
 
 
 class TableFamily(CoefficientFamily):

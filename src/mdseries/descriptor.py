@@ -79,6 +79,8 @@ def family_from_record(rec, path) -> CoefficientFamily:
             k = ints.get(str(key))
             if k is None or not (k in sieved if k <= _SIEVED_KEYS else is_prime(k)):
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be primes")
+            if k >= 2**63:      # the family keeps its primes as int64
+                raise DescriptorError(f"{path}.lambda.{key}", "keys must be below 2^63")
             out[k] = _complex_from(val, f"{path}.lambda.{key}")
         return HeckeGL2Family(out)
     if kind == "tau":
@@ -109,7 +111,7 @@ def record_from_family(f: CoefficientFamily) -> dict:
         return {"type": "character", "q": f.table.q, "k": f.k}
     if isinstance(f, HeckeGL2Family):
         return {"type": "hecke_gl2",
-                "lambda": {str(p): _complex_out(v) for p, v in sorted(f.lambda_p.items())}}
+                "lambda": {str(p): _complex_out(v) for p, v in f.lambda_p.items()}}
     if isinstance(f, TauFamily):
         return {"type": "tau", "bound": f.bound}
     if isinstance(f, TableFamily):

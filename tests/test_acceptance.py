@@ -14,10 +14,10 @@ from mdseries.coefficients import (hecke_prime_power, ramanujan_tau_table,
 from mdseries.errors import TwistOverflowError
 from mdseries.momentlab import decay_experiment, moment_rhs
 from mdseries.series import direct_sum, euler_product
-from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
-                             apply_row_op, block_compose, express_in_rows,
-                             hnf_rows, lattice_contains, make_system,
-                             negate_system, support_reducible)
+from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
+                              block_compose, express_in_rows, hnf_rows,
+                              lattice_contains, negate_system, support_reducible)
+from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.recombination import (cartesian_check, check_property_S,
                                     parse_constraints, recombine)
 from mdseries.variety import enumerate_box

@@ -170,6 +170,13 @@ class TestDescriptor:
         assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
         assert capsys.readouterr().err == f"mds: coefficients[1].lambda.{key}: keys must be primes\n"
 
+    def test_lambda_keys_fit_int64(self):
+        # 2^89 - 1 is prime, but past the int64 array the family keeps
+        key = str(2**89 - 1)
+        with pytest.raises(DescriptorError, match=r"keys must be below 2\^63$"):
+            family_from_record({"type": "hecke_gl2", "lambda": {"2": 0.5, key: 0.25}},
+                               "coefficients[1]")
+
     def test_table_key_format(self):
         rec = {"type": "table", "values": {"12": 1.0}}
         with pytest.raises(DescriptorError):
@@ -421,13 +428,16 @@ class TestCliMoment:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "q,error" and len(lines) == 4
 
-    @pytest.mark.parametrize("q", [",", "", " , "])
+    @pytest.mark.parametrize("q", [",", "", " , ", "11,abc", "11,11"])
     def test_empty_modulus_list_is_an_error(self, diag_file, capsys, q):
-        # a document with "q": [] would have measured nothing
+        # a document with "q": [] would have measured nothing; every bad
+        # list is reported against --q
+        reason = {"11,abc": "--q '11,abc': 'abc' is not an integer",
+                  "11,11": "--q '11,11' is not strictly ascending"}
         assert main(["moment", "--system", diag_file, "--q", q, "--N", "100"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"mds: --q {q!r} lists no modulus\n"
+        assert captured.err == f"mds: {reason.get(q, f'--q {q!r} lists no modulus')}\n"
 
     def test_twist_prime_above_N(self, tmp_path, capsys):
         # the reference is the direct sum alone, so a twist prime above N
@@ -703,11 +713,20 @@ class TestImportSurface:
     def test_jobs_load_recombination_only_for_property_s(self, diag_file, tmp_path):
         cons = tmp_path / "c.txt"
         cons.write_text("x1*x2 - x3")
-        jobs = [["compare", "--system", diag_file, "--N", "30", "--P", "30"],
-                ["moment", "--system", diag_file, "--q", "11,31", "--N", "30"],
-                ["check-s", "--constraints", str(cons), "--t", "3", "--N", "6"]]
-        loaded = []
-        for argv in jobs:
+        # (argv, modules the job must load, modules it must not load)
+        jobs = [(["compare", "--system", diag_file, "--N", "30", "--P", "30"],
+                 {"series"}, {"recombination", "momentlab", "lattice"}),
+                (["eval", "--system", diag_file, "--N", "30"],
+                 {"series"}, {"recombination", "momentlab", "lattice"}),
+                (["moment", "--system", diag_file, "--q", "11,31", "--N", "30"],
+                 {"momentlab"}, {"recombination", "lattice"}),
+                (["normalize", "--system", diag_file],
+                 {"lattice"}, {"series", "momentlab"}),
+                (["reduce-support", "--system", diag_file],
+                 {"lattice"}, {"series", "momentlab"}),
+                (["check-s", "--constraints", str(cons), "--t", "3", "--N", "6"],
+                 {"recombination"}, set())]
+        for argv, loads, skips in jobs:
             out = run_python("import contextlib, io, sys\n"
                              "from mdseries.cli import main\n"
                              "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -715,8 +734,13 @@ class TestImportSurface:
                              "print(rc)\n" + self.LOADED)
             rc, modules = out.splitlines()
             assert rc == "0"
-            loaded.append("mdseries.recombination" in modules.split())
-        assert loaded == [False, False, True]
+            names = {m.removeprefix("mdseries.") for m in modules.split()}
+            assert loads <= names and not skips & names, (argv[0], names)
+
+    def test_system_import_loads_no_lattice(self):
+        out = run_python("import sys, mdseries.system\n" + self.LOADED)
+        assert "mdseries.system" in out.split()
+        assert "mdseries.lattice" not in out.split()
 
     def test_every_export_resolves_to_its_module_object(self):
         out = run_python(

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
 
-from mdseries.system import hnf_rows  # noqa: E402
+from mdseries.lattice import hnf_rows  # noqa: E402
 
 entries = st.integers(-3, 3) | st.integers(-20, 20)
 matrices = st.integers(1, 5).flatmap(

@@ -14,9 +14,10 @@ from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
 from mdseries.errors import WorkCapExceeded
+from mdseries.lattice import negate_system
 from mdseries.momentlab import decay_experiment, moment_rhs
 from mdseries.series import EMPTY_VARIETY_WARNING, direct_sum_and_half
-from mdseries.system import LaurentMonomialSystem, make_system, negate_system
+from mdseries.system import LaurentMonomialSystem, make_system
 
 DIAG = make_system([[1, -1]])
 TRIV2 = trivial_tuple(2)

@@ -19,9 +19,9 @@ from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
                              local_factor, prime_exponent_bound)
-from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
-                             apply_row_op, block_compose, make_system,
-                             negate_system)
+from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
+                              block_compose, negate_system)
+from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.variety import box_array, local_solutions, monomial_rhs_at
 
 DIAG = make_system([[1, -1]])

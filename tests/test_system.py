@@ -6,11 +6,11 @@ import pytest
 from mdseries.cli import main
 
 from mdseries.errors import TwistOverflowError, WorkCapExceeded
-from mdseries.system import (AddMultiple, LaurentMonomialSystem, Negate, Swap,
-                             apply_row_op, block_compose, express_in_rows,
-                             hnf_rows, lattice_contains, make_system,
-                             negate_system, normalize, permute_columns,
-                             support_reducible)
+from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
+                              block_compose, express_in_rows, hnf_rows,
+                              lattice_contains, negate_system, normalize,
+                              permute_columns, support_reducible)
+from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.variety import enumerate_box
 
 
