@@ -102,20 +102,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, *, limit: int = FACTOR_INPUT_LIMIT) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Exact prime factorization of n >= 1 as ((p, e), ...), p ascending.
 
     Uses a least-prime-factor sieve for small n and trial division by sieved
-    primes beyond; inputs above `limit` are rejected.  The sieve is shared
-    module-wide: an n past it, up to LPF_SIEVE_LIMIT // 4, grows it to
-    max(n, twice its size), capped at LPF_SIEVE_LIMIT.  So it never holds
-    more than twice the largest n asked of it (q - 1 for a character table
-    mod q), and ascending requests re-sieve O(that) entries in all.
+    primes beyond; inputs above FACTOR_INPUT_LIMIT are rejected.  The sieve
+    is shared module-wide: an n past it, up to LPF_SIEVE_LIMIT // 4, grows
+    it to max(n, twice its size), capped at LPF_SIEVE_LIMIT.  So it never
+    holds more than twice the largest n asked of it (q - 1 for a character
+    table mod q), and ascending requests re-sieve O(that) entries in all.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n > limit:
-        raise ValueError(f"factorize input {n} exceeds the cap {limit}")
+    if n > FACTOR_INPUT_LIMIT:
+        raise ValueError(f"factorize input {n} exceeds the cap {FACTOR_INPUT_LIMIT}")
     if n == 1:
         return ()
     if n <= _lpf_limit or n <= LPF_SIEVE_LIMIT // 4:
@@ -212,7 +212,6 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=1024)
 def factorize_twist(n: int) -> Factorization:
     """Exact prime factorization of a twist, 1 <= n <= TWIST_LIMIT, in the
     format of `factorize`.

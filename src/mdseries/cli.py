@@ -244,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("check-s", help="search for a Property (S) counterexample")
+    p = sub.add_parser("check-s", help="search for a Property (S) counterexample by a "
+                       "scan of --constraints; a monomial --system has none, by the "
+                       "per-prime identity sum_j a_ij v_p(n_j) = v_p(omega'_i/omega_i)")
     add_common(p, system=False, constraints=True, N=20)
     p.add_argument("--system", metavar="FILE", help="JSON system descriptor")
     p.set_defaults(func=cmd_check_s)

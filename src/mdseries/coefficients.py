@@ -175,7 +175,8 @@ class CoefficientFamily:
         """The len(primes) x len(exps) complex array of prime_power(p, e),
         filled prime by prime, exponents in the given order."""
         out = np.empty((len(primes), len(exps)), dtype=complex)
-        for i, p in enumerate(primes):
+        # Python ints, so that prime_power's p**e cannot wrap as int64 would
+        for i, p in enumerate(np.asarray(primes).tolist()):
             for k, e in enumerate(exps):
                 out[i, k] = self.prime_power(p, e)
         return out
@@ -194,7 +195,7 @@ class CoefficientFamily:
         try:
             for k in np.flatnonzero(np.bincount(e)).tolist():
                 at = np.flatnonzero(e == k)
-                coef[at] = self.prime_power_table(p[at].tolist(), [k])[:, 0]
+                coef[at] = self.prime_power_table(p[at], [k])[:, 0]
         except MissingPrimePowerError:
             for q, k in sorted(set(zip(p.tolist(), e.tolist()))):
                 self.prime_power_table([q], [k])

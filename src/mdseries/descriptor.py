@@ -99,6 +99,8 @@ def family_from_record(rec, path) -> CoefficientFamily:
                 raise DescriptorError(f"{path}.values.{key}",
                                       "keys look like 'p^e', e.g. '2^1'")
             p, e = int(match.group(1)), int(match.group(2))
+            if e < 1 or not is_prime(p):     # no other key is ever read
+                raise DescriptorError(f"{path}.values.{key}", "keys need a prime p and e >= 1")
             out[(p, e)] = _complex_from(val, f"{path}.values.{key}")
         return TableFamily(out)
     raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")

@@ -7,13 +7,13 @@ constraint language below; variety.box_windows enumerates both.
 
 Property (S) asks whether the solution set is closed under per-prime
 recombination: taking, at each prime, the whole exponent column from one
-of two solutions.  check_property_S scans every pair of box points and
-returns the first recombination that leaves the variety.  On a monomial
-system membership is a per-prime identity, so the scan finds nothing;
-it is the probe for polynomial varieties.  cartesian_check compares the
-P-smooth, B-bounded box points of a monomial system with the in-box
-products of the per-prime local solution sets, which is the splitting
-behind the Euler product.
+of two solutions.  On a monomial system membership is the per-prime
+identity sum_j a_ij v_p(n_j) = v_p(omega'_i) - v_p(omega_i), which every
+recombination keeps; check_property_S scans the pairs of box points of a
+polynomial variety for the first recombination that leaves it.
+cartesian_check compares the P-smooth, B-bounded box points of a monomial
+system with the in-box products of the per-prime local solution sets,
+which is the splitting behind the Euler product.
 
 The scan and the Cartesian check factor the box array's coordinates once,
 with arith.factor_levels; recombine factors a tuple with arith.factorize,
@@ -34,8 +34,7 @@ from .arith import factor_levels, primes_up_to
 from .errors import ConstraintSyntaxError, WorkCapExceeded
 from .limits import work_cap as _work_cap
 from .system import LaurentMonomialSystem
-from .variety import (_valuations, box_array, local_solutions, monomial_rhs_at,
-                      on_monomial_variety_rational)
+from .variety import _valuations, box_array, local_solutions
 
 _EXPONENT_CAP = 10**6
 
@@ -113,9 +112,9 @@ class _Tokenizer:
                 col += 1
                 continue
             start_col = col
-            if ch.isdigit():
+            if "0" <= ch <= "9":     # ASCII only: int() reads any Unicode digit
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 self.tokens.append(("int", int(text[i:j]), line, start_col))
                 col += j - i
@@ -123,7 +122,7 @@ class _Tokenizer:
                 continue
             if ch == "x":
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 if j == i + 1:
                     raise ConstraintSyntaxError("expected digits after 'x'", line, col)
@@ -290,9 +289,10 @@ def _prime_parts(X) -> list:
 
 
 def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
-    """Exhaustive pairwise recombination scan over the box solutions.
+    """The first Property (S) witness in the box, or None.  A monomial
+    system has none (see the module docstring) and is not enumerated.
 
-    Returns the first violating witness in deterministic order, or None:
+    A PolynomialVariety gets an exhaustive scan in deterministic order:
     pairs (x, y) in lexicographic order of the box rows, and for each, the
     masks 1 .. 2^k - 2 over its k primes in ascending order, bit idx taking
     the idx-th prime's column from y.  Each pair charges 2^k to the work
@@ -301,15 +301,14 @@ def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
     are tested by direct constraint evaluation, never by box membership.
     """
     cap = _work_cap(work_cap)
+    if isinstance(V, LaurentMonomialSystem):
+        if N < 1:
+            raise ValueError("box bound N must be >= 1")
+        return None
     X = box_array(V, N, work_cap=cap)
     if len(X) < 2:
         return None
     sols, parts = list(map(tuple, X.tolist())), _prime_parts(X)
-    if isinstance(V, LaurentMonomialSystem):
-        def on_variety(point):
-            return on_monomial_variety_rational(V, point)
-    else:
-        on_variety = V.is_solution
     ones = [1] * X.shape[1]
     spent = 0
     for ix, iy in itertools.combinations(range(len(sols)), 2):
@@ -324,7 +323,7 @@ def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
             points = [[*map(operator.mul, c, part)]
                       for part in (px.get(p, ones), py.get(p, ones)) for c in points]
         for mask in range(1, len(points) - 1):   # skip all-x and all-y
-            if not on_variety(points[mask]):
+            if not V.is_solution(points[mask]):
                 choice = tuple((p, "y" if mask >> idx & 1 else "x")
                                for idx, p in enumerate(primes))
                 return Witness(x=sols[ix], y=sols[iy], choice=choice,
@@ -359,7 +358,7 @@ def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int,
     # Primes in (N, P] cannot contribute a factor inside the box; they only
     # matter through whether their local set admits the zero vector.
     rhs_points = set()
-    feasible = all(not any(monomial_rhs_at(S, p)) for p in primes_up_to(P) if p > N)
+    feasible = not any(any(rhs) for p, rhs in S.twist_rhs.items() if p > N)
     if feasible:
         mandatory = []
         optional = []

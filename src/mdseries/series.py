@@ -67,7 +67,7 @@ from .errors import ConvergenceError, MissingPrimePowerError
 from .system import LaurentMonomialSystem
 # enumerate_box is not called here; perfbench's layer trace wraps it by
 # this module's name
-from .variety import box_windows, enumerate_box, local_solutions, monomial_rhs_at  # noqa: F401
+from .variety import box_windows, enumerate_box, local_solutions  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def _local_groups(S: LaurentMonomialSystem, primes: list, B: int) -> dict:
     prime_exponent_bound(p, B); that does not grow with p, so bisection
     finds the run of primes of each bound."""
     zero = (0,) * S.m
-    twisted = {p: rhs for p in S.twist_primes() if any(rhs := monomial_rhs_at(S, p))}
+    twisted = {p: rhs for p, rhs in S.twist_rhs.items() if any(rhs)}
     groups, hi = {}, len(primes)
     for b in range(prime_exponent_bound(2, B) + 1):     # B, checked to be in 0..64
         lo = bisect.bisect_left(primes, -b, 0, hi, key=lambda p: -prime_exponent_bound(p, B))

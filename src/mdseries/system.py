@@ -2,16 +2,16 @@
 
 A system is m constraints omega_i * prod_j n_j^{a_ij} = omega'_i over t
 positive-integer variables.  LaurentMonomialSystem checks the shapes and
-the twist cap; make_system builds one from lists with twists defaulting
-to 1.  The row operations, the HNF kernel and the support search live in
-mdseries.lattice, which only `normalize`, `reduce-support` and the tests
-load.
+the twist cap, and holds its twists' per-prime right-hand sides;
+make_system builds one from lists with twists defaulting to 1.  The row
+operations, the HNF kernel and the support search live in mdseries.lattice,
+which only `normalize`, `reduce-support` and the tests load.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import factorize_twist
 from .errors import TwistOverflowError
@@ -51,13 +51,21 @@ class LaurentMonomialSystem:
             for row, w, wp in zip(self.A, self.omega, self.omega_prime)
         )
 
+    @cached_property
+    def twist_rhs(self) -> dict:
+        """{p: (v_p(omega'_i) - v_p(omega_i))_i} over the primes p dividing
+        any twist, ascending: the right-hand sides of membership's per-prime
+        identity sum_j a_ij v_p(n_j) = rhs_i, from one factorization a twist."""
+        rhs = {}
+        for sign, twists in ((-1, self.omega), (1, self.omega_prime)):
+            for i, w in enumerate(twists):
+                for p, e in factorize_twist(w):
+                    rhs.setdefault(p, [0] * self.m)[i] += sign * e
+        return {p: tuple(rhs[p]) for p in sorted(rhs)}
+
     def twist_primes(self) -> tuple:
         """Sorted primes dividing any omega_i or omega'_i."""
-        ps = set()
-        for w in itertools.chain(self.omega, self.omega_prime):
-            for p, _ in factorize_twist(w):
-                ps.add(p)
-        return tuple(sorted(ps))
+        return tuple(self.twist_rhs)
 
 
 def make_system(A, omega=None, omega_prime=None, t=None) -> LaurentMonomialSystem:

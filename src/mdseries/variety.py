@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, iroot, valuation
+from .arith import factorize, iroot
 # primes_up_to is not called here; perfbench's layer trace
 # (perfbench/layertrace.py) wraps it by this module's name
 from .arith import primes_up_to  # noqa: F401
@@ -48,21 +47,9 @@ from .system import LaurentMonomialSystem
 # ---------------------------------------------------------------------------
 # membership tests for monomial systems
 
-@lru_cache(maxsize=256)
-def _twist_data(S: LaurentMonomialSystem):
-    """Per-prime right-hand sides v_p(omega'_i) - v_p(omega_i)."""
-    primes = S.twist_primes()
-    rhs = {}
-    for p in primes:
-        rhs[p] = tuple(valuation(p, wp) - valuation(p, w)
-                       for w, wp in zip(S.omega, S.omega_prime))
-    return primes, rhs
-
-
 def monomial_rhs_at(S: LaurentMonomialSystem, p: int) -> tuple:
     """(v_p(omega'_i) - v_p(omega_i))_i, zero when p divides no twist."""
-    primes, rhs = _twist_data(S)
-    return rhs.get(p, (0,) * S.m)
+    return S.twist_rhs.get(p, (0,) * S.m)
 
 
 def _valuations(coords) -> list:
@@ -75,9 +62,10 @@ def on_monomial_variety(S: LaurentMonomialSystem, coords) -> bool:
     sum_j a_ij * v_p(n_j) = v_p(omega'_i) - v_p(omega_i).
 
     Independent of the cross-multiplication kernel, and kept as its oracle;
-    it factorises every coordinate and every twist."""
+    it factorises every coordinate, and reads the twists' side from
+    S.twist_rhs."""
     vals = _valuations(coords)
-    for p in sorted(set(_twist_data(S)[0]).union(*vals)):
+    for p in sorted(set(S.twist_rhs).union(*vals)):
         for row, r in zip(S.A, monomial_rhs_at(S, p)):
             if sum(a * v.get(p, 0) for a, v in zip(row, vals)) != r:
                 return False
@@ -103,7 +91,7 @@ def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
     omega_i * prod n_j^{a+} == omega'_i * prod n_j^{a-} for every row i.
 
     The scalar form of the check that box enumeration makes on arrays;
-    the Property (S) scan and the tests decide membership with it."""
+    the tests decide membership with it."""
     for row, w, wp in zip(S.A, S.omega, S.omega_prime):
         lhs, rhs = _row_sides(row, w, wp, coords)
         if lhs != rhs:

@@ -182,6 +182,20 @@ class TestDescriptor:
         with pytest.raises(DescriptorError):
             family_from_record(rec, "coefficients[0]")
 
+    @pytest.mark.parametrize("key", ["4^1", "0^3", "2^0"])
+    def test_table_keys_need_a_prime_and_a_positive_exponent(self, tmp_path, capsys, key):
+        # values reads only p^e with p prime and e >= 1, so any other key
+        # would load and never be read
+        rec = {"type": "table", "values": {"2^1": 0.5}}
+        assert family_from_record(rec, "coefficients[1]").entries == {(2, 1): 0.5}
+        rec["values"][key] = 1.0
+        doc = dict(DIAG_DOC, coefficients=[{"type": "trivial"}, rec])
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
+        assert capsys.readouterr().err == \
+            f"mds: coefficients[1].values.{key}: keys need a prime p and e >= 1\n"
+
 
 class TestCliEval:
     def test_zeta4(self, diag_file, capsys):
@@ -284,6 +298,20 @@ class TestCliCompare:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["abs_diff"] < 1e-6
+
+    def test_twists_are_factored_once_each(self, tmp_path, capsys, monkeypatch):
+        # 6 n1 n2 = 35 n3 and 7 n1 = 5 n2: (5k, 7k, 6k^2); the Euler product,
+        # its tail and the twist checks all read the system's twist_rhs
+        calls = []
+        monkeypatch.setattr("mdseries.system.factorize_twist",
+                            lambda n: calls.append(n) or arith.factorize_twist(n))
+        doc = {"t": 3, "m": 2, "A": [[1, 1, -1], [1, -1, 0]],
+               "omega": ["6", "7"], "omega_prime": ["35", "5"], "s": [[2, 0]] * 3}
+        path = tmp_path / "twisted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--system", str(path), "--N", "30", "--P", "30"]) == 0
+        assert json.loads(capsys.readouterr().out)["direct"][0] > 0
+        assert sorted(calls) == [5, 6, 7, 35]
 
     def test_twist_prime_beyond_P(self, tmp_path, capsys):
         doc = dict(DIAG_DOC, omega=["101"])
@@ -535,6 +563,20 @@ class TestCliEnumerate:
         points = box_array(parse_descriptor(doc)[0], N).tolist()
         assert capsys.readouterr().out == json.dumps(
             {"N": N, "count": len(points), "points": points}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("text,stderr", [
+        ("x\u0661 - x2", "mds: line 1, col 1: expected digits after 'x'\n"),
+        ("x1\u00b2", "mds: line 1, col 3: unexpected character '\u00b2'\n"),
+        ("x1 - \u00b3", "mds: line 1, col 6: unexpected character '\u00b3'\n"),
+    ])
+    def test_constraint_digits_are_ascii(self, tmp_path, capsys, text, stderr):
+        # str.isdigit accepts the Arabic-Indic one, which int() reads as 1,
+        # and superscripts, which int() rejects without a position
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        assert main(["enumerate", "--constraints", str(path), "--t", "2", "--N", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == stderr
 
     def test_constraints_document_is_json_dumps(self, tmp_path, capsys):
         path = tmp_path / "c.txt"

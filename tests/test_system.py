@@ -3,15 +3,16 @@ import random
 
 import pytest
 
+from mdseries.arith import valuation
 from mdseries.cli import main
-
 from mdseries.errors import TwistOverflowError, WorkCapExceeded
 from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
                               block_compose, express_in_rows, hnf_rows,
                               lattice_contains, negate_system, normalize,
                               permute_columns, support_reducible)
 from mdseries.system import LaurentMonomialSystem, make_system
-from mdseries.variety import enumerate_box
+from mdseries.limits import TWIST_LIMIT
+from mdseries.variety import enumerate_box, monomial_rhs_at
 
 
 def random_system(rng, tmax=4, mmax=3, amax=3, wmax=6):
@@ -59,6 +60,45 @@ class TestValidation:
     def test_twist_primes(self):
         S = make_system([[1], [1]], omega=(12, 1), omega_prime=(1, 35))
         assert S.twist_primes() == (2, 3, 5, 7)
+
+
+class TestTwistRhs:
+    # a shared pool, so that twists share primes; two primes past 10^6,
+    # so that a twist past 10^12 leaves factorize_twist a composite for rho
+    POOL = (2, 3, 5, 7, 101, 1_000_003, 999_999_937)
+
+    def random_twist(self, rng):
+        w = 1
+        for _ in range(rng.randint(0, 5)):
+            p = rng.choice(self.POOL)
+            if w * p <= TWIST_LIMIT:
+                w *= p
+        return w
+
+    def test_against_valuation(self):
+        rng = random.Random(1729)
+        equal = big = 0
+        for _ in range(200):
+            m = rng.randint(1, 3)
+            omega = [self.random_twist(rng) for _ in range(m)]
+            omega_prime = [w if rng.random() < 0.3 else self.random_twist(rng)
+                           for w in omega]
+            S = make_system([[1]] * m, omega, omega_prime)
+            equal += any(w == wp > 1 for w, wp in zip(omega, omega_prime))
+            big += any(w > 10**12 for w in omega + omega_prime)
+            twists = omega + omega_prime
+            primes = [p for p in sorted(self.POOL) if any(w % p == 0 for w in twists)]
+            assert list(S.twist_rhs) == primes and S.twist_primes() == tuple(primes)
+            for p in primes + [11, 13]:
+                want = tuple(valuation(p, wp) - valuation(p, w)
+                             for w, wp in zip(omega, omega_prime))
+                assert monomial_rhs_at(S, p) == want
+                assert S.twist_rhs.get(p, want) == want
+        assert equal > 20 and big > 20
+
+    def test_no_rows(self):
+        S = make_system([], t=2)
+        assert S.twist_rhs == {} and monomial_rhs_at(S, 2) == ()
 
 
 class TestRowOps:

@@ -278,6 +278,36 @@ class TestPropertyS:
             S = random_system(rng)
             assert check_property_S(S, 30) is None
 
+    def test_monomial_systems_are_answered_without_enumerating(self):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("a monomial system was enumerated")
+        S = make_system([[1, 1, -1]], omega=(6,), omega_prime=(35,))
+        with mock.patch.object(recombination, "box_array", enumerated), \
+                mock.patch.object(recombination, "factor_levels", enumerated):
+            assert check_property_S(S, 10**9, work_cap=1) is None
+            with pytest.raises(ValueError, match="box bound N must be >= 1"):
+                check_property_S(S, 0)
+
+    def test_scan_on_monomial_systems_in_polynomial_form(self):
+        # omega_i prod x_j^{a+} - omega'_i prod x_j^{a-} is the monomial
+        # variety as polynomial constraints, so the scan, not the per-prime
+        # identity, answers it
+        def side(w, row):
+            return "*".join([str(w)] + [f"x{j + 1}^{a}" for j, a in enumerate(row) if a > 0])
+
+        rng = random.Random(2357)
+        pairs = 0
+        for _ in range(40):
+            S = random_system(rng, amax=2)
+            text = "; ".join(f"{side(w, row)} - {side(wp, [-a for a in row])}"
+                             for row, w, wp in zip(S.A, S.omega, S.omega_prime))
+            V = parse_constraints(text, S.t)
+            points = enumerate_box(V, 15)
+            assert points == enumerate_box(S, 15), text
+            assert check_property_S(V, 15) is None, text
+            pairs += len(points) * (len(points) - 1) // 2
+        assert pairs > 500
+
     def test_work_cap(self):
         V = parse_constraints("x1 + x2 - 30", 2)
         with pytest.raises(WorkCapExceeded):
