@@ -1,9 +1,15 @@
 """Exact integer arithmetic foundations.
 
 Primes, factorizations, p-adic valuations, and Dirichlet character tables
-modulo a prime q.  Characters are kept as exact root-of-unity indices
-(integers mod q-1) and only converted to floating complex at evaluation
-boundaries, so orthogonality relations stay exact in index space.
+modulo a prime q.  factorize takes any 1 <= n <= TWIST_LIMIT: an n within
+the least-prime-factor sieve is read off it, and every larger one goes to
+factorize_twist, which also factors the twists: trial division by the
+primes <= 100, then Pollard-Brent rho (R. P. Brent, BIT 20, 1980), each
+factor kept proved prime by deterministic Miller-Rabin.
+
+Characters are kept as exact root-of-unity indices (integers mod q-1) and
+only converted to floating complex at evaluation boundaries, so
+orthogonality relations stay exact in index space.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limits import FACTOR_INPUT_LIMIT, LPF_SIEVE_LIMIT, TWIST_LIMIT
+from .limits import LPF_SIEVE_LIMIT, TWIST_LIMIT
 
 # A factorization is ((p1, e1), (p2, e2), ...) with p1 < p2 < ... and e >= 1.
 # The factorization of 1 is the empty tuple.
@@ -78,7 +84,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond the 10^12 input cap)."""
+    """Deterministic Miller-Rabin: the witnesses, the primes <= 37, decide
+    every n < 3.3 * 10^24, far past TWIST_LIMIT."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -103,47 +110,33 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization of n >= 1 as ((p, e), ...), p ascending.
+    """Exact prime factorization of 1 <= n <= TWIST_LIMIT as ((p, e), ...),
+    p ascending.
 
-    Uses a least-prime-factor sieve for small n and trial division by sieved
-    primes beyond; inputs above FACTOR_INPUT_LIMIT are rejected.  The sieve
-    is shared module-wide: an n past it, up to LPF_SIEVE_LIMIT // 4, grows
-    it to max(n, twice its size), capped at LPF_SIEVE_LIMIT.  So it never
-    holds more than twice the largest n asked of it (q - 1 for a character
-    table mod q), and ascending requests re-sieve O(that) entries in all.
+    An n within the least-prime-factor sieve is read off it; a larger one
+    goes to factorize_twist.  The sieve is shared module-wide: an n past
+    it, up to LPF_SIEVE_LIMIT // 4, grows it to max(n, twice its size),
+    capped at LPF_SIEVE_LIMIT.  So it never holds more than twice the
+    largest n asked of it (q - 1 for a character table mod q), and
+    ascending requests re-sieve O(that) entries in all.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n > FACTOR_INPUT_LIMIT:
-        raise ValueError(f"factorize input {n} exceeds the cap {FACTOR_INPUT_LIMIT}")
     if n == 1:
         return ()
     if n <= _lpf_limit or n <= LPF_SIEVE_LIMIT // 4:
         _grow_lpf(n)
-    if n <= _lpf_limit:
-        out = []
-        lpf = _lpf
-        while n > 1:
-            p = int(lpf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
+    if n > _lpf_limit:
+        return factorize_twist(n)
     out = []
-    _grow_sieve(math.isqrt(n) + 1)
-    for p in _primes_list:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    if n > 1:
-        out.append((n, 1))
+    lpf = _lpf
+    while n > 1:
+        p = int(lpf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
     return tuple(out)
 
 
@@ -213,12 +206,13 @@ def _rho_factor(n: int) -> int:
 
 
 def factorize_twist(n: int) -> Factorization:
-    """Exact prime factorization of a twist, 1 <= n <= TWIST_LIMIT, in the
-    format of `factorize`.
+    """Exact prime factorization of 1 <= n <= TWIST_LIMIT, in the format
+    of `factorize`, without the sieve: the factorization of twists, and of
+    any n that factorize's sieve does not reach.
 
-    Twists exceed factorize's input cap, so this splits off small primes by
-    trial division and the rest by Pollard-Brent rho; every factor it keeps
-    is prime by the deterministic Miller-Rabin test `is_prime`.
+    Trial division splits off the primes <= 100, and Pollard-Brent rho the
+    rest; every factor it keeps is prime by the deterministic Miller-Rabin
+    test `is_prime`.
     """
     if n < 1:
         raise ValueError(f"factorize_twist requires n >= 1, got {n}")
@@ -297,26 +291,16 @@ class CharacterTable:
     g: int
     log: tuple     # length q; log[0] = -1 sentinel, log[n] = discrete log of n
 
-    @property
-    def order(self) -> int:
-        return self.q - 1
-
     def log_of(self, n: int) -> int:
         """Discrete log of n mod q, or -1 when q | n."""
         return self.log[n % self.q]
 
-    def char_index(self, k: int, n: int):
-        """Root-of-unity index of chi_k(n) mod q-1, or None when q | n."""
+    def char_value(self, k: int, n: int) -> complex:
+        """chi_k(n): the unit root of index k * log(n) mod q-1, or 0 when q | n."""
         a = self.log[n % self.q]
         if a < 0:
-            return None
-        return (k * a) % (self.q - 1)
-
-    def char_value(self, k: int, n: int) -> complex:
-        idx = self.char_index(k, n)
-        if idx is None:
             return 0j
-        return _unit_roots(self.q - 1)[idx]
+        return _unit_roots(self.q - 1)[(k * a) % (self.q - 1)]
 
 
 def character_table(q: int) -> CharacterTable:

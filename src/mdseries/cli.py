@@ -4,13 +4,14 @@ Every subcommand reads a JSON system descriptor (and/or a constraint text
 file), writes machine-readable JSON to stdout, and keeps human diagnostics
 on stderr.  Exit codes are a stable contract: 0 success, 1 error, 2 a
 witness/counterexample was found.  MDS_WORK_CAP in the environment
-overrides enumeration caps.
+sets the enumeration work cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -20,6 +21,15 @@ from .errors import MDSeriesError
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WITNESS = 2
+
+
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits 0-9, blanks around them allowed as
+    int() allows them; int() alone also takes '1_000' and non-ASCII digits
+    such as '١١'.  argparse reports the error as it does for type=int."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _warn(msg: str) -> None:
@@ -159,8 +169,8 @@ def cmd_moment(args) -> int:
     for field in args.q.split(","):
         if field.strip():
             try:
-                q_list.append(int(field))
-            except ValueError:
+                q_list.append(_integer(field))
+            except argparse.ArgumentTypeError:
                 raise MDSeriesError(f"--q {args.q!r}: {field!r} is not an integer") from None
     if not q_list:
         raise MDSeriesError(f"--q {args.q!r} lists no modulus")
@@ -218,9 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if constraints:
             p.add_argument("--constraints", metavar="FILE",
                            help="constraint expression file (with --t)")
-            p.add_argument("--t", type=int, help="variable count for --constraints")
+            p.add_argument("--t", type=_integer, help="variable count for --constraints")
         if N is not None:
-            p.add_argument("--N", type=int, default=N, help="box bound")
+            p.add_argument("--N", type=_integer, default=N, help="box bound")
         # every run is single-process and bit-reproducible; the flag stays
         # accepted so existing command lines keep working
         p.add_argument("--deterministic", action="store_true",
@@ -233,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="direct sum vs Euler product")
     add_common(p, N=1000)
-    p.add_argument("--P", type=int, default=1000, help="prime bound")
-    p.add_argument("--B", type=int, default=None,
+    p.add_argument("--P", type=_integer, default=1000, help="prime bound")
+    p.add_argument("--B", type=_integer, default=None,
                    help="local exponent bound at p = 2; a prime p with no twist "
                         "uses the smallest b with p^b >= 2^B")
     p.add_argument("--override-convergence", action="store_true")
@@ -253,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-support", help="small-support row-lattice basis search")
     add_common(p)
-    p.add_argument("--bound", type=int, default=10, help="coefficient bound")
+    p.add_argument("--bound", type=_integer, default=10, help="coefficient bound")
     p.set_defaults(func=cmd_reduce_support)
 
     p = sub.add_parser("moment", help="character-moment error decay experiment")

@@ -7,6 +7,7 @@ carry the offending field path (e.g. "A[1]").
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 
@@ -31,12 +32,18 @@ def _is_decimal(text: str) -> bool:
 
 
 def _complex_from(value, path):
+    # Python's json reads NaN, Infinity and overflowing literals such as
+    # 1e400 as non-finite floats
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
+        z = complex(value)
+    elif (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise DescriptorError(path, f"expected a number or [re, im] pair, got {value!r}")
+        z = complex(value[0], value[1])
+    else:
+        raise DescriptorError(path, f"expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(z):
+        raise DescriptorError(path, f"expected finite numbers, got {value!r}")
+    return z
 
 
 def _int_from(value, path):

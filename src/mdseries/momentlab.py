@@ -51,17 +51,17 @@ _N_CHUNK = 1 << 12
 _TUPLE_CHUNK = 1 << 12
 
 
-def _check_modulus(S: LaurentMonomialSystem, q: int, tuple_cap: int) -> None:
+def _check_modulus(S: LaurentMonomialSystem, q: int) -> None:
     """Raise unless q is an odd prime prime to every twist whose (q-1)^m
-    character tuples fit under the cap."""
+    character tuples fit under MOMENT_TUPLE_CAP."""
     if not is_prime(q) or q == 2:
         raise ValueError(f"modulus q must be an odd prime, got {q}")
     for w in list(S.omega) + list(S.omega_prime):
         if w % q == 0:
             raise ValueError(f"q = {q} must be coprime to every twist, divides {w}")
     tuples = (q - 1) ** S.m
-    if tuples > tuple_cap:
-        raise WorkCapExceeded(tuples, tuple_cap, "character tuple average",
+    if tuples > MOMENT_TUPLE_CAP:
+        raise WorkCapExceeded(tuples, MOMENT_TUPLE_CAP, "character tuple average",
                               "use a smaller q, or a system with fewer rows")
 
 
@@ -151,8 +151,7 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
     return _fsum(chunks()) / tuples
 
 
-def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
-               *, tuple_cap: int = MOMENT_TUPLE_CAP) -> complex:
+def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int) -> complex:
     """The full average over all (q-1)^m character tuples of
     prod_j L_N(s_j, Pi_j x prod_i chi_i^{a_ij}) * prod_i chi_i(w_i) conj(chi_i)(w'_i).
 
@@ -162,7 +161,7 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int,
     s = _checked_point(S, families, s, True)
     if S.m == 0:
         return _plain_product(families, s, N)
-    _check_modulus(S, q, tuple_cap)
+    _check_modulus(S, q)
     return _average(S, _class_sums(families, s, N, [q])[q], q)
 
 
@@ -248,7 +247,7 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
         if not is_prime(q):
             raise ValueError(f"moduli must be prime, got {q}")
         if S.m:
-            _check_modulus(S, q, MOMENT_TUPLE_CAP)
+            _check_modulus(S, q)
     warnings = []
     lhs_tail = None
     if reference is not None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .arith import factor_levels, primes_up_to
 from .errors import ConstraintSyntaxError, WorkCapExceeded
-from .limits import work_cap as _work_cap
+from .limits import work_cap
 from .system import LaurentMonomialSystem
 from .variety import _valuations, box_array, local_solutions
 
@@ -216,9 +216,6 @@ class PolynomialVariety:
     t: int
     constraints: tuple
 
-    def evaluate(self, point) -> tuple:
-        return tuple(f.evaluate(point) for f in self.constraints)
-
     def is_solution(self, point) -> bool:
         return all(f.evaluate(point) == 0 for f in self.constraints)
 
@@ -288,7 +285,7 @@ def _prime_parts(X) -> list:
     return parts
 
 
-def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
+def check_property_S(V, N: int) -> Optional[Witness]:
     """The first Property (S) witness in the box, or None.  A monomial
     system has none (see the module docstring) and is not enumerated.
 
@@ -300,12 +297,12 @@ def check_property_S(V, N: int, *, work_cap=None) -> Optional[Witness]:
     of the chosen prime parts.  Recombined points may leave the box; they
     are tested by direct constraint evaluation, never by box membership.
     """
-    cap = _work_cap(work_cap)
+    cap = work_cap()
     if isinstance(V, LaurentMonomialSystem):
         if N < 1:
             raise ValueError("box bound N must be >= 1")
         return None
-    X = box_array(V, N, work_cap=cap)
+    X = box_array(V, N)
     if len(X) < 2:
         return None
     sols, parts = list(map(tuple, X.tolist())), _prime_parts(X)
@@ -341,15 +338,12 @@ class CartesianCheck:
     side: Optional[str] = None      # 'box-only' or 'recombined-only'
 
 
-def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int,
-                    *, work_cap=None) -> CartesianCheck:
+def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int) -> CartesianCheck:
     """Verify that P-smooth box solutions with exponents <= B coincide with
     the in-box recombinations of the per-prime local solution sets."""
-    cap = _work_cap(work_cap)
-    for p in S.twist_primes():
-        if p > P:
-            raise ValueError(f"twist prime {p} exceeds the prime bound P={P}")
-    X = box_array(S, N, work_cap=cap)
+    cap = work_cap()
+    S.check_prime_bound(P)
+    X = box_array(S, N)
     fits = np.ones(X.size, dtype=bool)
     for rows, p, e in factor_levels(X.ravel()):
         fits[rows[(p > P) | (e > B)]] = False

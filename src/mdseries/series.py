@@ -43,11 +43,11 @@ Every sum of terms is exact (_ExactSum): a finite float64 is m 2^e
 int64 buckets by e; the total, one Python int over 2^1126, is rounded once by
 Python's correctly rounded int division.  So a sum has the bits of
 math.fsum, depends only on its term set, and holds about 67 KB whatever
-the number of terms.  Non-finite terms follow math.fsum (nan, +-inf,
-ValueError for inf - inf), and only a total beyond float64 overflows.  A
-local factor is the math.fsum of its row.  Box points come from exact
-membership (see variety), so row operations, which keep the solution
-set, keep every direct sum bit for bit.
+the number of terms.  A non-finite term (one that overflowed float64, or
+a nan) raises OverflowError, as does a total beyond float64; a partial
+sum never overflows.  A local factor is the math.fsum of its row.  Box
+points come from exact membership (see variety), so row operations,
+which keep the solution set, keep every direct sum bit for bit.
 """
 
 from __future__ import annotations
@@ -178,30 +178,28 @@ _BUCKETS = 2100
 
 
 class _ExactSum:
-    """The exact sum of float64 or complex arrays, rounded by value()."""
+    """The exact sum of finite float64 or complex arrays, rounded by value()."""
 
     def __init__(self):
         self.buckets = np.zeros((2, 2, _BUCKETS), dtype=np.int64)
-        self.special = (set(), set())
 
     def add(self, terms) -> None:
-        for x, buckets, special in zip((terms.real, terms.imag), self.buckets, self.special):
+        for x, buckets in zip((terms.real, terms.imag), self.buckets):
             if not x.any():
                 continue
-            bad = ~np.isfinite(x)
-            special.update(map(repr, x[bad].tolist()))
-            x = np.where(bad, 0.0, x)
+            if not np.isfinite(x).all():
+                raise OverflowError("the sum overflows float64")
             m, e = np.frexp(x)
             for bucket, half in zip(buckets, np.divmod((m * 2.0**53).astype(np.int64), 1 << 27)):
                 np.add.at(bucket, e + 1073, half)
 
     def value(self) -> complex:
         parts = []
-        for (hi, lo), special in zip(self.buckets, self.special):
+        for hi, lo in self.buckets:
             total = sum(((int(hi[b]) << 27) + int(lo[b])) << b
                         for b in np.flatnonzero(hi | lo).tolist())
             try:
-                parts.append(math.fsum(map(float, special)) if special else total / (1 << 1126))
+                parts.append(total / (1 << 1126))
             except OverflowError:
                 raise OverflowError("the sum overflows float64") from None
         return complex(*parts)
@@ -216,9 +214,9 @@ def _fsum(chunks) -> complex:
     return acc.value()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
-                        *, override_convergence: bool = False,
-                        work_cap=None) -> tuple:
+                        *, override_convergence: bool = False) -> tuple:
     """The direct sums over [1,N]^t and [1,N//2]^t from one box enumeration.
 
     The box is streamed: for each window of box_windows, the terms
@@ -235,7 +233,7 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
     trivial = all_trivial(c)
     half_N = N // 2 if direct_tail_skip_reason(N) is None else None
     full, half = _ExactSum(), _ExactSum()
-    for X in box_windows(S, N, work_cap=work_cap):
+    for X in box_windows(S, N):
         X = X.astype(np.int64, copy=False)
         logX = np.log(X)
         expo = np.zeros(len(X), dtype=complex)
@@ -253,10 +251,9 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
 
 
 def direct_sum(S: LaurentMonomialSystem, c, s, N: int,
-               *, override_convergence: bool = False, work_cap=None) -> complex:
+               *, override_convergence: bool = False) -> complex:
     """Sum a(n) / prod n_j^{s_j} over the box solutions, correctly rounded."""
-    return direct_sum_and_half(S, c, s, N, override_convergence=override_convergence,
-                               work_cap=work_cap)[0]
+    return direct_sum_and_half(S, c, s, N, override_convergence=override_convergence)[0]
 
 
 # Terms the Euler kernel holds at once: a block of primes times their
@@ -381,9 +378,7 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     s = _checked_point(S, c, s, override_convergence)
     if B is None:
         B = default_exponent_bound(s)
-    for tp in S.twist_primes():
-        if tp > P:
-            raise ValueError(f"twist prime {tp} exceeds the prime bound P={P}")
+    S.check_prime_bound(P)
     primes = primes_up_to(P)
     groups = _local_groups(S, primes, B)
     sols = {key: local_solutions(S, ps[0], key[1]).solutions

@@ -2,8 +2,10 @@
 
 A system is m constraints omega_i * prod_j n_j^{a_ij} = omega'_i over t
 positive-integer variables.  LaurentMonomialSystem checks the shapes and
-the twist cap, and holds its twists' per-prime right-hand sides;
-make_system builds one from lists with twists defaulting to 1.  The row
+the twist cap, holds its twists' per-prime right-hand sides, and checks
+its twist primes against a prime bound P for the Euler product and the
+Cartesian check; make_system builds one from lists with twists
+defaulting to 1.  The row
 operations, the HNF kernel and the support search live in mdseries.lattice,
 which only `normalize`, `reduce-support` and the tests load.
 """
@@ -66,6 +68,13 @@ class LaurentMonomialSystem:
     def twist_primes(self) -> tuple:
         """Sorted primes dividing any omega_i or omega'_i."""
         return tuple(self.twist_rhs)
+
+    def check_prime_bound(self, P: int) -> None:
+        """Raise ValueError unless every twist prime is <= P, as the
+        per-prime splitting over the primes <= P needs."""
+        for p in self.twist_primes():
+            if p > P:
+                raise ValueError(f"twist prime {p} exceeds the prime bound P={P}")
 
 
 def make_system(A, omega=None, omega_prime=None, t=None) -> LaurentMonomialSystem:

@@ -40,7 +40,7 @@ from .arith import factorize, iroot
 # (perfbench/layertrace.py) wraps it by this module's name
 from .arith import primes_up_to  # noqa: F401
 from .errors import WorkCapExceeded
-from .limits import work_cap as _work_cap
+from .limits import work_cap
 from .system import LaurentMonomialSystem
 
 
@@ -301,7 +301,7 @@ def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
 
 
 
-def box_windows(V, N: int, *, work_cap=None):
+def box_windows(V, N: int):
     """The points of [1,N]^t on the variety as a sequence of K_w x t integer
     arrays whose rows, taken in turn, are in lexicographic order.
 
@@ -310,13 +310,13 @@ def box_windows(V, N: int, *, work_cap=None):
     of them at once (one array for a recombination.PolynomialVariety).
     The dtype is int64 where every exact product of the search fits it,
     else object (Python ints), the same for every array; the last array
-    may be empty.  A generator: N is checked and the work cap read at the
-    first next(), and the cap is charged as the search goes, so
-    WorkCapExceeded can come after some windows were yielded, at the count
-    and with the message of box_array."""
+    may be empty.  A generator: N is checked and the work cap
+    (limits.work_cap) read at the first next(), and the cap is charged as
+    the search goes, so WorkCapExceeded can come after some windows were
+    yielded, at the count and with the message of box_array."""
     if N < 1:
         raise ValueError("box bound N must be >= 1")
-    cap = _work_cap(work_cap)
+    cap = work_cap()
     if isinstance(V, LaurentMonomialSystem):
         yield from _monomial_windows(V, N, cap)
         return
@@ -326,16 +326,16 @@ def box_windows(V, N: int, *, work_cap=None):
     yield V.solutions_in_box(N, cap)
 
 
-def box_array(V, N: int, *, work_cap=None):
+def box_array(V, N: int):
     """All points of [1,N]^t on the variety as a K x t integer array, rows
     in lexicographic order: the concatenation of box_windows."""
-    return np.concatenate(list(box_windows(V, N, work_cap=work_cap)))
+    return np.concatenate(list(box_windows(V, N)))
 
 
-def enumerate_box(V, N: int, *, work_cap=None) -> list:
+def enumerate_box(V, N: int) -> list:
     """All points of [1,N]^t on the variety as coordinate tuples, in
     lexicographic order."""
-    return list(map(tuple, box_array(V, N, work_cap=work_cap).tolist()))
+    return list(map(tuple, box_array(V, N).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,22 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
         with pytest.raises(ValueError):
-            factorize(10**13)
+            factorize(TWIST_LIMIT + 1)
 
     def test_large_input_within_cap(self):
-        n = 499999999979  # prime; 2n stays under the 10^12 cap
+        n = 499999999979  # a prime past the sieve, alone and doubled
         assert factorize(n) == ((n, 1),)
         assert factorize(2 * n) == ((2, 1), (n, 1))
+
+    @pytest.mark.parametrize("n,want", [
+        (2 * (10**12 + 39), ((2, 1), (10**12 + 39, 1))),
+        (999999999989 * 7, ((7, 1), (999999999989, 1))),
+        ((2**31 - 1) * 2147483629, ((2147483629, 1), (2**31 - 1, 1))),
+        (2**61 - 1, ((2**61 - 1, 1),)),
+        (TWIST_LIMIT, ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))),
+    ])
+    def test_past_the_sieve_up_to_the_twist_limit(self, n, want):
+        assert factorize(n) == want
 
     def test_reconstruction_up_to_1e5(self):
         for n in range(1, 100_001):
@@ -137,12 +147,16 @@ class TestPrimeSieveGrowth:
 
 class TestFactorizeTwist:
     def test_agrees_with_factorize_below_its_cap(self):
+        # factorize hands an n past its sieve to factorize_twist, so both
+        # are checked against an independent oracle
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(12)
         for n in [1, 2, 97, 2**39, 10**12] + [rng.randint(1, 10**12) for _ in range(300)]:
-            assert factorize_twist(n) == factorize(n)
+            want = tuple(sorted(sympy.factorint(n).items()))
+            assert factorize_twist(n) == factorize(n) == want
 
     @pytest.mark.parametrize("n", [
-        2**20 * 3**13,                       # tiny primes, above factorize's cap
+        2**20 * 3**13,                       # tiny primes, above 10^12
         2**61 - 1,                           # a prime
         TWIST_LIMIT,                         # 7^2 * 73 * 127 * 337 * 92737 * 649657
         (2**31 - 1) * 2147483629,            # two primes near 2^31

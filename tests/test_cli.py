@@ -197,6 +197,27 @@ class TestDescriptor:
             f"mds: coefficients[1].values.{key}: keys need a prime p and e >= 1\n"
 
 
+    @pytest.mark.parametrize("edit, stderr", [
+        (lambda doc: doc.update(s=[[math.nan, 0], [2, 0]]),
+         "mds: s[0]: expected finite numbers, got [nan, 0]\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            1, {"type": "hecke_gl2", "lambda": {"2": 0.5, "3": [0, math.inf]}}),
+         "mds: coefficients[1].lambda.3: expected finite numbers, got [0, inf]\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            0, {"type": "table", "values": {"2^1": -math.inf}}),
+         "mds: coefficients[0].values.2^1: expected finite numbers, got -inf\n"),
+    ])
+    def test_numbers_must_be_finite(self, tmp_path, capsys, edit, stderr):
+        # Python's json writes and reads NaN and Infinity
+        doc = json.loads(json.dumps(DIAG_DOC))
+        edit(doc)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["eval", "--N", "10"], ["compare", "--N", "10", "--P", "10"]):
+            assert main(argv + ["--system", str(path)]) == 1
+            assert capsys.readouterr() == ("", stderr)
+
+
 class TestCliEval:
     def test_zeta4(self, diag_file, capsys):
         code = main(["eval", "--system", diag_file, "--N", "10000"])
@@ -258,7 +279,7 @@ class TestCliEval:
             assert captured.err.count(label) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_overflowing_sum_is_one_error_line(self, tmp_path, capsys):
+    def test_overflowing_sum_is_one_error_line(self, tmp_path, capsys, recwarn):
         # each term n^102.5 <= 1000^102.5 is finite; their sum is not
         doc = dict(DIAG_DOC, s=[[-51.25, 0], [-51.25, 0]])
         path = tmp_path / "overflow.json"
@@ -266,6 +287,27 @@ class TestCliEval:
         for argv in (["eval", "--N", "1000"], ["compare", "--N", "1000", "--P", "10"]):
             assert main(argv + ["--system", str(path), "--override-convergence"]) == 1
             assert capsys.readouterr().err == "mds: the sum overflows float64\n"
+        # the term 2^400 overflows itself: the direct sum fails before the
+        # Euler product is tried
+        path.write_text(json.dumps(dict(DIAG_DOC, s=[[-200, 0], [-200, 0]])))
+        for argv in (["eval", "--N", "50"], ["compare", "--N", "50", "--P", "50"]):
+            assert main(argv + ["--system", str(path), "--override-convergence"]) == 1
+            assert capsys.readouterr() == ("", "mds: the sum overflows float64\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_coordinate_past_1e12_is_factored(self, tmp_path, capsys):
+        # n = 10^12 + 39, a prime, is the one point; its table coefficient
+        # is read through its factorization
+        p = 10**12 + 39
+        doc = {"t": 1, "m": 1, "A": [[1]], "omega": ["1"], "omega_prime": [str(p)],
+               "coefficients": [{"type": "table", "values": {f"{p}^1": 0.5}}],
+               "s": [[2, 0]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--system", str(path), "--N", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["direct"] == [4.999999999609993e-25, 0.0]
 
     @pytest.mark.parametrize("s,P,B,err", [
         # 2^(102.5 e) overflows in the factor at p = 2, the smallest such prime
@@ -361,6 +403,24 @@ class TestCliUsage:
         assert main(["eval", "--system", diag_file, "--N", "abc"]) == 1
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, stderr", [
+        # int() alone reads '1_000' as 1000 and Arabic-Indic digits as ASCII
+        (["eval", "--N", "1_000"], "argument --N: invalid int value: '1_000'\n"),
+        (["compare", "--P", "\u0661\u0660\u0660"],
+         "argument --P: invalid int value: '\u0661\u0660\u0660'\n"),
+        (["moment", "--q", "1_1,31"], "mds: --q '1_1,31': '1_1' is not an integer\n"),
+        (["moment", "--q", "\u0661\u0661,31"],
+         "mds: --q '\u0661\u0661,31': '\u0661\u0661' is not an integer\n"),
+    ])
+    def test_integer_arguments_take_ascii_digits_only(self, diag_file, capsys, argv, stderr):
+        assert main(argv + ["--system", diag_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(stderr)
+
+    def test_signed_and_padded_integers_are_accepted(self, diag_file, capsys):
+        assert main(["moment", "--system", diag_file, "--q", " 11, +31", "--N", "+100"]) == 0
+        assert json.loads(capsys.readouterr().out)["q"] == [11, 31]
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

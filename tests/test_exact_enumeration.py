@@ -16,6 +16,7 @@ their closed-form bound.
 
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from mdseries.arith import character_table, iroot, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, all_trivial)
 from mdseries.errors import WorkCapExceeded
-from mdseries.limits import FACTOR_INPUT_LIMIT, TWIST_LIMIT
+from mdseries.limits import TWIST_LIMIT
 from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.variety import (box_array, enumerate_box, local_solutions,
                               monomial_rhs_at, on_monomial_variety,
@@ -40,6 +41,16 @@ BOX = {1: 40, 2: 12, 3: 6}
 SMALL_PRIMES = (2, 3, 5, 7)
 
 differential = settings(derandomize=True, deadline=None, max_examples=150)
+
+# systems(near_limit=False) draws a smooth twist where a planted one would
+# pass this bound, so the valuation test's systems keep small twists
+FACTOR_INPUT_LIMIT = 10**12
+
+
+def capped(cap):
+    """MDS_WORK_CAP set to cap, by mock.patch.dict: hypothesis rejects
+    function-scoped fixtures such as monkeypatch."""
+    return mock.patch.dict(os.environ, {"MDS_WORK_CAP": str(cap)})
 
 
 @st.composite
@@ -76,7 +87,7 @@ def systems(draw, near_limit: bool):
                 neg *= n ** (-a)
         kind = draw(st.sampled_from(kinds))
         if kind == "planted" and not near_limit and max(pos, neg) * 210**3 > FACTOR_INPUT_LIMIT:
-            kind = "smooth"   # keep the twists factorisable for the valuation test
+            kind = "smooth"
         if kind == "planted":
             c = draw(smooth())
             w, wp = c * neg, c * pos
@@ -261,9 +272,10 @@ class TestWorkCapTotal:
     ])
     def test_cap_equal_to_total_passes(self, S, N, total):
         want = scan(S, N, on_monomial_variety_rational)
-        assert rows(box_array(S, N, work_cap=total)) == want
-        with pytest.raises(WorkCapExceeded, match="monomial box enumeration"):
-            box_array(S, N, work_cap=total - 1)
+        with capped(total):
+            assert rows(box_array(S, N)) == want
+        with capped(total - 1), pytest.raises(WorkCapExceeded, match="monomial box enumeration"):
+            box_array(S, N)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +479,8 @@ def least_passing_cap(S, N):
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            box_array(S, N, work_cap=mid)
+            with capped(mid):
+                box_array(S, N)
             hi = mid
         except WorkCapExceeded:
             lo = mid + 1
@@ -475,8 +488,10 @@ def least_passing_cap(S, N):
 
 
 def cap_outcome(f, cap):
+    """None when f() runs under the work cap, else the WorkCapExceeded text."""
     try:
-        f(cap)
+        with capped(cap):
+            f()
         return None
     except WorkCapExceeded as exc:
         return str(exc)
@@ -493,9 +508,9 @@ def test_direct_sum_trips_the_cap_of_box_array(case):
     for cap in sorted({0, least // 3, least // 2, least - 1, least, least + 1}):
         if cap < 0:
             continue
-        want = cap_outcome(lambda c: box_array(S, N, work_cap=c), cap)
+        want = cap_outcome(lambda: box_array(S, N), cap)
         assert (want is None) == (cap >= least)
-        assert cap_outcome(lambda c: series.direct_sum(S, fams, s, N, work_cap=c), cap) == want
+        assert cap_outcome(lambda: series.direct_sum(S, fams, s, N), cap) == want
 
 
 @pytest.mark.parametrize("S,N,total", [
@@ -507,12 +522,12 @@ def test_direct_sum_cap_at_the_node_total(S, N, total):
     fams, s = (TrivialFamily(),) * S.t, (2.0,) * S.t
     for window in (1, 7, 1 << 12):
         with mock.patch.object(variety, "_WINDOW", window):
-            assert series.direct_sum(S, fams, s, N, work_cap=total) == \
-                series.direct_sum(S, fams, s, N)
-            want = cap_outcome(lambda c: box_array(S, N, work_cap=c), total - 1)
+            with capped(total):
+                capped_sum = series.direct_sum(S, fams, s, N)
+            assert capped_sum == series.direct_sum(S, fams, s, N)
+            want = cap_outcome(lambda: box_array(S, N), total - 1)
             assert want is not None and "monomial box enumeration" in want
-            assert cap_outcome(lambda c: series.direct_sum(S, fams, s, N, work_cap=c),
-                               total - 1) == want
+            assert cap_outcome(lambda: series.direct_sum(S, fams, s, N), total - 1) == want
 
 
 def test_free_last_coordinate_charged_before_its_windows():
@@ -523,6 +538,6 @@ def test_free_last_coordinate_charged_before_its_windows():
     S, N, fams, s = system([[1, -1, 0]]), 30, (TrivialFamily(),) * 3, (2.0,) * 3
     for window in (30, 1 << 12):
         with mock.patch.object(variety, "_WINDOW", window):
-            for f in (lambda c: box_array(S, N, work_cap=c),
-                      lambda c: series.direct_sum(S, fams, s, N, work_cap=c)):
+            for f in (lambda: box_array(S, N),
+                      lambda: series.direct_sum(S, fams, s, N)):
                 assert "needs ~960 units" in cap_outcome(f, 61)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 from unittest import mock
@@ -144,8 +145,9 @@ class TestEnumerateBox:
 
     def test_work_cap(self):
         V = parse_constraints("x1 - x2", 2)
-        with pytest.raises(WorkCapExceeded):
-            enumerate_box(V, 100, work_cap=100)
+        with mock.patch.dict(os.environ, {"MDS_WORK_CAP": "100"}), \
+                pytest.raises(WorkCapExceeded):
+            enumerate_box(V, 100)
 
     @pytest.mark.parametrize("V", [[[1, -1]], "x1 - x2", None])
     def test_unsupported_object_raises_type_error_naming_it(self, V):
@@ -283,8 +285,9 @@ class TestPropertyS:
             raise AssertionError("a monomial system was enumerated")
         S = make_system([[1, 1, -1]], omega=(6,), omega_prime=(35,))
         with mock.patch.object(recombination, "box_array", enumerated), \
-                mock.patch.object(recombination, "factor_levels", enumerated):
-            assert check_property_S(S, 10**9, work_cap=1) is None
+                mock.patch.object(recombination, "factor_levels", enumerated), \
+                mock.patch.dict(os.environ, {"MDS_WORK_CAP": "1"}):
+            assert check_property_S(S, 10**9) is None
             with pytest.raises(ValueError, match="box bound N must be >= 1"):
                 check_property_S(S, 0)
 
@@ -310,8 +313,9 @@ class TestPropertyS:
 
     def test_work_cap(self):
         V = parse_constraints("x1 + x2 - 30", 2)
-        with pytest.raises(WorkCapExceeded):
-            check_property_S(V, 29, work_cap=40)
+        with mock.patch.dict(os.environ, {"MDS_WORK_CAP": "40"}), \
+                pytest.raises(WorkCapExceeded):
+            check_property_S(V, 29)
 
 
 def dfs_local_solutions(A, t, m, rhs, B):
@@ -478,10 +482,15 @@ class TestCartesianCheck:
             assert least == sum(
                 all(p <= P and e <= B for n in pt for p, e in factorize(n))
                 for pt in enumerate_box(S, N))
-        # the box enumeration runs uncapped, so only the recombination counts
-        box = variety.box_array
-        with mock.patch.object(recombination, "box_array",
-                               lambda V, N, work_cap=None: box(V, N)):
-            assert cartesian_check(S, N, P, B, work_cap=least).equal
-            with pytest.raises(WorkCapExceeded, match="Cartesian recombination"):
-                cartesian_check(S, N, P, B, work_cap=least - 1)
+        # the box enumeration runs under a large cap of its own, so only the
+        # recombination counts
+        def box(V, N):
+            with mock.patch.dict(os.environ, {"MDS_WORK_CAP": str(10**8)}):
+                return variety.box_array(V, N)
+
+        with mock.patch.object(recombination, "box_array", box):
+            with mock.patch.dict(os.environ, {"MDS_WORK_CAP": str(least)}):
+                assert cartesian_check(S, N, P, B).equal
+            with mock.patch.dict(os.environ, {"MDS_WORK_CAP": str(least - 1)}), \
+                    pytest.raises(WorkCapExceeded, match="Cartesian recombination"):
+                cartesian_check(S, N, P, B)
