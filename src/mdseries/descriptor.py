@@ -33,15 +33,20 @@ def _is_decimal(text: str) -> bool:
 
 def _complex_from(value, path):
     # Python's json reads NaN, Infinity and overflowing literals such as
-    # 1e400 as non-finite floats
+    # 1e400 as non-finite floats, and an integer past float range as an int
     if isinstance(value, (int, float)):
-        z = complex(value)
+        parts = (value, 0)
     elif (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(x, (int, float)) for x in value)):
-        z = complex(value[0], value[1])
+        parts = value
     else:
         raise DescriptorError(path, f"expected a number or [re, im] pair, got {value!r}")
-    if not cmath.isfinite(z):
+    try:
+        z = complex(*parts)
+        finite = cmath.isfinite(z)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise DescriptorError(path, f"expected finite numbers, got {value!r}")
     return z
 

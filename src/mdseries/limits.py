@@ -17,8 +17,13 @@ SUPPORT_COMBO_CAP = 5_000_000      # row-combination candidates in the support s
 
 
 def work_cap() -> int:
-    """The enumeration cap: MDS_WORK_CAP when set, else DEFAULT_WORK_CAP."""
+    """The enumeration cap: MDS_WORK_CAP when set and not empty, else
+    DEFAULT_WORK_CAP.  The value is an integer >= 0 in ASCII digits, blanks
+    around it allowed; anything else raises ValueError."""
     env = os.environ.get("MDS_WORK_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_WORK_CAP
+    if not env:
+        return DEFAULT_WORK_CAP
+    digits = env.strip(" \t")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"MDS_WORK_CAP={env!r}: expected an integer >= 0")
+    return int(digits)

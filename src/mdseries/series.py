@@ -15,10 +15,11 @@ The Euler product runs per right-hand side of the local equations (the
 twist valuations at p) and local exponent bound: the primes sharing both
 share their local solution set, and one array kernel evaluates their
 factors in blocks, with the coefficients from each family's
-prime_power_table.  local_factor is the same kernel on one prime.  Complex
-products in the kernel are written out on real and imaginary parts, and
-every operation acts on one prime's row, so a factor has the same bits in
-any block.
+prime_power_table.  Each right-hand side is searched once, at its largest
+bound.  local_factor is the same kernel on one prime.  Complex products in
+the kernel are written out on real and imaginary parts, real data (real
+s_j, a real table) has none, and every operation acts on one prime's row,
+so a factor has the same bits in any block.
 
 The local exponent bound depends on the prime.  Where the local equations
 have a zero right-hand side, the local solutions keep alpha_j <= B_p, the
@@ -263,6 +264,14 @@ _BLOCK_TERMS = 1 << 13
 _FSUM_ROWS = 64
 
 
+def _mul(a, b) -> list:
+    """a * b on arrays held as [re], for an exactly-zero imaginary part, or
+    [re, im]: by _cmul when both are complex."""
+    if len(a) == len(b) == 2:
+        return list(_cmul(*a, *b))
+    return [a[0] * b[0]] + [y * b[0] for y in a[1:]] + [a[0] * y for y in b[1:]]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _local_factors(c, s, primes, sols) -> list:
     """The Euler factors at `primes`, which all have the local solution set
@@ -271,55 +280,57 @@ def _local_factors(c, s, primes, sols) -> list:
     With E the K x t matrix of `sols`, column j gets the table
     table_j[p, e] = c_j(p^e) * p^(-s_j e) at the exponents e > 0 that E
     uses (so a family need not define the others), from prime_power_table
-    and the powers of p^(-s_j) by repeated multiplication; table_j[p, 0] is
-    1.  The terms at p are prod_j table_j[p, E[:, j]], and the factor is
-    their math.fsum.  Primes go in blocks of about _BLOCK_TERMS terms, and
-    every operation acts on one prime's row alone, so a factor has the same
-    bits in any block, a block of one included.  A term that overflows
-    float64 raises OverflowError, naming its prime.
+    and the powers of p^(-s_j) by repeated multiplication up to the largest
+    such e; table_j[p, 0] is 1.  The terms at p are prod_j table_j[p, E[:, j]],
+    and the factor is their math.fsum.  _mul keeps real data real (a real
+    s_j, a real table, the terms before the first complex column); that
+    drops only signed zeros, which fsum ignores.  Primes go in blocks of
+    about _BLOCK_TERMS terms, and every operation acts on one prime's row
+    alone, so a factor has the same bits in any block, a block of one
+    included.  A term that overflows float64 raises OverflowError, naming
+    its prime.
     """
     K, t = len(sols), len(s)
     E = np.array(sols, dtype=np.intp).reshape(K, t)
     columns = [(j, E[:, j], np.array(sorted(set(E[:, j].tolist()) - {0})))
                for j in range(t)]
     columns = [col for col in columns if len(col[2])]
-    top = max((used[-1] for _, _, used in columns), default=0)
     step = max(1, _BLOCK_TERMS // max(K, 1))
     out = []
     for lo in range(0, len(primes), step):
         block = primes[lo:lo + step]
         logs = [math.log(p) for p in block]
-        # x[col, i] = p_i^(-s_j) for the col-th column j with exponents > 0,
-        # and pow_*[col, i, e - 1] = x[col, i]^e
-        x = np.array([[cmath.exp(-s[j] * lp) for lp in logs] for j, _, _ in columns],
-                     dtype=complex).reshape(len(columns), len(block))
-        pow_r = np.empty((len(columns), len(block), top))
-        pow_i = np.empty_like(pow_r)
-        pr, pi = np.ones(x.shape), np.zeros(x.shape)
-        for e in range(top):
-            pr, pi = _cmul(pr, pi, x.real, x.imag)
-            pow_r[:, :, e], pow_i[:, :, e] = pr, pi
-        tr, ti = np.ones((len(block), K)), np.zeros((len(block), K))
-        for col, (j, gather, used) in enumerate(columns):
+        term = [np.ones((len(block), K))]
+        for j, gather, used in columns:
+            # cmath also for real s_j: past e^708.39 it differs from math.exp
+            x = np.array([cmath.exp(-s[j] * lp) for lp in logs])
+            x = [x.real, x.imag][:1 + bool(s[j].imag)]
+            # table[:, e] = x^e up to the last used e, then times c_j(p^e) there
+            table = [np.full((len(block), used[-1] + 1), v) for v in (1.0, 0.0)[:len(x)]]
+            for e in range(1, used[-1] + 1):
+                for part, v in zip(table, _mul([part[:, e - 1] for part in table], x)):
+                    part[:, e] = v
             coef = c[j].prime_power_table(block, used.tolist())
-            table_r = np.ones((len(block), used[-1] + 1))
-            table_i = np.zeros_like(table_r)
-            table_r[:, used], table_i[:, used] = _cmul(
-                pow_r[col][:, used - 1], pow_i[col][:, used - 1], coef.real, coef.imag)
-            tr, ti = _cmul(tr, ti, table_r[:, gather], table_i[:, gather])
-        bad = ~(np.isfinite(tr) & np.isfinite(ti)).all(axis=1)
+            values = _mul([part[:, used] for part in table],
+                          [coef.real, coef.imag][:1 + bool(coef.imag.any())])
+            if len(values) > len(table):
+                table.append(np.zeros_like(table[0]))
+            for part, v in zip(table, values):
+                part[:, used] = v
+            term = _mul(term, [part[:, gather] for part in table])
+        bad = ~np.logical_and.reduce([np.isfinite(part).all(axis=1) for part in term])
         if bad.any():
             raise OverflowError(f"the Euler factor at p = {block[bad.argmax()]} "
                                 "overflows float64")
-        # rows go to Python floats a few at a time, and an all-zero
-        # imaginary part is not summed
+        # rows go to Python floats a few at a time, and a missing or
+        # all-zero imaginary part is not summed
         for r0 in range(0, len(block), _FSUM_ROWS):
-            rows_r, rows_i = tr[r0:r0 + _FSUM_ROWS], ti[r0:r0 + _FSUM_ROWS]
-            if rows_i.any():
+            rows = [part[r0:r0 + _FSUM_ROWS] for part in term]
+            if rows[1:] and rows[1].any():
                 out += [complex(math.fsum(r), math.fsum(i))
-                        for r, i in zip(rows_r.tolist(), rows_i.tolist())]
+                        for r, i in zip(*(part.tolist() for part in rows))]
             else:
-                out += [complex(math.fsum(r), 0.0) for r in rows_r.tolist()]
+                out += [complex(math.fsum(r), 0.0) for r in rows[0].tolist()]
     return out
 
 
@@ -381,8 +392,14 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
     S.check_prime_bound(P)
     primes = primes_up_to(P)
     groups = _local_groups(S, primes, B)
+    # one search per right-hand side: the zero one at its largest bound, a
+    # smaller bound b keeping its solutions with max(alpha) <= b, in order
+    zero = (0,) * S.m
+    top = max((b for rhs, b in groups if rhs == zero), default=None)
     sols = {key: local_solutions(S, ps[0], key[1]).solutions
-            for key, ps in groups.items()}
+            for key, ps in groups.items() if key[0] != zero or key[1] == top}
+    sols.update({(zero, b): tuple(a for a in sols[zero, top] if max(a, default=0) <= b)
+                 for rhs, b in groups if rhs == zero and b != top})
     factor = {}
     try:
         for key, ps in groups.items():

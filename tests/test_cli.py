@@ -206,6 +206,17 @@ class TestDescriptor:
         (lambda doc: doc["coefficients"].__setitem__(
             0, {"type": "table", "values": {"2^1": -math.inf}}),
          "mds: coefficients[0].values.2^1: expected finite numbers, got -inf\n"),
+        # integers past float range, which complex() cannot convert
+        (lambda doc: doc.update(s=[10**400, [2, 0]]),
+         f"mds: s[0]: expected finite numbers, got {10**400}\n"),
+        (lambda doc: doc.update(s=[[2, 0], [2, -10**400]]),
+         f"mds: s[1]: expected finite numbers, got [2, {-10**400}]\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            1, {"type": "hecke_gl2", "lambda": {"2": 0.5, "3": 10**400}}),
+         f"mds: coefficients[1].lambda.3: expected finite numbers, got {10**400}\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            0, {"type": "table", "values": {"2^1": [10**400, 0]}}),
+         f"mds: coefficients[0].values.2^1: expected finite numbers, got [{10**400}, 0]\n"),
     ])
     def test_numbers_must_be_finite(self, tmp_path, capsys, edit, stderr):
         # Python's json writes and reads NaN and Infinity
@@ -663,6 +674,22 @@ class TestWorkCapEnv:
         assert code == 1
         assert "MDS_WORK_CAP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_000", "\u0661\u0660\u0660\u0660", "abc", "-5"])
+    def test_value_must_be_an_ascii_integer(self, diag_file, capsys, monkeypatch, value):
+        # int() reads the first two as 1000 and the last as a cap of -5
+        monkeypatch.setenv("MDS_WORK_CAP", value)
+        assert main(["enumerate", "--system", diag_file, "--N", "5"]) == 1
+        assert capsys.readouterr() == (
+            "", f"mds: MDS_WORK_CAP={value!r}: expected an integer >= 0\n")
+
+    @pytest.mark.parametrize("value, cap", [(" 3\t", 3), ("0", 0), ("", None)])
+    def test_blanks_zero_and_empty(self, diag_file, capsys, monkeypatch, value, cap):
+        # blanks around the digits are allowed, and an empty value is the default
+        monkeypatch.setenv("MDS_WORK_CAP", value)
+        code = main(["enumerate", "--system", diag_file, "--N", "50"])
+        err = capsys.readouterr().err
+        assert (code, err.count(f"cap is {cap} ")) == ((0, 0) if cap is None else (1, 1))
+
     def test_fixed_caps_name_their_own_remedy(self, tmp_path, capsys, monkeypatch):
         # the character-tuple cap does not read MDS_WORK_CAP, so its message
         # must not offer it: (1009 - 1)^2 tuples pass any enumeration cap
@@ -759,6 +786,9 @@ class TestConsoleScript:
         traced, untraced = docs
         assert traced["spans"]["cli.main"]["calls"] == 1
         assert traced["spans"]["series.compare"]["calls"] == 1
+        # one local search for the zero right-hand side at its largest bound,
+        # where each bound B_p used to make its own
+        assert traced["spans"]["variety.local_solutions"]["calls"] == 1
         assert untraced["spans"] == {}
         outputs = [json.loads(doc["stdout"]) for doc in docs]
         for out in outputs:
