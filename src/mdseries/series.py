@@ -300,16 +300,22 @@ def _local_factors(c, s, primes, sols) -> list:
     for lo in range(0, len(primes), step):
         block = primes[lo:lo + step]
         logs = [math.log(p) for p in block]
+        # p^(-z) once per distinct z; cmath also for real z, since past
+        # e^708.39 it differs from math.exp
+        xs = {z: np.array([cmath.exp(-z * lp) for lp in logs])
+              for z in {s[j] for j, _, _ in columns}}
         term = [np.ones((len(block), K))]
         for j, gather, used in columns:
-            # cmath also for real s_j: past e^708.39 it differs from math.exp
-            x = np.array([cmath.exp(-s[j] * lp) for lp in logs])
-            x = [x.real, x.imag][:1 + bool(s[j].imag)]
+            x = [xs[s[j]].real, xs[s[j]].imag][:1 + bool(s[j].imag)]
             # table[:, e] = x^e up to the last used e, then times c_j(p^e) there
             table = [np.full((len(block), used[-1] + 1), v) for v in (1.0, 0.0)[:len(x)]]
-            for e in range(1, used[-1] + 1):
-                for part, v in zip(table, _mul([part[:, e - 1] for part in table], x)):
-                    part[:, e] = v
+            if len(x) == 1:     # accumulate multiplies in order along e
+                table[0][:, 1:] = np.multiply.accumulate(
+                    np.broadcast_to(x[0][:, None], (len(block), used[-1])), axis=1)
+            else:
+                for e in range(1, used[-1] + 1):
+                    table[0][:, e], table[1][:, e] = _cmul(
+                        table[0][:, e - 1], table[1][:, e - 1], *x)
             coef = c[j].prime_power_table(block, used.tolist())
             values = _mul([part[:, used] for part in table],
                           [coef.real, coef.imag][:1 + bool(coef.imag.any())])

@@ -786,8 +786,8 @@ class TestConsoleScript:
         traced, untraced = docs
         assert traced["spans"]["cli.main"]["calls"] == 1
         assert traced["spans"]["series.compare"]["calls"] == 1
-        # one local search for the zero right-hand side at its largest bound,
-        # where each bound B_p used to make its own
+        # no twist: one local search, for the zero right-hand side at its
+        # largest bound, serves every bound B_p
         assert traced["spans"]["variety.local_solutions"]["calls"] == 1
         assert untraced["spans"] == {}
         outputs = [json.loads(doc["stdout"]) for doc in docs]
