@@ -301,69 +301,6 @@ class TestEulerBlocks:
             euler_product(TWISTED, broken, self.s, self.P, self.B)
 
 
-def signed_zero_table():
-    """A table family on p <= 7, e <= 4 whose values include 0.0, -0.0 and
-    real numbers with a -0.0 imaginary part."""
-    cycle = [0.0, -0.0, 0.5, complex(-0.0, -0.0), complex(-0.25, -0.0), complex(1.0, 0.0)]
-    keys = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 5)]
-    return TableFamily({key: cycle[k % len(cycle)] for k, key in enumerate(keys)})
-
-
-class TestRealKernel:
-    """The kernel keeps real data real and one search serves each
-    right-hand side; a factor keeps the bits of the complex scalar loop."""
-
-    bits = staticmethod(lambda z: (math.copysign(1.0, z.real), z.real.hex(),
-                                   math.copysign(1.0, z.imag), z.imag.hex()))
-
-    @pytest.mark.parametrize("S, fams, s, B, primes", [
-        # real trivial column before the complex character, real Hecke
-        # (lambda(p) = 1.8 cos p, negative at about half the primes) and tau after
-        (TWISTED, twisted_families(), (2.0, 2.5, 2.0, 3.0), 16, primes_up_to(1000)[::7]),
-        # complex s on real families, a real column between complex ones
-        (TWISTED, real_twisted_families(), (2 + 0.5j, 2.5, 2 - 1j, 3.0), 16,
-         primes_up_to(1000)[::7]),
-        (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.0), 3, [2, 3, 5, 7]),
-        (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.5 + 1j), 4, [2, 3, 5, 7]),
-        # 2^1022.52 is past e^708.39, where math.exp and cmath.exp can differ
-        (DIAG, TRIV2, (-1022.52, 1000.0), 1, [2]),
-    ])
-    def test_local_factor_equals_scalar_loop_bitwise(self, S, fams, s, B, primes):
-        for p in primes:
-            assert self.bits(local_factor(S, fams, p, s, B)) == self.bits(
-                scalar_local_factor(S, fams, p, s, oracle_bound(S, p, B)))
-
-    def test_real_data_makes_no_complex_product(self):
-        fams, s = real_twisted_families(), (2.0, 2.5, 2.0, 3.0)
-        with mock.patch.object(series, "_cmul", wraps=series._cmul) as spy:
-            euler_product(TWISTED, fams, s, 1000, 16)
-        assert spy.call_count == 0
-
-    def test_one_local_search_per_right_hand_side(self):
-        # the zero right-hand side at the largest bound B_7 = 6, and the twist
-        # primes 2, 3, 5 at B
-        with mock.patch.object(series, "local_solutions", wraps=local_solutions) as spy:
-            euler_product(TWISTED, twisted_families(), (2.0, 2.5, 2.0, 3.0), 1000, 16)
-        calls = sorted((monomial_rhs_at(TWISTED, p), b) for (_, p, b), _ in spy.call_args_list)
-        assert calls == sorted([((0, 0), 6)] + [(monomial_rhs_at(TWISTED, p), 16)
-                                                for p in (2, 3, 5)])
-
-    @pytest.mark.parametrize("B", [5, 16])
-    @pytest.mark.parametrize("S", [
-        TWISTED, DIAG, make_system([[2, 1, 0], [0, 1, -3]], omega=(8, 1), omega_prime=(27, 10)),
-    ])
-    def test_each_group_gets_its_own_search(self, S, B):
-        # a zero right-hand side's smaller bounds filter the largest one's
-        # solutions: the same tuples in the same order as their own search
-        groups = series._local_groups(S, primes_up_to(1000), B)
-        with mock.patch.object(series, "_local_factors", wraps=series._local_factors) as spy:
-            euler_product(S, trivial_tuple(S.t), (2.0,) * S.t, 1000, B)
-        assert spy.call_count == len(groups)
-        for (_, _, ps, sols), key in zip((call.args for call in spy.call_args_list), groups):
-            assert ps == groups[key]
-            assert sols == local_solutions(S, ps[0], key[1]).solutions
-
-
 def old_fsum(z):
     """Oracle: math.fsum of the real parts and of the imaginary parts.  z is
     an array, or an iterable of arrays, as for _fsum."""
@@ -566,6 +503,68 @@ class TestFsumRule:
         for rows in (1, 3):
             with mock.patch.object(series, "_FSUM_ROWS", rows):
                 assert self.bits(euler_product(TWISTED, fams, s, 1000, B)) == self.bits(product)
+
+
+def signed_zero_table():
+    """A table family on p <= 7, e <= 4 whose values include 0.0, -0.0 and
+    real numbers with a -0.0 imaginary part."""
+    cycle = [0.0, -0.0, 0.5, complex(-0.0, -0.0), complex(-0.25, -0.0), complex(1.0, 0.0)]
+    keys = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 5)]
+    return TableFamily({key: cycle[k % len(cycle)] for k, key in enumerate(keys)})
+
+
+class TestRealKernel:
+    """The kernel keeps real data real and one search serves each
+    right-hand side; a factor keeps the bits of the complex scalar loop."""
+
+    bits = staticmethod(TestFsumRule.bits)
+
+    @pytest.mark.parametrize("S, fams, s, B, primes", [
+        # real trivial column before the complex character, real Hecke
+        # (lambda(p) = 1.8 cos p, negative at about half the primes) and tau after
+        (TWISTED, twisted_families(), (2.0, 2.5, 2.0, 3.0), 16, primes_up_to(1000)[::7]),
+        # complex s on real families, a real column between complex ones
+        (TWISTED, real_twisted_families(), (2 + 0.5j, 2.5, 2 - 1j, 3.0), 16,
+         primes_up_to(1000)[::7]),
+        (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.0), 3, [2, 3, 5, 7]),
+        (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.5 + 1j), 4, [2, 3, 5, 7]),
+        # 2^1022.52 is past e^708.39, where math.exp and cmath.exp can differ
+        (DIAG, TRIV2, (-1022.52, 1000.0), 1, [2]),
+    ])
+    def test_local_factor_equals_scalar_loop_bitwise(self, S, fams, s, B, primes):
+        for p in primes:
+            assert self.bits(local_factor(S, fams, p, s, B)) == self.bits(
+                scalar_local_factor(S, fams, p, s, oracle_bound(S, p, B)))
+
+    def test_real_data_makes_no_complex_product(self):
+        fams, s = real_twisted_families(), (2.0, 2.5, 2.0, 3.0)
+        with mock.patch.object(series, "_cmul", wraps=series._cmul) as spy:
+            euler_product(TWISTED, fams, s, 1000, 16)
+        assert spy.call_count == 0
+
+    def test_one_local_search_per_right_hand_side(self):
+        # the zero right-hand side at the largest bound B_7 = 6, and the twist
+        # primes 2, 3, 5 at B
+        with mock.patch.object(series, "local_solutions", wraps=local_solutions) as spy:
+            euler_product(TWISTED, twisted_families(), (2.0, 2.5, 2.0, 3.0), 1000, 16)
+        calls = sorted((monomial_rhs_at(TWISTED, p), b) for (_, p, b), _ in spy.call_args_list)
+        assert calls == sorted([((0, 0), 6)] + [(monomial_rhs_at(TWISTED, p), 16)
+                                                for p in (2, 3, 5)])
+
+    @pytest.mark.parametrize("B", [5, 16])
+    @pytest.mark.parametrize("S", [
+        TWISTED, DIAG, make_system([[2, 1, 0], [0, 1, -3]], omega=(8, 1), omega_prime=(27, 10)),
+    ])
+    def test_each_group_gets_its_own_search(self, S, B):
+        # a zero right-hand side's smaller bounds filter the largest one's
+        # solutions: the same tuples in the same order as their own search
+        groups = series._local_groups(S, primes_up_to(1000), B)
+        with mock.patch.object(series, "_local_factors", wraps=series._local_factors) as spy:
+            euler_product(S, trivial_tuple(S.t), (2.0,) * S.t, 1000, B)
+        assert spy.call_count == len(groups)
+        for (_, _, ps, sols), key in zip((call.args for call in spy.call_args_list), groups):
+            assert ps == groups[key]
+            assert sols == local_solutions(S, ps[0], key[1]).solutions
 
 
 class TestDefaultExponentBound:
