@@ -17,8 +17,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,8 +278,7 @@ def _unit_roots(order: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * r / order) for r in range(order))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Discrete-log table defining the q-1 Dirichlet characters mod a prime q.
 
     g generates (Z/qZ)* and log[g^a mod q] = a; character k sends g^a to the

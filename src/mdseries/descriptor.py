@@ -51,6 +51,14 @@ def _complex_from(value, path):
     return z
 
 
+def _first_spelling(seen: dict, k, key, path) -> None:
+    """Record key as the first spelling of k, or reject it if an earlier key
+    of the same map spelled k: one prime as '3' and '03', say."""
+    first = seen.setdefault(k, key)
+    if first != key:
+        raise DescriptorError(path, f"duplicates key {first!r}")
+
+
 def _int_from(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise DescriptorError(path, f"expected an integer, got {value!r}")
@@ -86,13 +94,14 @@ def family_from_record(rec, path) -> CoefficientFamily:
         ints = {key: int(key) for key in map(str, lam) if _is_decimal(key)}
         sieved = set(primes_up_to(max((k for k in ints.values() if k <= _SIEVED_KEYS),
                                       default=0)))
-        out = {}
+        out, seen = {}, {}
         for key, val in lam.items():
             k = ints.get(str(key))
             if k is None or not (k in sieved if k <= _SIEVED_KEYS else is_prime(k)):
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be primes")
             if k >= 2**63:      # the family keeps its primes as int64
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be below 2^63")
+            _first_spelling(seen, k, key, f"{path}.lambda.{key}")
             out[k] = _complex_from(val, f"{path}.lambda.{key}")
         return HeckeGL2Family(out)
     if kind == "tau":
@@ -104,7 +113,7 @@ def family_from_record(rec, path) -> CoefficientFamily:
         values = rec.get("values")
         if not isinstance(values, dict):
             raise DescriptorError(f"{path}.values", "expected a prime-power -> value map")
-        out = {}
+        out, seen = {}, {}
         for key, val in values.items():
             match = _PRIME_POWER_KEY.fullmatch(str(key))
             if not match:
@@ -113,6 +122,7 @@ def family_from_record(rec, path) -> CoefficientFamily:
             p, e = int(match.group(1)), int(match.group(2))
             if e < 1 or not is_prime(p):     # no other key is ever read
                 raise DescriptorError(f"{path}.values.{key}", "keys need a prime p and e >= 1")
+            _first_spelling(seen, (p, e), key, f"{path}.values.{key}")
             out[(p, e)] = _complex_from(val, f"{path}.values.{key}")
         return TableFamily(out)
     raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")
@@ -211,12 +221,44 @@ def serialize_descriptor(system: LaurentMonomialSystem, families=None, s=None) -
     return doc
 
 
+class _Repeats(dict):
+    """A JSON object that gives the key `repeat` twice; json keeps the later
+    value."""
+
+
+def _json_object(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj = _Repeats(obj)
+        obj.repeat = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
+def _reject_repeats(doc) -> None:
+    """Raise DescriptorError at the path of a key that a JSON object of doc
+    gives twice, if there is one."""
+    todo = [("", doc)]
+    while todo:
+        path, value = todo.pop()
+        if isinstance(value, _Repeats):
+            key = value.repeat
+            raise DescriptorError(f"{path}.{key}" if path else key, f"duplicates key {key!r}")
+        if isinstance(value, dict):
+            todo.extend((f"{path}.{k}" if path else k, v) for k, v in value.items()
+                        if isinstance(v, (dict, list)))
+        elif isinstance(value, list):
+            todo.extend((f"{path}[{i}]", v) for i, v in enumerate(value)
+                        if isinstance(v, (dict, list)))
+
+
 def load_descriptor(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise DescriptorError(path, f"cannot read descriptor: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DescriptorError(path, f"invalid JSON: {exc}") from None
+    _reject_repeats(doc)
     return parse_descriptor(doc)

@@ -18,27 +18,23 @@ hnf_rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import TwistOverflowError, WorkCapExceeded
 from .limits import SUPPORT_COMBO_CAP, TWIST_LIMIT
 from .system import LaurentMonomialSystem
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(NamedTuple):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class Negate:
+class Negate(NamedTuple):
     i: int
 
 
-@dataclass(frozen=True)
-class AddMultiple:
+class AddMultiple(NamedTuple):
     """row_i += b * row_j with the matching multiplicative twist update."""
     i: int
     j: int
@@ -262,8 +258,7 @@ def express_in_rows(target, rows) -> Optional[list]:
     return [sum(qi * u[k] for qi, u in zip(q, U)) for k in range(len(mat))]
 
 
-@dataclass(frozen=True)
-class SupportSearch:
+class SupportSearch(NamedTuple):
     """Outcome of the bounded small-support basis search."""
     reducible: bool
     basis: Optional[tuple]   # rows, each with at most 2 nonzero entries

@@ -27,8 +27,7 @@ The reference is the direct box sum and its N/2 tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -165,8 +164,7 @@ def moment_rhs(S: LaurentMonomialSystem, families, s, q: int, N: int) -> complex
     return _average(S, _class_sums(families, s, N, [q])[q], q)
 
 
-@dataclass(frozen=True)
-class MomentExperiment:
+class MomentExperiment(NamedTuple):
     """Measured moment errors across moduli and the fitted decay exponent."""
 
     system: LaurentMonomialSystem
@@ -181,7 +179,7 @@ class MomentExperiment:
     intercept: Optional[float]
     stderr: Optional[float]    # standard error of the fitted slope
     residuals: tuple
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
     def to_dict(self) -> dict:
         return {

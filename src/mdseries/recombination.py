@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,24 +47,21 @@ _EXPONENT_CAP = 10**6
 #   atom        := int | 'x' uint | '(' expr ')'
 #   constraints := expr (';' expr)*
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: int
 
     def evaluate(self, point):
         return self.value
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int  # 0-based
 
     def evaluate(self, point):
         return point[self.index]
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*'
     left: object
     right: object
@@ -80,8 +76,7 @@ class BinOp:
         return a * b
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
@@ -209,8 +204,7 @@ class _Parser:
         raise ConstraintSyntaxError(f"unexpected {tok[0]!r}", tok[2], tok[3])
 
 
-@dataclass(frozen=True)
-class PolynomialVariety:
+class PolynomialVariety(NamedTuple):
     """Integer-coefficient constraints f_1 = ... = f_m = 0 in t variables."""
 
     t: int
@@ -262,8 +256,7 @@ def recombine(x: tuple, y: tuple, choice: dict) -> tuple:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A Property (S) violation: recombining the points x and y by `choice`
     leaves the variety at `point` (coordinate tuples)."""
     x: tuple
@@ -331,8 +324,7 @@ def check_property_S(V, N: int) -> Optional[Witness]:
 # ---------------------------------------------------------------------------
 # the Cartesian decomposition
 
-@dataclass(frozen=True)
-class CartesianCheck:
+class CartesianCheck(NamedTuple):
     equal: bool
     point: Optional[tuple] = None   # first differing coordinate tuple
     side: Optional[str] = None      # 'box-only' or 'recombined-only'

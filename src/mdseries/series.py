@@ -57,30 +57,27 @@ import bisect
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .arith import primes_up_to
 from .coefficients import _cmul, all_trivial, eval_product_coefficient
 from .errors import ConvergenceError, MissingPrimePowerError
-from .system import LaurentMonomialSystem
+from .system import LaurentMonomialSystem, ValidatedRecord
 # enumerate_box is not called here; perfbench's layer trace wraps it by
 # this module's name
 from .variety import box_windows, enumerate_box, local_solutions  # noqa: F401
 
 
-@dataclass(frozen=True)
-class EvalParams:
+class EvalParams(ValidatedRecord):
     """Truncation controls: box bound N, prime bound P, local exponent
     bound B (None picks the default from min Re s)."""
 
-    N: int
-    P: int
-    B: Optional[int] = None
+    _fields = ("N", "P", "B")
 
-    def __post_init__(self):
+    def __init__(self, N: int, P: int, B: Optional[int] = None):
+        super().__init__(N, P, B)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.P < 2:
@@ -89,8 +86,7 @@ class EvalParams:
             raise ValueError("B must be in 1..64")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     direct: complex
     euler: complex
     abs_diff: float
@@ -98,7 +94,7 @@ class EvalReport:
     euler_tail: Optional[float]
     wall_time: float
     params: EvalParams
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ which only `normalize`, `reduce-support` and the tests load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import factorize_twist
@@ -20,15 +19,47 @@ from .errors import TwistOverflowError
 from .limits import TWIST_LIMIT
 
 
-@dataclass(frozen=True)
-class LaurentMonomialSystem:
-    t: int
-    m: int
-    A: tuple                # m rows of t integers each
-    omega: tuple            # m positive integers
-    omega_prime: tuple      # m positive integers
+class ValidatedRecord:
+    """A record whose __init__ checks its fields: read-only fields named by
+    _fields, value equality and hashing within the class, and the repr of a
+    NamedTuple.  Unlike a NamedTuple it has no _make or _replace, so every
+    instance goes through the subclass's __init__."""
 
-    def __post_init__(self):
+    _fields = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+
+class LaurentMonomialSystem(ValidatedRecord):
+    """A: m rows of t integers each; omega and omega_prime: m positive
+    integers each."""
+
+    _fields = ("t", "m", "A", "omega", "omega_prime")
+
+    def __init__(self, t: int, m: int, A: tuple, omega: tuple, omega_prime: tuple):
+        super().__init__(t, m, A, omega, omega_prime)
         if self.t < 0 or self.m < 0:
             raise ValueError("t and m must be nonnegative")
         if len(self.A) != self.m:

@@ -31,7 +31,7 @@ PolynomialVariety too, and imports that module only when given one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,8 +341,7 @@ def enumerate_box(V, N: int) -> list:
 # ---------------------------------------------------------------------------
 # local solution sets
 
-@dataclass(frozen=True)
-class LocalSolutionSet:
+class LocalSolutionSet(NamedTuple):
     """Nonnegative exponent tuples alpha with max entry <= bound solving
     sum_j a_ij alpha_j = v_p(omega'_i) - v_p(omega_i) for every i."""
     p: int

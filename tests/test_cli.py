@@ -196,6 +196,33 @@ class TestDescriptor:
         assert capsys.readouterr().err == \
             f"mds: coefficients[1].values.{key}: keys need a prime p and e >= 1\n"
 
+    @pytest.mark.parametrize("old, new, stderr", [
+        # two spellings of one key, which read as one prime or prime power
+        ('{"type": "trivial"}]',
+         '{"type": "hecke_gl2", "lambda": {"2": 0.5, "3": 0.1, "03": -1.5}}]',
+         "mds: coefficients[1].lambda.03: duplicates key '3'\n"),
+        ('[{"type": "trivial"}',
+         '[{"type": "table", "values": {"2^1": 0.5, "2^01": -0.25, "02^1": 7}}',
+         "mds: coefficients[0].values.2^01: duplicates key '2^1'\n"),
+        # one key repeated in one JSON object, at any depth
+        ('{"type": "trivial"}]',
+         '{"type": "hecke_gl2", "lambda": {"2": 0.5, "3": 0.1, "3": -1.5}}]',
+         "mds: coefficients[1].lambda.3: duplicates key '3'\n"),
+        ('{"type": "trivial"}]', '{"type": "tau", "type": "trivial"}]',
+         "mds: coefficients[1].type: duplicates key 'type'\n"),
+        ('"m": 1,', '"m": 2, "m": 1,', "mds: m: duplicates key 'm'\n"),
+        ('"s": [[2, 0], [2, 0]]', '"s": [[2, 0], {"re": 2, "re": 0}]',
+         "mds: s[1].re: duplicates key 're'\n"),
+    ], ids=["lambda-spellings", "table-spellings", "lambda", "record", "document", "list"])
+    def test_a_key_given_twice_is_rejected(self, tmp_path, capsys, old, new, stderr):
+        # the later value used to win silently
+        text = json.dumps(DIAG_DOC)
+        assert text.count(old) == 1
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace(old, new))
+        assert main(["compare", "--system", str(path), "--N", "10", "--P", "10"]) == 1
+        assert capsys.readouterr() == ("", stderr)
+
 
     @pytest.mark.parametrize("edit, stderr", [
         (lambda doc: doc.update(s=[[math.nan, 0], [2, 0]]),
@@ -863,9 +890,11 @@ class TestImportSurface:
                              "from mdseries.cli import main\n"
                              "with contextlib.redirect_stdout(io.StringIO()):\n"
                              f"    rc = main({argv!r})\n"
-                             "print(rc)\n" + self.LOADED)
-            rc, modules = out.splitlines()
-            assert rc == "0"
+                             "print(rc, 'dataclasses' in sys.modules)\n" + self.LOADED)
+            status, modules = out.splitlines()
+            # the records are NamedTuples or plain classes, so no job makes
+            # dataclasses generate code at import
+            assert status == "0 False", argv[0]
             names = {m.removeprefix("mdseries.") for m in modules.split()}
             assert loads <= names and not skips & names, (argv[0], names)
 

@@ -15,7 +15,7 @@ from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
 from mdseries.errors import WorkCapExceeded
 from mdseries.lattice import negate_system
-from mdseries.momentlab import decay_experiment, moment_rhs
+from mdseries.momentlab import MomentExperiment, decay_experiment, moment_rhs
 from mdseries.series import EMPTY_VARIETY_WARNING, direct_sum_and_half
 from mdseries.system import LaurentMonomialSystem, make_system
 
@@ -309,6 +309,14 @@ class TestMomentRhs:
 
 
 class TestDecayExperiment:
+    def test_warnings_default_to_empty(self):
+        fields = dict(system=DIAG, families=TRIV2, s=(2, 2), q_list=(11,), N=10,
+                      lhs=1 + 0j, lhs_tail=None, errors=((11, 0.5),), eta_hat=None,
+                      intercept=None, stderr=None, residuals=())
+        exp = MomentExperiment(**fields)
+        assert exp.warnings == () and exp.to_dict()["warnings"] == []
+        assert exp._replace(warnings=("w",)) == MomentExperiment(**fields, warnings=("w",))
+
     def test_diagonal_errors_decay(self):
         exp = decay_experiment(DIAG, TRIV2, (2, 2), [11, 31, 101], 10**4)
         errs = [e for _, e in exp.errors]

@@ -16,7 +16,7 @@ from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    all_trivial, eval_product_coefficient,
                                    trivial_tuple)
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
-from mdseries.series import (EvalParams, compare, default_exponent_bound,
+from mdseries.series import (EvalParams, EvalReport, compare, default_exponent_bound,
                              direct_sum, direct_sum_and_half, euler_product,
                              local_factor, prime_exponent_bound)
 from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
@@ -656,6 +656,28 @@ class TestPrimeExponentBound:
 
 
 class TestCompare:
+    def test_params_and_report_defaults(self):
+        params = EvalParams(N=10, P=20)
+        assert params.B is None and params == EvalParams(10, 20, None)
+        rep = EvalReport(direct=1j, euler=1j, abs_diff=0.0, direct_tail=None,
+                         euler_tail=None, wall_time=0.0, params=params)
+        assert rep.warnings == () and rep.to_dict()["warnings"] == []
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 2, None), "N must be >= 1"),
+        ((1, 1, None), "P must be >= 2"),
+        ((1, 2, 0), "B must be in 1..64"),
+        ((1, 2, 65), "B must be in 1..64"),
+    ])
+    def test_params_validate_through_every_constructor(self, fields, message):
+        # EvalParams offers no _make or _replace that could skip __init__
+        for build in (lambda: EvalParams(*fields),
+                      lambda: EvalParams(**dict(zip(EvalParams._fields, fields)))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+        assert not hasattr(EvalParams, "_make") and not hasattr(EvalParams, "_replace")
+
     def test_diagonal_closed_form(self):
         rep = compare(DIAG, TRIV2, (2, 2), EvalParams(N=10**4, P=10**4, B=40))
         assert abs(rep.direct - math.pi**4 / 90) < 1e-8

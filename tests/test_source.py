@@ -38,6 +38,24 @@ def test_no_unused_imports():
     assert TRACE_ONLY <= found
 
 
+def imported_modules(path: Path) -> set:
+    """The top-level names of the modules that a module imports."""
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass generates and compiles its methods each time its module
+    # is imported; the records are NamedTuples or system.ValidatedRecord
+    found = {path.stem for path in SRC.glob("*.py") if "dataclasses" in imported_modules(path)}
+    assert found == set()
+
+
 def reads_environment(path: Path) -> bool:
     """Whether a module uses os.environ or os.getenv, or imports either."""
     for node in ast.walk(parse(path)):

@@ -3,16 +3,20 @@ import random
 
 import pytest
 
-from mdseries.arith import valuation
+from mdseries.arith import CharacterTable, valuation
 from mdseries.cli import main
 from mdseries.errors import TwistOverflowError, WorkCapExceeded
-from mdseries.lattice import (AddMultiple, Negate, Swap, apply_row_op,
-                              block_compose, express_in_rows, hnf_rows,
-                              lattice_contains, negate_system, normalize,
-                              permute_columns, support_reducible)
+from mdseries.lattice import (AddMultiple, Negate, SupportSearch, Swap,
+                              apply_row_op, block_compose, express_in_rows,
+                              hnf_rows, lattice_contains, negate_system,
+                              normalize, permute_columns, support_reducible)
+from mdseries.momentlab import MomentExperiment
+from mdseries.recombination import (BinOp, CartesianCheck, Const, PolynomialVariety,
+                                    Pow, Var, Witness)
+from mdseries.series import EvalParams, EvalReport
 from mdseries.system import LaurentMonomialSystem, make_system
 from mdseries.limits import TWIST_LIMIT
-from mdseries.variety import enumerate_box, monomial_rhs_at
+from mdseries.variety import LocalSolutionSet, enumerate_box, monomial_rhs_at
 
 
 def random_system(rng, tmax=4, mmax=3, amax=3, wmax=6):
@@ -60,6 +64,79 @@ class TestValidation:
     def test_twist_primes(self):
         S = make_system([[1], [1]], omega=(12, 1), omega_prime=(1, 35))
         assert S.twist_primes() == (2, 3, 5, 7)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ((2, 1, ((1,),), (1,), (1,)), ValueError, "A[0] has 1 entries, expected t=2"),
+        ((1, 1, ((1,),), (0,), (1,)), ValueError, "omega[0] must be a positive integer, got 0"),
+        ((1, 1, ((1,),), (1,), (TWIST_LIMIT + 1,)), TwistOverflowError,
+         "omega_prime[0] exceeds the twist cap"),
+    ])
+    def test_every_constructor_validates(self, fields, error, message):
+        # the class offers no _make or _replace that could skip __init__
+        names = LaurentMonomialSystem._fields
+        for build in (lambda: LaurentMonomialSystem(*fields),
+                      lambda: LaurentMonomialSystem(**dict(zip(names, fields)))):
+            with pytest.raises(error) as exc:
+                build()
+            assert str(exc.value) == message
+        assert not hasattr(LaurentMonomialSystem, "_make")
+        assert not hasattr(LaurentMonomialSystem, "_replace")
+
+    def test_fields_stay_read_only_beside_the_cached_twists(self):
+        S = make_system([[1, -1]], omega=(12,), omega_prime=(1,))
+        assert S.twist_rhs == {2: (-2,), 3: (-1,)}
+        for name in ("A", "twist_rhs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(S, name, None)
+            with pytest.raises(AttributeError):
+                delattr(S, name)
+        assert S == make_system([[1, -1]], omega=(12,), omega_prime=(1,))
+        # a plain class: no tuple of the same values compares equal to it
+        assert S != (1, 1, ((1, -1),), (12,), (1,))
+
+
+# one record of each record class, built from keywords in field order
+RECORDS = [
+    (CharacterTable, dict(q=3, g=2, log=(-1, 0, 1))),
+    (LaurentMonomialSystem, dict(t=1, m=1, A=((2,),), omega=(1,), omega_prime=(4,))),
+    (EvalParams, dict(N=10, P=20, B=None)),
+    (EvalReport, dict(direct=1 + 0j, euler=1 + 0j, abs_diff=0.0, direct_tail=None,
+                      euler_tail=0.5, wall_time=0.25, params=EvalParams(10, 20),
+                      warnings=("w",))),
+    (LocalSolutionSet, dict(p=2, bound=3, solutions=((1,),))),
+    (MomentExperiment, dict(system=make_system([[1, -1]]), families=(), s=(2, 2),
+                            q_list=(11, 31), N=10, lhs=1 + 0j, lhs_tail=None,
+                            errors=((11, 0.5), (31, 0.25)), eta_hat=0.5,
+                            intercept=0.0, stderr=None, residuals=(), warnings=())),
+    (Swap, dict(i=0, j=1)),
+    (Negate, dict(i=0)),
+    (AddMultiple, dict(i=0, j=1, b=-2)),
+    (SupportSearch, dict(reducible=True, basis=((1, 0),), coeff_bound=1)),
+    (Const, dict(value=5)),
+    (Var, dict(index=0)),
+    (BinOp, dict(op="-", left=Var(0), right=Const(1))),
+    (Pow, dict(base=Var(1), exponent=2)),
+    (PolynomialVariety, dict(t=2, constraints=(BinOp("-", Var(0), Var(1)),))),
+    (Witness, dict(x=(1, 2), y=(2, 1), choice=((2, "y"),), point=(2, 2))),
+    (CartesianCheck, dict(equal=False, point=(1, 2), side="box-only")),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+    def test_record_contract(self, cls, fields):
+        rec = cls(**fields)
+        assert cls._fields == tuple(fields)
+        assert [getattr(rec, name) for name in fields] == list(fields.values())
+        # equal fields give equal records, hashed as the tuple of the fields
+        twin = cls(*fields.values())
+        assert rec == twin and hash(rec) == hash(twin) == hash(tuple(fields.values()))
+        args = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(rec) == f"{cls.__name__}({args})"
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        assert rec == twin
 
 
 class TestTwistRhs:

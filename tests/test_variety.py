@@ -10,8 +10,8 @@ from mdseries import recombination, variety
 from mdseries.arith import factorize, valuation
 from mdseries.errors import ConstraintSyntaxError, WorkCapExceeded
 from mdseries.system import LaurentMonomialSystem, make_system
-from mdseries.recombination import (Witness, cartesian_check, check_property_S,
-                                    parse_constraints, recombine)
+from mdseries.recombination import (CartesianCheck, Witness, cartesian_check,
+                                    check_property_S, parse_constraints, recombine)
 from mdseries.variety import (enumerate_box, local_solutions, on_monomial_variety,
                               on_monomial_variety_rational)
 
@@ -436,6 +436,11 @@ class TestLocalSolutions:
 
 
 class TestCartesianCheck:
+    def test_point_and_side_default_to_none(self):
+        check = CartesianCheck(equal=True)
+        assert check.point is None and check.side is None
+        assert check == CartesianCheck(True, None, None)
+
     def test_diagonal(self):
         S = make_system([[1, -1]])
         assert cartesian_check(S, 30, 30, 5).equal
