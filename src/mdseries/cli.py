@@ -91,10 +91,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .coefficients import all_trivial
     from .lattice import normalize
     system, families, s = _load_system(args)
     canonical, ops = normalize(system)
-    doc = serialize_descriptor(canonical, families=None, s=s)
+    # row operations keep the columns' families; no field reads as all trivial
+    doc = serialize_descriptor(canonical, None if all_trivial(families) else families, s)
     _emit({
         "system": doc,
         "operations": [_op_to_json(op) for op in ops],

@@ -14,11 +14,11 @@ the multiplicative extension at an array of integers, factored in arrays
 and read from `prime_power_table`; a family keeps no per-integer state.
 
 Ramanujan tau values are exact: residue passes of the eta product run in
-int64 modulo primes whose product exceeds twice Deligne's bound on every
-coefficient, and the Chinese remainder theorem rebuilds tau(n) at the
-indices asked for.  `ramanujan_tau_table(N)` asks for every n <= N; the
-tau family asks only for the prime powers up to its bound, the values the
-multiplicative extension reads.
+int64 modulo one prime at a time, of primes whose product exceeds twice
+Deligne's bound on every coefficient, and the Chinese remainder theorem
+rebuilds tau(n) at the indices asked for.  `ramanujan_tau_table(N)` asks
+for every n <= N; the tau family asks only for the prime powers up to its
+bound, the values the multiplicative extension reads.
 """
 
 from __future__ import annotations
@@ -102,14 +102,15 @@ def tau_moduli(N: int) -> tuple:
     return tuple(moduli)
 
 
-def _tau_residues(N: int) -> tuple:
-    """(moduli, R) with moduli = tau_moduli(N) and R[k, n - 1] = tau(n) mod
-    moduli[k] for 1 <= n <= N, from the degree-N truncation of
-    q * prod (1-q^k)^24.
+def _tau_values(N: int, ns: Sequence[int]) -> list[int]:
+    """Exact tau(n) for each n of ns (1 <= n <= N), in order, from the
+    degree-N truncation of q * prod (1-q^k)^24.
 
     The cube of the Euler factor is Jacobi's sparse series g, and the 24th
-    power is g^8, built by 7 dense-by-sparse passes in int64 modulo each
-    prime of tau_moduli(N).
+    power is g^8, built by 7 dense-by-sparse passes in int64 modulo one
+    prime of tau_moduli(N) at a time, in one 3 x N buffer.  Only the
+    residues at ns are kept, and one array step of the Chinese remainder
+    theorem, in Python ints, lifts them into the symmetric range.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -118,42 +119,35 @@ def _tau_residues(N: int) -> tuple:
     L = N  # coefficients of degrees 0..N-1 before the q-shift
     jac = _jacobi_cube(L)
     moduli = tau_moduli(N)
-    column = np.array(moduli, dtype=np.int64)[:, None]
-    cur = np.zeros((len(moduli), L), dtype=np.int64)
-    for d, c in jac:
-        cur[:, d] = c
-    cur %= column
-    new, tmp = np.empty_like(cur), np.empty_like(cur)
-    for _ in range(7):
-        np.copyto(new, cur)                 # the degree-0 term of g is 1
-        for d, c in jac[1:]:
-            np.multiply(cur[:, :L - d], c, out=tmp[:, :L - d])
-            new[:, d:] += tmp[:, :L - d]
-        new %= column
-        cur, new = new, cur
-    return moduli, cur
-
-
-def _tau_crt(moduli: tuple, residues: np.ndarray, ns: np.ndarray) -> list[int]:
-    """Exact tau(n) for each n of ns, in order, from _tau_residues' output:
-    one array step of the Chinese remainder theorem, in Python ints, into
-    the symmetric range."""
+    at = np.asarray(ns, dtype=np.int64) - 1
+    buf, kept = np.empty((3, L), dtype=np.int64), []
+    for m in moduli:
+        cur, new, tmp = buf
+        cur.fill(0)
+        for d, c in jac:
+            cur[d] = c % m
+        for _ in range(7):
+            np.copyto(new, cur)             # the degree-0 term of g is 1
+            for d, c in jac[1:]:
+                np.multiply(cur[:L - d], c, out=tmp[:L - d])
+                new[d:] += tmp[:L - d]
+            new %= m
+            cur, new = new, cur
+        kept.append(cur[at])
     M = math.prod(moduli)
     half = M // 2                           # M is odd
     basis = [M // m * pow(M // m, -1, m) for m in moduli]
     out = []
-    for lo in range(0, len(ns), 1024):      # bounds the Python ints alive
-        cols = residues[:, ns[lo:lo + 1024] - 1]
-        x = sum(row.astype(object) * b for row, b in zip(cols, basis))
+    for lo in range(0, len(at), 1024):      # bounds the Python ints alive
+        x = sum(r[lo:lo + 1024].astype(object) * b for r, b in zip(kept, basis))
         out += ((x + half) % M - half).tolist()
     return out
 
 
 def ramanujan_tau_table(N: int) -> list[int]:
-    """Exact tau(1..N): _tau_residues(N), then _tau_crt at every n <= N.
-    Returns a list with tau[n] at index n (index 0 unused)."""
-    moduli, residues = _tau_residues(N)
-    return [0] + _tau_crt(moduli, residues, np.arange(1, N + 1))
+    """Exact tau(1..N), _tau_values at every n <= N.  Returns a list with
+    tau[n] at index n (index 0 unused)."""
+    return [0] + _tau_values(N, range(1, N + 1))
 
 
 def _prime_powers(bound: int):
@@ -350,9 +344,7 @@ class TauFamily(CoefficientFamily):
         self.bound = bound
         cached = self._table_cache.get(bound)
         if cached is None:
-            moduli, residues = _tau_residues(bound)
-            taus = _tau_crt(moduli, residues, np.array(
-                [pe for _, _, pe in _prime_powers(bound)], dtype=np.int64))
+            taus = _tau_values(bound, [pe for _, _, pe in _prime_powers(bound)])
             # prime_power's values at 1 and the prime powers <= bound, and
             # top[p] = the largest e with p^e <= bound
             norm, top = np.zeros(bound + 2), np.zeros(bound + 2, dtype=np.int64)

@@ -31,13 +31,18 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_from(value, path):
     # Python's json reads NaN, Infinity and overflowing literals such as
-    # 1e400 as non-finite floats, and an integer past float range as an int
-    if isinstance(value, (int, float)):
+    # 1e400 as non-finite floats, an integer past float range as an int, and
+    # true and false as bools, which are ints
+    if _is_number(value):
         parts = (value, 0)
     elif (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+            and all(map(_is_number, value))):
         parts = value
     else:
         raise DescriptorError(path, f"expected a number or [re, im] pair, got {value!r}")

@@ -244,6 +244,15 @@ class TestDescriptor:
         (lambda doc: doc["coefficients"].__setitem__(
             0, {"type": "table", "values": {"2^1": [10**400, 0]}}),
          f"mds: coefficients[0].values.2^1: expected finite numbers, got [{10**400}, 0]\n"),
+        # JSON true and false load as bools, which Python counts as ints
+        (lambda doc: doc.update(s=[[2, 0], [True, False]]),
+         "mds: s[1]: expected a number or [re, im] pair, got [True, False]\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            1, {"type": "hecke_gl2", "lambda": {"2": 0.5, "3": True}}),
+         "mds: coefficients[1].lambda.3: expected a number or [re, im] pair, got True\n"),
+        (lambda doc: doc["coefficients"].__setitem__(
+            0, {"type": "table", "values": {"2^1": False}}),
+         "mds: coefficients[0].values.2^1: expected a number or [re, im] pair, got False\n"),
     ])
     def test_numbers_must_be_finite(self, tmp_path, capsys, edit, stderr):
         # Python's json writes and reads NaN and Infinity
@@ -518,6 +527,28 @@ class TestCliNormalize:
         assert out["system"]["A"] == [[1, -1]]
         assert out["dropped_rows"] == 1
         assert out["operations"]
+        assert "coefficients" not in out["system"]
+
+    def test_families_are_kept(self, tmp_path, capsys):
+        # row operations act on the rows of A; the families belong to its
+        # columns, so the canonical system evaluates the same series
+        recs = [{"type": "tau", "bound": 10**4}, {"type": "character", "q": 7, "k": 2}]
+        doc = {"t": 2, "m": 2, "A": [[2, -2], [1, -1]],
+               "omega": ["1", "1"], "omega_prime": ["1", "1"],
+               "coefficients": recs, "s": [[2, 0], [2, 0]]}
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(doc))
+        assert main(["normalize", "--system", str(path)]) == 0
+        canonical = json.loads(capsys.readouterr().out)["system"]
+        assert canonical["coefficients"] == recs
+        path2 = tmp_path / "canonical.json"
+        path2.write_text(json.dumps(canonical))
+        direct = []
+        for p in (path, path2):
+            assert main(["eval", "--system", str(p), "--N", "200"]) == 0
+            direct.append(json.dumps(json.loads(capsys.readouterr().out)["direct"]))
+        assert direct[0] == direct[1]
+        assert json.loads(direct[0])[1] != 0
 
 
 class TestCliReduceSupport:

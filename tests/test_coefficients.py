@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mdseries import arith
 from mdseries.arith import character_table, factorize, is_prime, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
-                                   TauFamily, TrivialFamily, _tau_crt, _tau_residues,
+                                   TauFamily, TrivialFamily, _tau_values,
                                    eval_product_coefficient, hecke_prime_power,
                                    ramanujan_tau_table, tau_moduli, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
@@ -232,11 +233,25 @@ class TestTauPrimePowers:
         rng = random.Random(13)
         # unordered, with repeats and both ends, and longer than one CRT chunk
         ns = [N, 1, 2, 2] + [rng.randint(1, N) for _ in range(1500)]
-        moduli, residues = _tau_residues(N)
-        got = _tau_crt(moduli, residues, np.array(ns, dtype=np.int64))
+        got = _tau_values(N, np.array(ns, dtype=np.int64))
         assert got == [table[n] for n in ns]
         assert all(type(x) is int for x in got)
-        assert _tau_crt(moduli, residues, np.array([], dtype=np.int64)) == []
+        assert _tau_values(N, np.array([], dtype=np.int64)) == []
+
+    def test_one_modulus_at_a_time(self, fresh):
+        # the passes reuse one 3 x N int64 buffer, 24 N bytes, across the
+        # three moduli at this bound; holding every modulus at once takes
+        # three such buffers
+        N = 5 * 10**4
+        assert len(tau_moduli(N)) == 3
+        primes_up_to(N)             # the shared prime sieve is grown outside
+        tracemalloc.start()
+        try:
+            fresh(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * N
 
 
 class TestFamilies:
