@@ -15,7 +15,7 @@ import re
 import sys
 import time
 
-from .descriptor import load_descriptor, serialize_descriptor
+from .descriptor import build_families, load_descriptor, serialize_descriptor
 from .errors import MDSeriesError
 
 EXIT_OK = 0
@@ -42,12 +42,14 @@ def _emit(doc: dict) -> None:
 
 
 def _load_system(args, *, need_s=False):
-    system, families, s, extras = load_descriptor(args.system)
+    system, records, s, extras = load_descriptor(args.system)
     for field in extras:
         _warn(f"descriptor field {field!r} is not used by this command; ignored")
-    if need_s and s is None:
+    if not need_s:
+        return system, records, s
+    if s is None:
         raise MDSeriesError("descriptor has no 's' field; this command evaluates the series")
-    return system, families, s
+    return system, build_families(records), s
 
 
 def _cx(z: complex) -> list:
@@ -91,12 +93,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    from .coefficients import all_trivial
     from .lattice import normalize
-    system, families, s = _load_system(args)
+    system, records, s = _load_system(args)
     canonical, ops = normalize(system)
     # row operations keep the columns' families; no field reads as all trivial
-    doc = serialize_descriptor(canonical, None if all_trivial(families) else families, s)
+    trivial = all(rec["type"] == "trivial" for rec in records)
+    doc = serialize_descriptor(canonical, None if trivial else records, s)
     _emit({
         "system": doc,
         "operations": [_op_to_json(op) for op in ops],

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arith import _unit_roots, factor_levels, factorize, is_prime, primes_up_to
 from .errors import MissingPrimePowerError
-from .limits import TAU_TABLE_LIMIT
+from .limits import TAU_DEFAULT_BOUND, TAU_TABLE_LIMIT
 
 
 def _cmul(ar, ai, br, bi) -> tuple:
@@ -275,11 +275,6 @@ class HeckeGL2Family(CoefficientFamily):
         self.primes = np.array(sorted(lam), dtype=np.int64)
         self.lam = np.array([lam[p] for p in self.primes.tolist()], dtype=complex)
 
-    @property
-    def lambda_p(self) -> dict:
-        """{p: lambda(p)}, in ascending p."""
-        return dict(zip(self.primes.tolist(), self.lam.tolist()))
-
     def _find(self, primes) -> tuple:
         """(index, known): the position of each prime in self.primes, and
         whether it is there."""
@@ -337,10 +332,9 @@ class TauFamily(CoefficientFamily):
     normalized tau satisfies.
     """
 
-    DEFAULT_BOUND = 10_000
     _table_cache: dict = {}
 
-    def __init__(self, bound: int = DEFAULT_BOUND):
+    def __init__(self, bound: int = TAU_DEFAULT_BOUND):
         self.bound = bound
         cached = self._table_cache.get(bound)
         if cached is None:

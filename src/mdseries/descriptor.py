@@ -2,7 +2,9 @@
 
 Twists travel as decimal strings so row-operation-inflated values survive
 interchange; complex numbers travel as [re, im] pairs.  Validation errors
-carry the offending field path (e.g. "A[1]").
+carry the offending field path (e.g. "A[1]").  Coefficient records are
+validated and kept as canonical JSON records; build_families turns them
+into families for the commands that evaluate the series.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ import json
 import re
 
 from .arith import character_table, is_prime, primes_up_to
-from .coefficients import (CharacterFamily, CoefficientFamily, HeckeGL2Family,
-                           TableFamily, TauFamily, TrivialFamily, trivial_tuple)
 from .errors import DescriptorError
-from .limits import TAU_TABLE_LIMIT
+from .limits import TAU_DEFAULT_BOUND, TAU_TABLE_LIMIT
 from .system import LaurentMonomialSystem
 
 # Twists, lambda keys and table keys take ASCII decimal digits only: str.isdigit
@@ -80,18 +80,21 @@ def _twist_from(value, path):
     raise DescriptorError(path, f"expected a decimal string, got {value!r}")
 
 
-def family_from_record(rec, path) -> CoefficientFamily:
+def parse_record(rec, path) -> dict:
+    """A coefficient record, validated, in canonical form: k mod q - 1, lambda
+    keys ascending, tau's bound filled in, table keys sorted, each value a
+    number, or an [re, im] pair if its imaginary part is not zero."""
     if not isinstance(rec, dict) or "type" not in rec:
         raise DescriptorError(path, "expected a tagged record with a 'type' field")
     kind = rec["type"]
     if kind == "trivial":
-        return TrivialFamily()
+        return {"type": "trivial"}
     if kind == "character":
         q = _int_from(rec.get("q"), f"{path}.q")
         k = _int_from(rec.get("k"), f"{path}.k")
         if q < 3 or q % 2 == 0 or not is_prime(q):
             raise DescriptorError(f"{path}.q", f"modulus must be an odd prime, got {q}")
-        return CharacterFamily(character_table(q), k)
+        return {"type": "character", "q": q, "k": k % (q - 1)}
     if kind == "hecke_gl2":
         lam = rec.get("lambda")
         if not isinstance(lam, dict):
@@ -108,12 +111,13 @@ def family_from_record(rec, path) -> CoefficientFamily:
                 raise DescriptorError(f"{path}.lambda.{key}", "keys must be below 2^63")
             _first_spelling(seen, k, key, f"{path}.lambda.{key}")
             out[k] = _complex_from(val, f"{path}.lambda.{key}")
-        return HeckeGL2Family(out)
+        return {"type": "hecke_gl2",
+                "lambda": {str(p): _complex_out(out[p]) for p in sorted(out)}}
     if kind == "tau":
-        bound = _int_from(rec.get("bound", TauFamily.DEFAULT_BOUND), f"{path}.bound")
+        bound = _int_from(rec.get("bound", TAU_DEFAULT_BOUND), f"{path}.bound")
         if not 1 <= bound <= TAU_TABLE_LIMIT:
             raise DescriptorError(f"{path}.bound", f"expected 1..{TAU_TABLE_LIMIT}, got {bound}")
-        return TauFamily(bound)
+        return {"type": "tau", "bound": bound}
     if kind == "table":
         values = rec.get("values")
         if not isinstance(values, dict):
@@ -129,25 +133,9 @@ def family_from_record(rec, path) -> CoefficientFamily:
                 raise DescriptorError(f"{path}.values.{key}", "keys need a prime p and e >= 1")
             _first_spelling(seen, (p, e), key, f"{path}.values.{key}")
             out[(p, e)] = _complex_from(val, f"{path}.values.{key}")
-        return TableFamily(out)
-    raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")
-
-
-def record_from_family(f: CoefficientFamily) -> dict:
-    if isinstance(f, TrivialFamily):
-        return {"type": "trivial"}
-    if isinstance(f, CharacterFamily):
-        return {"type": "character", "q": f.table.q, "k": f.k}
-    if isinstance(f, HeckeGL2Family):
-        return {"type": "hecke_gl2",
-                "lambda": {str(p): _complex_out(v) for p, v in f.lambda_p.items()}}
-    if isinstance(f, TauFamily):
-        return {"type": "tau", "bound": f.bound}
-    if isinstance(f, TableFamily):
         return {"type": "table",
-                "values": {f"{p}^{e}": _complex_out(v)
-                           for (p, e), v in sorted(f.entries.items())}}
-    raise TypeError(f"cannot serialize {type(f).__name__}")
+                "values": {f"{p}^{e}": _complex_out(v) for (p, e), v in sorted(out.items())}}
+    raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")
 
 
 def _complex_out(z: complex):
@@ -156,11 +144,27 @@ def _complex_out(z: complex):
     return [z.real, z.imag]
 
 
-def parse_descriptor(doc: dict):
-    """Validate a descriptor and build (system, families, s).
+def build_families(records) -> tuple:
+    """The family of each canonical record.  Only the commands that evaluate
+    the series call it, so only they load mdseries.coefficients."""
+    from . import coefficients as c
+    build = {
+        "trivial": lambda rec: c.TrivialFamily(),
+        "character": lambda rec: c.CharacterFamily(character_table(rec["q"]), rec["k"]),
+        "hecke_gl2": lambda rec: c.HeckeGL2Family(
+            {p: _complex_from(v, p) for p, v in rec["lambda"].items()}),
+        "tau": lambda rec: c.TauFamily(rec["bound"]),
+        "table": lambda rec: c.TableFamily(
+            {tuple(pe.split("^")): _complex_from(v, pe) for pe, v in rec["values"].items()}),
+    }
+    return tuple(build[rec["type"]](rec) for rec in records)
 
-    `coefficients` defaults to all-trivial; `s` may be absent (None) for
-    commands that do not evaluate the series.
+
+def parse_descriptor(doc: dict):
+    """Validate a descriptor and return (system, records, s, extras): the
+    coefficient records in parse_record's canonical form, all trivial if
+    `coefficients` is absent; `s`, None if absent, for commands that do not
+    evaluate the series; and the unknown top-level fields, sorted.
     """
     if not isinstance(doc, dict):
         raise DescriptorError("$", "descriptor must be a JSON object")
@@ -193,12 +197,11 @@ def parse_descriptor(doc: dict):
         raise DescriptorError("$", str(exc)) from None
     recs = doc.get("coefficients")
     if recs is None:
-        families = trivial_tuple(t)
+        records = tuple({"type": "trivial"} for _ in range(t))
     else:
         if not isinstance(recs, list) or len(recs) != t:
             raise DescriptorError("coefficients", f"expected {t} family records")
-        families = tuple(family_from_record(rec, f"coefficients[{i}]")
-                         for i, rec in enumerate(recs))
+        records = tuple(parse_record(rec, f"coefficients[{i}]") for i, rec in enumerate(recs))
     s_doc = doc.get("s")
     if s_doc is None:
         s = None
@@ -208,10 +211,10 @@ def parse_descriptor(doc: dict):
         s = tuple(_complex_from(v, f"s[{i}]") for i, v in enumerate(s_doc))
     known = {"t", "m", "A", "omega", "omega_prime", "coefficients", "s"}
     extras = sorted(set(doc) - known)
-    return system, families, s, extras
+    return system, records, s, extras
 
 
-def serialize_descriptor(system: LaurentMonomialSystem, families=None, s=None) -> dict:
+def serialize_descriptor(system: LaurentMonomialSystem, records=None, s=None) -> dict:
     doc = {
         "t": system.t,
         "m": system.m,
@@ -219,8 +222,8 @@ def serialize_descriptor(system: LaurentMonomialSystem, families=None, s=None) -
         "omega": [str(w) for w in system.omega],
         "omega_prime": [str(w) for w in system.omega_prime],
     }
-    if families is not None:
-        doc["coefficients"] = [record_from_family(f) for f in families]
+    if records is not None:
+        doc["coefficients"] = list(records)
     if s is not None:
         doc["s"] = [[complex(z).real, complex(z).imag] for z in s]
     return doc

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import mdseries
-from mdseries import arith, coefficients, descriptor
+from mdseries import arith, cli, coefficients, descriptor
 from mdseries.arith import factorize, primes_up_to
 from mdseries.cli import main
-from mdseries.descriptor import (family_from_record, parse_descriptor,
-                                 record_from_family, serialize_descriptor)
+from mdseries.descriptor import parse_descriptor, parse_record, serialize_descriptor
 from mdseries.errors import DescriptorError
 from mdseries.momentlab import moment_rhs
 from mdseries.series import direct_sum_and_half
@@ -111,8 +110,8 @@ class TestDescriptor:
 
     def test_defaults_to_trivial(self):
         doc = {k: v for k, v in DIAG_DOC.items() if k != "coefficients"}
-        _, families, _, _ = parse_descriptor(doc)
-        assert all(record_from_family(f) == {"type": "trivial"} for f in families)
+        _, records, _, _ = parse_descriptor(doc)
+        assert records == ({"type": "trivial"},) * 2
 
     def test_extra_fields_reported(self):
         doc = dict(DIAG_DOC, note="hello")
@@ -161,8 +160,8 @@ class TestDescriptor:
         # 1000001 = 101 * 9901 is past the sieved keys, so is_prime decides
         # it, as it accepts the prime 1000003
         lam = {"2": 0.5, "1000003": 0.25}
-        fam = family_from_record({"type": "hecke_gl2", "lambda": lam}, "coefficients[1]")
-        assert sorted(fam.lambda_p) == [2, 1000003]
+        rec = parse_record({"type": "hecke_gl2", "lambda": lam}, "coefficients[1]")
+        assert list(rec["lambda"]) == ["2", "1000003"]
         doc = dict(DIAG_DOC, coefficients=[{"type": "trivial"},
                                            {"type": "hecke_gl2", "lambda": dict(lam, **{key: 1.0})}])
         path = tmp_path / "lambda.json"
@@ -174,20 +173,20 @@ class TestDescriptor:
         # 2^89 - 1 is prime, but past the int64 array the family keeps
         key = str(2**89 - 1)
         with pytest.raises(DescriptorError, match=r"keys must be below 2\^63$"):
-            family_from_record({"type": "hecke_gl2", "lambda": {"2": 0.5, key: 0.25}},
-                               "coefficients[1]")
+            parse_record({"type": "hecke_gl2", "lambda": {"2": 0.5, key: 0.25}},
+                         "coefficients[1]")
 
     def test_table_key_format(self):
         rec = {"type": "table", "values": {"12": 1.0}}
         with pytest.raises(DescriptorError):
-            family_from_record(rec, "coefficients[0]")
+            parse_record(rec, "coefficients[0]")
 
     @pytest.mark.parametrize("key", ["4^1", "0^3", "2^0"])
     def test_table_keys_need_a_prime_and_a_positive_exponent(self, tmp_path, capsys, key):
         # values reads only p^e with p prime and e >= 1, so any other key
         # would load and never be read
         rec = {"type": "table", "values": {"2^1": 0.5}}
-        assert family_from_record(rec, "coefficients[1]").entries == {(2, 1): 0.5}
+        assert parse_record(rec, "coefficients[1]")["values"] == {"2^1": 0.5}
         rec["values"][key] = 1.0
         doc = dict(DIAG_DOC, coefficients=[{"type": "trivial"}, rec])
         path = tmp_path / "table.json"
@@ -639,12 +638,12 @@ class TestCliMoment:
                                         s=[[2, 0]] * 3)))
         built, calls = [], []
 
-        def build(rec, where):
-            fam = family_from_record(rec, where)
-            built.append((fam, pickle.dumps(vars(fam))))
-            return fam
+        def build(records):
+            fams = descriptor.build_families(records)
+            built.extend((fam, pickle.dumps(vars(fam))) for fam in fams)
+            return fams
 
-        monkeypatch.setattr(descriptor, "family_from_record", build)
+        monkeypatch.setattr(cli, "build_families", build)
         monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
         code = main(["moment", "--system", str(path), "--q", "11,31", "--N", str(N)])
         assert code == 0 and json.loads(capsys.readouterr().out)["errors"]

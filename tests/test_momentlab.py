@@ -154,7 +154,8 @@ class TestTruncatedTwistedL:
         assert got == pytest.approx(want, abs=1e-12)
 
 
-HECKE = HeckeGL2Family({p: 0.3 * ((p * 7) % 11 - 5) for p in range(2, 400)})
+HECKE_LAMBDA = {p: 0.3 * ((p * 7) % 11 - 5) for p in range(2, 400)}
+HECKE = HeckeGL2Family(HECKE_LAMBDA)
 # (system, families, s, q, N): the systems of test_matches_naive_twisted_L_average,
 # with tau, Hecke and character families at m = 1 and 2
 MOMENT_CASES = [
@@ -524,7 +525,7 @@ class TestClassSumPass:
     def test_moment_pass_leaves_the_memo_empty(self):
         # a family keeps no memo: moment_rhs (twisted and m = 0) and the
         # class-sum pass of a decay experiment leave its attributes as they were
-        hecke, tau = HeckeGL2Family(HECKE.lambda_p), TauFamily(1000)
+        hecke, tau = HeckeGL2Family(HECKE_LAMBDA), TauFamily(1000)
         hecke.value(6)
         before = [pickle.dumps(vars(f)) for f in (hecke, tau)]
         m0 = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())

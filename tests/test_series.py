@@ -293,7 +293,7 @@ class TestEulerBlocks:
         # tau (column 4) first fails at 1009, lambda (column 3) at 1013; the
         # kernel meets column 3 first in their block, but the error must name
         # 1009, where a prime-by-prime ascending product stops
-        lam = dict(fams[2].lambda_p)
+        lam = dict(zip(fams[2].primes.tolist(), fams[2].lam.tolist()))
         del lam[1013]
         broken = fams[:2] + (HeckeGL2Family(lam), TauFamily(1000))
         with pytest.raises(MissingPrimePowerError,
