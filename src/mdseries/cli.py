@@ -16,7 +16,7 @@ import sys
 import time
 
 from .descriptor import build_families, load_descriptor, serialize_descriptor
-from .errors import MDSeriesError
+from .errors import ConvergenceError, MDSeriesError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -42,14 +42,18 @@ def _emit(doc: dict) -> None:
 
 
 def _load_system(args, *, need_s=False):
+    """(system, records, s, notes), the notes naming unknown descriptor
+    fields, already on stderr.  With need_s, for the commands that evaluate
+    the series, s must be given, and the families take the records' place."""
     system, records, s, extras = load_descriptor(args.system)
-    for field in extras:
-        _warn(f"descriptor field {field!r} is not used by this command; ignored")
+    notes = [f"unknown descriptor field {field!r}; ignored" for field in extras]
+    for note in notes:
+        _warn(note)
     if not need_s:
-        return system, records, s
+        return system, records, s, notes
     if s is None:
         raise MDSeriesError("descriptor has no 's' field; this command evaluates the series")
-    return system, build_families(records), s
+    return system, build_families(records), s, notes
 
 
 def _cx(z: complex) -> list:
@@ -58,7 +62,7 @@ def _cx(z: complex) -> list:
 
 def cmd_eval(args) -> int:
     from . import series
-    system, families, s = _load_system(args, need_s=True)
+    system, families, s, notes = _load_system(args, need_s=True)
     t0 = time.perf_counter()
     warnings = list(series.check_series_point(s, system.t, args.override_convergence))
     value, half = series.direct_sum_and_half(
@@ -74,7 +78,7 @@ def cmd_eval(args) -> int:
         "direct": _cx(value),
         "tail_estimate": tail,
         "N": args.N,
-        "warnings": warnings,
+        "warnings": notes + warnings,
         "wall_time": time.perf_counter() - t0,
     })
     return EXIT_OK
@@ -82,19 +86,19 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import series
-    system, families, s = _load_system(args, need_s=True)
+    system, families, s, notes = _load_system(args, need_s=True)
     params = series.EvalParams(N=args.N, P=args.P, B=args.B)
     report = series.compare(system, families, s, params,
                             override_convergence=args.override_convergence)
     for w in report.warnings:
         _warn(w)
-    _emit(report.to_dict())
+    _emit(report._replace(warnings=(*notes, *report.warnings)).to_dict())
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
     from .lattice import normalize
-    system, records, s = _load_system(args)
+    system, records, s, _ = _load_system(args)
     canonical, ops = normalize(system)
     # row operations keep the columns' families; no field reads as all trivial
     trivial = all(rec["type"] == "trivial" for rec in records)
@@ -126,7 +130,7 @@ def _load_variety(args):
         from .recombination import parse_constraints
         return parse_constraints(text, args.t)
     if args.system:
-        return load_descriptor(args.system)[0]
+        return _load_system(args)[0]
     raise MDSeriesError("give either --constraints (with --t) or --system")
 
 
@@ -150,7 +154,7 @@ def cmd_check_s(args) -> int:
 
 def cmd_reduce_support(args) -> int:
     from .lattice import support_reducible
-    system, _, _ = _load_system(args)
+    system = _load_system(args)[0]
     result = support_reducible(system.A, args.bound)
     if result.reducible:
         _emit({
@@ -168,7 +172,7 @@ def cmd_reduce_support(args) -> int:
 
 def cmd_moment(args) -> int:
     from . import momentlab
-    system, families, s = _load_system(args, need_s=True)
+    system, families, s, notes = _load_system(args, need_s=True)
     q_list = []
     for field in args.q.split(","):
         if field.strip():
@@ -188,7 +192,7 @@ def cmd_moment(args) -> int:
             for row in experiment.csv_rows():
                 fh.write(",".join(str(x) for x in row) + "\n")
         _warn(f"wrote {args.csv}")
-    _emit(experiment.to_dict())
+    _emit(experiment._replace(warnings=(*notes, *experiment.warnings)).to_dict())
     return EXIT_OK
 
 
@@ -294,6 +298,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
+    except ConvergenceError as exc:
+        remedy = ("mds moment needs min Re s > 1" if args.command == "moment" else
+                  "pass --override-convergence to evaluate a formal truncation")
+        _warn(f"min Re s = {exc.sigma} <= 1; {remedy}")
+        return EXIT_ERROR
     except (MDSeriesError, ValueError, OverflowError, OSError) as exc:
         _warn(str(exc))
         return EXIT_ERROR

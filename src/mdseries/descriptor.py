@@ -25,6 +25,10 @@ _PRIME_POWER_KEY = re.compile(r"(\d+)\^(\d+)", re.ASCII)
 # lambda keys up to this are checked against one prime sieve, larger ones
 # by is_prime
 _SIEVED_KEYS = 10**6
+# the keys that each kind of coefficient record takes
+_RECORD_KEYS = {"trivial": ("type",), "character": ("type", "q", "k"),
+                "hecke_gl2": ("type", "lambda"), "tau": ("type", "bound"),
+                "table": ("type", "values")}
 
 
 def _is_decimal(text: str) -> bool:
@@ -87,6 +91,12 @@ def parse_record(rec, path) -> dict:
     if not isinstance(rec, dict) or "type" not in rec:
         raise DescriptorError(path, "expected a tagged record with a 'type' field")
     kind = rec["type"]
+    if not isinstance(kind, str) or kind not in _RECORD_KEYS:
+        raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")
+    for key in rec:
+        if key not in _RECORD_KEYS[kind]:
+            raise DescriptorError(f"{path}.{key}", f"unknown key; a {kind!r} record takes "
+                                  + ", ".join(map(repr, _RECORD_KEYS[kind])))
     if kind == "trivial":
         return {"type": "trivial"}
     if kind == "character":
@@ -118,24 +128,21 @@ def parse_record(rec, path) -> dict:
         if not 1 <= bound <= TAU_TABLE_LIMIT:
             raise DescriptorError(f"{path}.bound", f"expected 1..{TAU_TABLE_LIMIT}, got {bound}")
         return {"type": "tau", "bound": bound}
-    if kind == "table":
-        values = rec.get("values")
-        if not isinstance(values, dict):
-            raise DescriptorError(f"{path}.values", "expected a prime-power -> value map")
-        out, seen = {}, {}
-        for key, val in values.items():
-            match = _PRIME_POWER_KEY.fullmatch(str(key))
-            if not match:
-                raise DescriptorError(f"{path}.values.{key}",
-                                      "keys look like 'p^e', e.g. '2^1'")
-            p, e = int(match.group(1)), int(match.group(2))
-            if e < 1 or not is_prime(p):     # no other key is ever read
-                raise DescriptorError(f"{path}.values.{key}", "keys need a prime p and e >= 1")
-            _first_spelling(seen, (p, e), key, f"{path}.values.{key}")
-            out[(p, e)] = _complex_from(val, f"{path}.values.{key}")
-        return {"type": "table",
-                "values": {f"{p}^{e}": _complex_out(v) for (p, e), v in sorted(out.items())}}
-    raise DescriptorError(f"{path}.type", f"unknown coefficient kind {kind!r}")
+    values = rec.get("values")     # the kind is "table"
+    if not isinstance(values, dict):
+        raise DescriptorError(f"{path}.values", "expected a prime-power -> value map")
+    out, seen = {}, {}
+    for key, val in values.items():
+        match = _PRIME_POWER_KEY.fullmatch(str(key))
+        if not match:
+            raise DescriptorError(f"{path}.values.{key}", "keys look like 'p^e', e.g. '2^1'")
+        p, e = int(match.group(1)), int(match.group(2))
+        if e < 1 or not is_prime(p):     # no other key is ever read
+            raise DescriptorError(f"{path}.values.{key}", "keys need a prime p and e >= 1")
+        _first_spelling(seen, (p, e), key, f"{path}.values.{key}")
+        out[(p, e)] = _complex_from(val, f"{path}.values.{key}")
+    return {"type": "table",
+            "values": {f"{p}^{e}": _complex_out(v) for (p, e), v in sorted(out.items())}}
 
 
 def _complex_out(z: complex):

@@ -22,7 +22,13 @@ class TwistOverflowError(MDSeriesError):
 
 
 class ConvergenceError(MDSeriesError):
-    """Some Re(s_j) <= 1 and no explicit override was given."""
+    """Some Re(s_j) <= 1 and no explicit override was given; sigma is the
+    smallest Re(s_j)."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        super().__init__(f"min Re s = {sigma} <= 1; pass override_convergence to evaluate "
+                         "a formal truncation")
 
 
 class ConstraintSyntaxError(MDSeriesError):

@@ -121,9 +121,7 @@ def check_series_point(s: Sequence[complex], t: int, override: bool) -> tuple:
     sigma = min((z.real for z in s), default=2.0)
     if sigma <= 1.0:
         if not override:
-            raise ConvergenceError(
-                f"min Re s = {sigma} <= 1; pass override_convergence to evaluate "
-                "a formal truncation")
+            raise ConvergenceError(sigma)
         return (f"formal truncation only: min Re s = {sigma} <= 1",)
     return ()
 

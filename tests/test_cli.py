@@ -97,11 +97,33 @@ class TestDescriptor:
         system, _, _, _ = parse_descriptor(doc)
         assert system.omega == (2**62,)
 
-    def test_unknown_family_kind(self):
-        doc = dict(DIAG_DOC, coefficients=[{"type": "maass"}, {"type": "trivial"}])
+    @pytest.mark.parametrize("kind", ["maass", ["tau"], {"type": "tau"}, None])
+    def test_unknown_family_kind(self, kind):
+        # a kind that is not a string, even an unhashable one, is unknown too
+        doc = dict(DIAG_DOC, coefficients=[{"type": kind}, {"type": "trivial"}])
         with pytest.raises(DescriptorError) as exc:
             parse_descriptor(doc)
-        assert "coefficients[0]" in exc.value.path
+        assert exc.value.path == "coefficients[0].type"
+        assert str(exc.value).endswith(f"unknown coefficient kind {kind!r}")
+
+    @pytest.mark.parametrize("rec, key, takes", [
+        ({"type": "trivial", "q": 7}, "q", "'type'"),
+        ({"type": "character", "q": 7, "k": 2, "bogus": 1}, "bogus", "'type', 'q', 'k'"),
+        ({"type": "hecke_gl2", "lambda": {"2": 0.5}, "lambda_p": {}}, "lambda_p",
+         "'type', 'lambda'"),
+        ({"type": "tau", "bond": 100000}, "bond", "'type', 'bound'"),
+        ({"type": "table", "value": {"2^1": 0.5}}, "value", "'type', 'values'"),
+    ], ids=["trivial", "character", "hecke_gl2", "tau", "table"])
+    def test_unknown_record_keys_are_rejected(self, tmp_path, capsys, rec, key, takes):
+        # an unknown key used to load without a word: a misspelt tau "bound"
+        # ran at the default bound
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, coefficients=[{"type": "trivial"}, rec])))
+        for argv in (["eval", "--N", "10"], ["normalize"]):
+            assert main(argv + ["--system", str(path)]) == 1
+            assert capsys.readouterr() == (
+                "", f"mds: coefficients[1].{key}: unknown key; a {rec['type']!r} record "
+                    f"takes {takes}\n")
 
     def test_missing_s_allowed(self):
         doc = {k: v for k, v in DIAG_DOC.items() if k != "s"}
@@ -113,10 +135,25 @@ class TestDescriptor:
         _, records, _, _ = parse_descriptor(doc)
         assert records == ({"type": "trivial"},) * 2
 
-    def test_extra_fields_reported(self):
+    def test_extra_fields_reported(self, tmp_path, capsys):
         doc = dict(DIAG_DOC, note="hello")
         _, _, _, extras = parse_descriptor(doc)
         assert extras == ["note"]
+        # on stderr for every subcommand, and among the warnings of the
+        # documents that have them, first
+        note = "unknown descriptor field 'note'; ignored"
+        path = tmp_path / "note.json"
+        path.write_text(json.dumps(dict(doc, zeta=1)))
+        for argv in (["eval", "--N", "1"], ["compare", "--N", "10", "--P", "3"],
+                     ["moment", "--q", "11", "--N", "10"]):
+            assert main(argv + ["--system", str(path)]) == 0
+            out, err = capsys.readouterr()
+            warnings = json.loads(out)["warnings"]
+            assert warnings[:2] == [note, note.replace("'note'", "'zeta'")] and len(warnings) > 2
+            assert err.startswith(f"mds: {note}\n") and err.count("'zeta'") == 1
+        for argv in (["normalize"], ["reduce-support"], ["check-s"], ["enumerate", "--N", "2"]):
+            assert main(argv + ["--system", str(path)]) == 0
+            assert capsys.readouterr().err.startswith(f"mds: {note}\n"), argv
 
     @pytest.mark.parametrize("bound", [0, -3, 10**5 + 1])
     def test_tau_bound_out_of_range_names_its_field(self, tmp_path, capsys, bound):
@@ -312,6 +349,19 @@ class TestCliEval:
         capsys.readouterr()
         assert main(["eval", "--system", str(path), "--N", "10",
                      "--override-convergence"]) == 0
+
+    @pytest.mark.parametrize("argv, remedy", [
+        (["eval"], "pass --override-convergence to evaluate a formal truncation"),
+        (["compare", "--P", "10"], "pass --override-convergence to evaluate a formal truncation"),
+        # moment has no override
+        (["moment", "--q", "11,31"], "mds moment needs min Re s > 1"),
+    ], ids=["eval", "compare", "moment"])
+    def test_convergence_error_names_the_flag(self, tmp_path, capsys, argv, remedy):
+        # the message used to name the library's keyword override_convergence
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(dict(DIAG_DOC, s=[[0.9, 0], [2, 0]])))
+        assert main(argv + ["--system", str(path), "--N", "10"]) == 1
+        assert capsys.readouterr() == ("", f"mds: min Re s = 0.9 <= 1; {remedy}\n")
 
     def test_override_label_in_json(self, tmp_path, capsys, recwarn):
         doc = dict(DIAG_DOC, s=[[1, 0], [1, 0]])
@@ -927,6 +977,24 @@ class TestImportSurface:
             assert status == "0 False", argv[0]
             names = {m.removeprefix("mdseries.") for m in modules.split()}
             assert loads <= names and not skips & names, (argv[0], names)
+
+    def test_jobs_that_do_not_evaluate_build_no_family(self, tmp_path):
+        # only eval, compare and moment read the families; the others would
+        # spend most of a second on the tau table at bound 10^5
+        recs = [{"type": "tau", "bound": 10**5}, {"type": "character", "q": 7, "k": 2},
+                {"type": "hecke_gl2", "lambda": {"2": 0.5, "3": -0.25}}]
+        path = tmp_path / "fams.json"
+        path.write_text(json.dumps({"t": 3, "m": 1, "A": [[1, 1, -1]], "omega": ["6"],
+                                    "omega_prime": ["35"], "coefficients": recs,
+                                    "s": [[2, 0]] * 3}))
+        jobs = [["normalize"], ["reduce-support"], ["enumerate", "--N", "40"],
+                ["check-s", "--N", "20"]]
+        out = run_python("import contextlib, io, sys\n"
+                         "from mdseries.cli import main\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    rcs = [main(argv + ['--system', {str(path)!r}]) for argv in {jobs!r}]\n"
+                         "print(*rcs, 'mdseries.coefficients' in sys.modules)\n")
+        assert out.split() == ["0", "0", "0", "0", "False"]
 
     def test_system_import_loads_no_lattice(self):
         out = run_python("import sys, mdseries.system\n" + self.LOADED)
