@@ -97,14 +97,20 @@ class TestDescriptor:
         system, _, _, _ = parse_descriptor(doc)
         assert system.omega == (2**62,)
 
-    @pytest.mark.parametrize("kind", ["maass", ["tau"], {"type": "tau"}, None])
-    def test_unknown_family_kind(self, kind):
-        # a kind that is not a string, even an unhashable one, is unknown too
+    def test_unknown_family_kind(self):
+        doc = dict(DIAG_DOC, coefficients=[{"type": "maass"}, {"type": "trivial"}])
+        with pytest.raises(DescriptorError) as exc:
+            parse_descriptor(doc)
+        assert "coefficients[0]" in exc.value.path
+
+    @pytest.mark.parametrize("kind", [["tau"], {"type": "tau"}, None])
+    def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
+        # the kind is looked up in a table of kinds; an unhashable one must
+        # not escape as a TypeError
         doc = dict(DIAG_DOC, coefficients=[{"type": kind}, {"type": "trivial"}])
         with pytest.raises(DescriptorError) as exc:
             parse_descriptor(doc)
-        assert exc.value.path == "coefficients[0].type"
-        assert str(exc.value).endswith(f"unknown coefficient kind {kind!r}")
+        assert str(exc.value) == f"coefficients[0].type: unknown coefficient kind {kind!r}"
 
     @pytest.mark.parametrize("rec, key, takes", [
         ({"type": "trivial", "q": 7}, "q", "'type'"),
