@@ -1,11 +1,13 @@
 """Exact integer arithmetic foundations.
 
 Primes, factorizations, p-adic valuations, and Dirichlet character tables
-modulo a prime q.  factorize takes any 1 <= n <= TWIST_LIMIT: an n within
-the least-prime-factor sieve is read off it, and every larger one goes to
-factorize_twist, which also factors the twists: trial division by the
-primes <= 100, then Pollard-Brent rho (R. P. Brent, BIT 20, 1980), each
-factor kept proved prime by deterministic Miller-Rabin.
+modulo a prime q.  One least-prime-factor sieve, grown on demand up to
+LPF_SIEVE_LIMIT, lists the primes (primes_up_to, so a prime bound P is at
+most that limit) and factors the n within it.  factorize takes any
+1 <= n <= TWIST_LIMIT: an n within the sieve is read off it, and every
+larger one goes to factorize_twist, which also factors the twists: trial
+division by the primes <= 100, then Pollard-Brent rho (R. P. Brent, BIT 20,
+1980), each factor kept proved prime by deterministic Miller-Rabin.
 
 Characters are kept as exact root-of-unity indices (integers mod q-1) and
 only converted to floating complex at evaluation boundaries, so
@@ -14,7 +16,6 @@ orthogonality relations stay exact in index space.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from functools import lru_cache
@@ -30,37 +31,21 @@ Factorization = tuple
 
 
 # ---------------------------------------------------------------------------
-# prime sieves (grown lazily, shared module-wide)
-
-_sieve_limit = 0
-_primes_list = []      # ascending primes <= _sieve_limit
+# the least-prime-factor sieve (grown lazily, shared module-wide)
 
 _lpf_limit = 0
-_lpf = None            # np.int32 array, _lpf[n] = least prime factor of n;
-                       # sized to what factorize asks of it (see there)
-
-
-def _grow_sieve(limit: int) -> None:
-    """Sieve to the power of two above limit (at least 2^10), so requests
-    in one octave share one sieve and each growth at least doubles it."""
-    global _sieve_limit, _primes_list
-    if limit <= _sieve_limit:
-        return
-    limit = max(1 << 10, 1 << int(limit).bit_length())
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    _sieve_limit = limit
-    _primes_list = np.flatnonzero(flags).tolist()
+_lpf = None            # np.int32 array, _lpf[n] = least prime factor of n,
+                       # so n >= 2 is prime when _lpf[n] == n
 
 
 def _grow_lpf(limit: int) -> None:
+    """Sieve to the power of two above limit, capped at LPF_SIEVE_LIMIT, so
+    requests in one octave share one sieve and each growth at least doubles
+    it."""
     global _lpf_limit, _lpf
     if limit <= _lpf_limit:
         return
-    limit = min(max(limit, 2 * _lpf_limit), LPF_SIEVE_LIMIT)
+    limit = min(1 << int(limit).bit_length(), LPF_SIEVE_LIMIT)
     lpf = np.zeros(limit + 1, dtype=np.int32)
     for i in range(2, math.isqrt(limit) + 1):
         if lpf[i] == 0:
@@ -73,11 +58,16 @@ def _grow_lpf(limit: int) -> None:
 
 
 def primes_up_to(P: int) -> list[int]:
-    """All primes <= P, ascending."""
+    """All primes <= P, ascending, read off the least-prime-factor sieve.
+    P may not exceed LPF_SIEVE_LIMIT, the sieve's cap."""
+    if P > LPF_SIEVE_LIMIT:
+        raise ValueError(f"primes_up_to({P}): P is past the prime sieve's limit "
+                         f"{LPF_SIEVE_LIMIT}")
     if P < 2:
         return []
-    _grow_sieve(P)
-    return _primes_list[: bisect.bisect_right(_primes_list, P)]
+    _grow_lpf(P)
+    n = np.arange(2, P + 1, dtype=np.int32)
+    return n[_lpf[2:P + 1] == n].tolist()
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -114,17 +104,17 @@ def factorize(n: int) -> Factorization:
     p ascending.
 
     An n within the least-prime-factor sieve is read off it; a larger one
-    goes to factorize_twist.  The sieve is shared module-wide: an n past
-    it, up to LPF_SIEVE_LIMIT // 4, grows it to max(n, twice its size),
-    capped at LPF_SIEVE_LIMIT.  So it never holds more than twice the
-    largest n asked of it (q - 1 for a character table mod q), and
-    ascending requests re-sieve O(that) entries in all.
+    goes to factorize_twist.  The sieve is the one primes_up_to reads: an
+    n past it, up to LPF_SIEVE_LIMIT // 4, grows it to the power of two
+    above n.  So it never holds more than twice the largest n or P asked
+    of it (q - 1 for a character table mod q), and ascending requests
+    re-sieve O(that) entries in all.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return ()
-    if n <= _lpf_limit or n <= LPF_SIEVE_LIMIT // 4:
+    if n <= LPF_SIEVE_LIMIT // 4:
         _grow_lpf(n)
     if n > _lpf_limit:
         return factorize_twist(n)
@@ -147,7 +137,7 @@ def factor_levels(n: np.ndarray) -> list:
 
     An n that factorize would sieve is factored with the sieve, one level
     (prime) at a time for all such n at once; each distinct n past the
-    sieve goes through factorize.
+    sieve goes through factorize_twist, as in factorize.
     """
     n = np.asarray(n, dtype=np.int64)
     if (n < 1).any():
@@ -170,7 +160,7 @@ def factor_levels(n: np.ndarray) -> list:
     far = np.flatnonzero(n > _lpf_limit)
     for m in sorted(set(n[far].tolist())):
         at = far[n[far] == m]
-        out += [(at, np.full(len(at), p), np.full(len(at), e)) for p, e in factorize(m)]
+        out += [(at, np.full(len(at), p), np.full(len(at), e)) for p, e in factorize_twist(m)]
     return out
 
 
@@ -312,13 +302,8 @@ def character_table(q: int) -> CharacterTable:
         raise ValueError(f"character table needs an odd prime modulus, got {q}")
     phi = q - 1
     prime_divs = [p for p, _ in factorize(phi)]
-    g = None
-    for cand in range(2, q):
-        if all(pow(cand, phi // r, q) != 1 for r in prime_divs):
-            g = cand
-            break
-    if g is None:  # unreachable for prime q
-        raise ValueError(f"no primitive root mod {q}")
+    g = next(cand for cand in range(2, q)
+             if all(pow(cand, phi // r, q) != 1 for r in prime_divs))
     log = [-1] * q
     cur = 1
     for a in range(phi):

@@ -12,6 +12,8 @@ operations as `prime_power`, so each entry equals the scalar value and a
 missing value raises the same MissingPrimePowerError.  `values(n)` is
 the multiplicative extension at an array of integers, factored in arrays
 and read from `prime_power_table`; a family keeps no per-integer state.
+The loops over a tuple's columns read each family inside in_column, so a
+missing value names its column.
 
 Ramanujan tau values are exact: residue passes of the eta product run in
 int64 modulo one prime at a time, of primes whose product exceeds twice
@@ -23,6 +25,7 @@ bound, the values the multiplicative extension reads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Sequence
 
@@ -380,6 +383,16 @@ class TauFamily(CoefficientFamily):
 CoefficientTuple = Sequence[CoefficientFamily]
 
 
+@contextlib.contextmanager
+def in_column(j: int):
+    """Prefix 'coefficients[j]: ' to a MissingPrimePowerError raised inside:
+    the family of column j lacks the value."""
+    try:
+        yield
+    except MissingPrimePowerError as exc:
+        raise MissingPrimePowerError(f"coefficients[{j}]: {exc}") from None
+
+
 def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
     """a(n) = prod_j c_j(n_j) for each row n of the K x t integer array X,
     column by column from 1+0j by _cmul; requires t == len(c) and every
@@ -391,7 +404,8 @@ def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
         raise ValueError("family arguments are positive integers")
     out = np.ones(len(X), dtype=complex)
     for j, fam in enumerate(c):
-        v = fam.values(X[:, j])
+        with in_column(j):
+            v = fam.values(X[:, j])
         out.real, out.imag = _cmul(out.real, out.imag, v.real, v.imag)
     return out
 

@@ -197,11 +197,8 @@ def parse_descriptor(doc: dict):
             if w < 1:
                 raise DescriptorError(f"{name}[{i}]", "twists are positive integers")
             dest.append(w)
-    try:
-        system = LaurentMonomialSystem(t=t, m=m, A=tuple(rows),
-                                       omega=tuple(omega), omega_prime=tuple(omega_prime))
-    except ValueError as exc:
-        raise DescriptorError("$", str(exc)) from None
+    system = LaurentMonomialSystem(t=t, m=m, A=tuple(rows),
+                                   omega=tuple(omega), omega_prime=tuple(omega_prime))
     recs = doc.get("coefficients")
     if recs is None:
         records = tuple({"type": "trivial"} for _ in range(t))

@@ -10,7 +10,8 @@ import os
 DEFAULT_WORK_CAP = 100_000_000     # candidate points / scan nodes
 TWIST_LIMIT = 2**63 - 1            # twists stay below this through row ops;
                                    # factorize takes n up to it
-LPF_SIEVE_LIMIT = 10**7            # least-prime-factor sieve never grows past this
+LPF_SIEVE_LIMIT = 10**7            # the least-prime-factor sieve, the only prime
+                                   # sieve, stops here, and so does a prime bound P
 TAU_TABLE_LIMIT = 10**5            # eta-product expansion cap
 TAU_DEFAULT_BOUND = 10_000         # a tau record's bound when it gives none
 MOMENT_TUPLE_CAP = 1_000_000      # (q-1)^m character tuples per moment average

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import character_table, is_prime, _unit_roots
-from .coefficients import TrivialFamily, _cmul
+from .coefficients import TrivialFamily, _cmul, in_column
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
@@ -90,7 +90,8 @@ def _class_sums(families, s, N: int, qs) -> dict:
     for n, logn in _n_chunks(N):
         residues = [(n % q, sums[q]) for q in qs]
         for j, (fam, z) in enumerate(zip(families, s)):
-            terms = _terms(fam, z, n, logn)
+            with in_column(j):
+                terms = _terms(fam, z, n, logn)
             for r, T in residues:
                 if np.iscomplexobj(terms) and not np.iscomplexobj(T[j]):
                     T[j] = T[j].astype(complex)
@@ -102,8 +103,9 @@ def _plain_product(families, s, N: int) -> complex:
     """The m = 0 value: the product of the untwisted truncated L-sums, each
     the _fsum of its chunk terms, so any chunk size gives the same bits."""
     out = 1 + 0j
-    for fam, z in zip(families, s):
-        out *= _fsum(_terms(fam, z, n, logn) for n, logn in _n_chunks(N))
+    for j, (fam, z) in enumerate(zip(families, s)):
+        with in_column(j):
+            out *= _fsum(_terms(fam, z, n, logn) for n, logn in _n_chunks(N))
     return out
 
 
@@ -202,17 +204,15 @@ class MomentExperiment(NamedTuple):
 
 def _fit_decay(errors):
     """Least-squares fit of log e = C - eta log q to the (q, e) pairs:
-    (eta, C, stderr, residuals), or Nones when degenerate (zero errors
-    etc.); two points leave no residual, so no stderr."""
+    (eta, C, stderr, residuals), or Nones when fewer than two errors are
+    positive; two points leave no residual, so no stderr."""
     pts = [(math.log(q), math.log(e)) for q, e in errors if e > 0]
     if len(pts) < 2:
         return None, None, None, ()
     n = len(pts)
     mx = sum(x for x, _ in pts) / n
     my = sum(y for _, y in pts) / n
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    if sxx == 0:
-        return None, None, None, ()
+    sxx = sum((x - mx) ** 2 for x, _ in pts)   # > 0: the moduli are distinct
     sxy = sum((x - mx) * (y - my) for x, y in pts)
     slope = sxy / sxx
     intercept = my - slope * mx
@@ -221,14 +221,13 @@ def _fit_decay(errors):
     return -slope, intercept, stderr, residuals
 
 
-def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
-                     *, reference: Optional[complex] = None,
-                     reference_N: Optional[int] = None) -> MomentExperiment:
+def decay_experiment(S: LaurentMonomialSystem, families, s, q_list,
+                     N: int) -> MomentExperiment:
     """Measure e(q) = |moment_rhs(q) - LHS| over ascending prime moduli and
     fit the decay exponent, except at m = 0, where e(q) does not depend on q.
 
-    Unless supplied, the LHS reference is the direct box sum at
-    reference_N (default N), with the tail |v(N) - v(N/2)|.
+    The LHS reference is the direct box sum at N, with the tail
+    |v(N) - v(N/2)|.
     At m >= 1 a warning is raised when that tail is above a tenth of the
     smallest measured error, since the measurement floor is then suspect,
     and when fewer than two moduli have a positive error, so that no fit
@@ -246,19 +245,11 @@ def decay_experiment(S: LaurentMonomialSystem, families, s, q_list, N: int,
             raise ValueError(f"moduli must be prime, got {q}")
         if S.m:
             _check_modulus(S, q)
-    warnings = []
-    lhs_tail = None
-    if reference is not None:
-        lhs = complex(reference)
-    else:
-        ref_N = N if reference_N is None else reference_N
-        if S.empty_variety_flag:
-            warnings.append(EMPTY_VARIETY_WARNING)
-        lhs, half = direct_sum_and_half(S, families, s, ref_N)
-        if half is not None:
-            lhs_tail = abs(lhs - half)
-        else:
-            warnings.append(direct_tail_skip_reason(ref_N))
+    warnings = [EMPTY_VARIETY_WARNING] if S.empty_variety_flag else []
+    lhs, half = direct_sum_and_half(S, families, s, N)
+    lhs_tail = None if half is None else abs(lhs - half)
+    if half is None:
+        warnings.append(direct_tail_skip_reason(N))
     if S.m == 0:
         warnings.append("no decay fit at m = 0: the moment is the direct sum over the "
                         "same box, so its error against that sum is rounding only")

@@ -62,8 +62,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .arith import primes_up_to
-from .coefficients import _cmul, all_trivial, eval_product_coefficient
+from .coefficients import _cmul, all_trivial, eval_product_coefficient, in_column
 from .errors import ConvergenceError, MissingPrimePowerError
+from .limits import LPF_SIEVE_LIMIT
 from .system import LaurentMonomialSystem, ValidatedRecord
 # enumerate_box is not called here; perfbench's layer trace wraps it by
 # this module's name
@@ -71,8 +72,9 @@ from .variety import box_windows, enumerate_box, local_solutions  # noqa: F401
 
 
 class EvalParams(ValidatedRecord):
-    """Truncation controls: box bound N, prime bound P, local exponent
-    bound B (None picks the default from min Re s)."""
+    """Truncation controls: box bound N, prime bound P (at most
+    LPF_SIEVE_LIMIT, where the prime sieve stops), local exponent bound B
+    (None picks the default from min Re s)."""
 
     _fields = ("N", "P", "B")
 
@@ -82,6 +84,8 @@ class EvalParams(ValidatedRecord):
             raise ValueError("N must be >= 1")
         if self.P < 2:
             raise ValueError("P must be >= 2")
+        if self.P > LPF_SIEVE_LIMIT:
+            raise ValueError(f"P must be <= {LPF_SIEVE_LIMIT}, the limit of the prime sieve")
         if self.B is not None and not 1 <= self.B <= 64:
             raise ValueError("B must be in 1..64")
 
@@ -310,7 +314,8 @@ def _local_factors(c, s, primes, sols) -> list:
                 for e in range(1, used[-1] + 1):
                     table[0][:, e], table[1][:, e] = _cmul(
                         table[0][:, e - 1], table[1][:, e - 1], *x)
-            coef = c[j].prime_power_table(block, used.tolist())
+            with in_column(j):
+                coef = c[j].prime_power_table(block, used.tolist())
             values = _mul([part[:, used] for part in table],
                           [coef.real, coef.imag][:1 + bool(coef.imag.any())])
             if len(values) > len(table):

@@ -8,8 +8,9 @@ the expected file records both, and the test skips where they differ.
 
     PYTHONPATH=src python tests/cli_corpus.py
 
-rewrites cli_corpus.txt from this checkout.  A change that rewrites it
-lists every changed line in CHANGES.md.
+rewrites cli_corpus.txt from this checkout and prints the name of each
+case whose block it changed or added.  A change that rewrites it lists
+every changed line in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ CASES = [
     ("descriptor-error", ["compare", "--system", "badkey.json", "--N", "10", "--P", "10"], {}),
     ("unknown-record-key", ["eval", "--system", "recordkey.json", "--N", "100"], {}),
     ("unknown-field", ["eval", "--system", "field.json", "--N", "100"], {}),
+    ("prime-bound", ["compare", "--system", "diag.json", "--N", "10", "--P", "1000000000000"],
+     {}),
+    ("missing-value-eval", ["eval", "--system", "mixed.json", "--N", "12"], {}),
+    ("missing-value-compare", ["compare", "--system", "mixed.json", "--N", "4", "--P", "12"],
+     {}),
 ]
 
 # argparse wraps its usage text to the terminal width it finds
@@ -145,6 +151,7 @@ def blocks(text: str) -> dict:
 
 def main() -> None:
     parts = [platform()]
+    before = blocks(EXPECTED.read_text()) if EXPECTED.exists() else {}
     os.environ.update(ENVIRONMENT)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,6 +161,8 @@ def main() -> None:
             os.environ.pop("MDS_WORK_CAP", None)
             os.environ.update(env)
             parts.append(run(name, argv))
+            if before.get(name) != parts[-1]:
+                print(f"{'changed' if name in before else 'new'}: {name}", file=sys.stderr)
         os.chdir(here)
     EXPECTED.write_text("".join(parts))
     print(f"wrote {len(CASES)} cases to {EXPECTED}", file=sys.stderr)

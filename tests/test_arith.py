@@ -117,20 +117,21 @@ class TestLpfSieveGrowth:
 
 
 class TestPrimeSieveGrowth:
-    """The prime sieve grows to the power of two above a request."""
+    """primes_up_to reads the least-prime-factor sieve, which grows to the
+    power of two above a request."""
 
     @pytest.fixture
     def empty_sieve(self, monkeypatch):
-        monkeypatch.setattr(arith, "_primes_list", [])
-        monkeypatch.setattr(arith, "_sieve_limit", 0)
+        monkeypatch.setattr(arith, "_lpf", None)
+        monkeypatch.setattr(arith, "_lpf_limit", 0)
 
     def test_one_growth_for_one_octave(self, empty_sieve):
         # a descriptor's lambda-key check, then an Euler product at P = 10^4
         assert primes_up_to(9973)[-1] == 9973
-        assert arith._sieve_limit == 1 << 14
-        sieved = arith._primes_list
+        assert arith._lpf_limit == 1 << 14
+        sieved = arith._lpf
         assert primes_up_to(10000)[-1] == 9973
-        assert arith._primes_list is sieved
+        assert arith._lpf is sieved
 
     PS = [P for k in range(1, 16) for P in (2**k - 1, 2**k, 2**k + 1) if P >= 2]
 
@@ -141,8 +142,17 @@ class TestPrimeSieveGrowth:
         for i, P in enumerate(Ps):
             assert primes_up_to(P) == [n for n in range(P + 1) if prime[n]], P
             largest = max(Ps[:i + 1])
-            limit = arith._sieve_limit     # a power of two, at most twice a request
-            assert largest <= limit <= max(1 << 10, 2 * largest) and limit & (limit - 1) == 0
+            limit = arith._lpf_limit     # a power of two, at most twice a request
+            assert largest <= limit <= 2 * largest and limit & (limit - 1) == 0
+
+    def test_stops_at_the_sieve_limit(self, empty_sieve, monkeypatch):
+        monkeypatch.setattr(arith, "LPF_SIEVE_LIMIT", 3000)
+        assert primes_up_to(3000)[-1] == 2999
+        assert arith._lpf_limit == 3000 and len(arith._lpf) == 3001
+        with pytest.raises(ValueError, match="^primes_up_to\\(3001\\): P is past the "
+                           "prime sieve's limit 3000$"):
+            primes_up_to(3001)
+        assert arith._lpf_limit == 3000
 
 
 class TestFactorizeTwist:

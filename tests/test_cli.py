@@ -136,6 +136,64 @@ class TestDescriptor:
         _, _, s, _ = parse_descriptor(doc)
         assert s is None
 
+    def test_twist_may_be_a_json_integer(self):
+        system, _, _, _ = parse_descriptor(dict(DIAG_DOC, omega=[6], omega_prime=["35"]))
+        assert (system.omega, system.omega_prime) == ((6,), (35,))
+
+    CHAR = {"type": "character", "q": 7, "k": 2}
+    TRIVIAL = {"type": "trivial"}
+
+    @pytest.mark.parametrize("doc, argv, stderr", [
+        (dict(DIAG_DOC, t=2.0), None, "t: expected an integer, got 2.0"),
+        (dict(DIAG_DOC, m="1"), None, "m: expected an integer, got '1'"),
+        (dict(DIAG_DOC, coefficients=[dict(CHAR, q=7.0), TRIVIAL]), None,
+         "coefficients[0].q: expected an integer, got 7.0"),
+        (dict(DIAG_DOC, coefficients=[dict(CHAR, k="2"), TRIVIAL]), None,
+         "coefficients[0].k: expected an integer, got '2'"),
+        (dict(DIAG_DOC, A=[[1, -1.5]]), None, "A[0][1]: expected an integer, got -1.5"),
+        (dict(DIAG_DOC, omega=[1.5]), None, "omega[0]: expected a decimal string, got 1.5"),
+        (dict(DIAG_DOC, omega_prime=[None]), None,
+         "omega_prime[0]: expected a decimal string, got None"),
+        (dict(DIAG_DOC, coefficients=["trivial", TRIVIAL]), None,
+         "coefficients[0]: expected a tagged record with a 'type' field"),
+        (dict(DIAG_DOC, coefficients=[TRIVIAL, dict(CHAR, q=9)]), None,
+         "coefficients[1].q: modulus must be an odd prime, got 9"),
+        (dict(DIAG_DOC, coefficients=[TRIVIAL, dict(CHAR, q=2)]), None,
+         "coefficients[1].q: modulus must be an odd prime, got 2"),
+        (dict(DIAG_DOC, coefficients=[{"type": "hecke_gl2", "lambda": [[2, 0.5]]}, TRIVIAL]),
+         None, "coefficients[0].lambda: expected a prime -> value map"),
+        (dict(DIAG_DOC, coefficients=[TRIVIAL, {"type": "table", "values": ["2^1"]}]), None,
+         "coefficients[1].values: expected a prime-power -> value map"),
+        ([DIAG_DOC], None, "$: descriptor must be a JSON object"),
+        (dict(DIAG_DOC, t=-1), None, "t: t and m must be nonnegative"),
+        (dict(DIAG_DOC, m=-1), None, "t: t and m must be nonnegative"),
+        (dict(DIAG_DOC, A=[[1, -1], [1, 1]]), None, "A: expected 1 rows"),
+        (dict(DIAG_DOC, omega=["1", "1"]), None, "omega: expected 1 entries"),
+        (dict(DIAG_DOC, omega_prime=[]), None, "omega_prime: expected 1 entries"),
+        (dict(DIAG_DOC, coefficients=[TRIVIAL]), None, "coefficients: expected 2 family records"),
+        (dict(DIAG_DOC, omega=["0"]), None, "omega[0]: twists are positive integers"),
+        (dict(DIAG_DOC, omega_prime=[-3]), None, "omega_prime[0]: twists are positive integers"),
+        (dict(DIAG_DOC, s=[[2, 0]]), None, "s: expected 2 [re, im] pairs"),
+        (dict(DIAG_DOC, s={"0": [2, 0], "1": [2, 0]}), None, "s: expected 2 [re, im] pairs"),
+        ("{", None, "{path}: invalid JSON: Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)"),
+        ({k: v for k, v in DIAG_DOC.items() if k != "s"}, None,
+         "descriptor has no 's' field; this command evaluates the series"),
+        (DIAG_DOC, ["check-s"], "give either --constraints (with --t) or --system"),
+        (DIAG_DOC, ["enumerate"], "give either --constraints (with --t) or --system"),
+    ], ids=["t", "m", "character-q", "character-k", "A-entry", "twist-float", "twist-null",
+            "record-not-object", "character-q-9", "character-q-2", "lambda-not-map",
+            "values-not-map", "document-not-object", "negative-t", "negative-m", "A-rows",
+            "omega-count", "omega_prime-count", "coefficients-count", "twist-zero",
+            "twist-negative", "s-count", "s-not-list", "invalid-json", "eval-without-s",
+            "check-s-without-input", "enumerate-without-input"])
+    def test_input_checks_name_their_field(self, tmp_path, capsys, doc, argv, stderr):
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = argv or ["eval", "--N", "10", "--system", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"mds: {stderr.replace('{path}', str(path))}\n")
+
     def test_defaults_to_trivial(self):
         doc = {k: v for k, v in DIAG_DOC.items() if k != "coefficients"}
         _, records, _, _ = parse_descriptor(doc)
@@ -464,6 +522,18 @@ class TestCliCompare:
         code = main(["compare", "--system", str(path), "--N", "50", "--P", "50"])
         assert code == 1
         assert "101" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("P", ["10000001", "1000000000000"])
+    def test_prime_bound_past_the_sieve_is_one_error_line(self, diag_file, capsys,
+                                                          monkeypatch, P):
+        # the bound is checked before the direct sum runs
+        from mdseries import series
+        ran = []
+        monkeypatch.setattr(series, "direct_sum_and_half", lambda *args, **kw: ran.append(1))
+        assert main(["compare", "--system", diag_file, "--N", "10", "--P", P]) == 1
+        assert capsys.readouterr() == (
+            "", "mds: P must be <= 10000000, the limit of the prime sieve\n")
+        assert ran == []
 
     def test_tau_descriptor_within_budget(self, tmp_path, capsys):
         import time

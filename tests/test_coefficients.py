@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mdseries import arith
-from mdseries.arith import character_table, factorize, is_prime, primes_up_to
+from mdseries.arith import (character_table, factorize, factorize_twist, is_prime,
+                            primes_up_to)
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
                                    TauFamily, TrivialFamily, _tau_values,
                                    eval_product_coefficient, hecke_prime_power,
@@ -343,6 +344,12 @@ class TestProductCoefficient:
                 for row in X.tolist()]
         assert eval_product_coefficient(fams, X).tobytes() == np.array(want).tobytes()
 
+    def test_missing_value_names_its_column(self):
+        fams = (HeckeGL2Family({2: 0.5}), TrivialFamily(), TableFamily({(2, 1): 1.0}))
+        with pytest.raises(MissingPrimePowerError,
+                           match=r"^coefficients\[2\]: explicit table has no entry for 3\^1$"):
+            eval_product_coefficient(fams, [(2, 5, 2), (4, 1, 3)])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_product_coefficient(trivial_tuple(2), [(1, 2, 3)])
@@ -385,12 +392,15 @@ class TestValues:
         assert len(ns) > 100
         want = np.array([fam.value(n) for n in ns], dtype=complex)
         calls = []
-        monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        monkeypatch.setattr(arith, "factorize_twist",
+                            lambda n: calls.append(n) or factorize_twist(n))
         got = fam.values(np.array(ns, dtype=np.int64))
         assert got.dtype == complex and got.tobytes() == want.tobytes()
-        # one factorize call per distinct n past the sieve, none inside it
-        assert len(calls) == len(set(calls))
-        assert all(n > max(arith._lpf_limit, LPF_SIEVE_LIMIT // 4) for n in calls)
+        # a family that factors makes one factorize_twist call per distinct
+        # n past the sieve, and none inside it
+        far = {n for n in ns if n > max(arith._lpf_limit, LPF_SIEVE_LIMIT // 4)}
+        assert far and len(calls) == len(set(calls))
+        assert set(calls) == (set() if kind in ("trivial", "character") else far)
         assert fam.values(np.array([1], dtype=np.int64)).tobytes() == \
             np.array([1 + 0j]).tobytes()
         assert fam.values(np.zeros(0, dtype=np.int64)).shape == (0,)

@@ -13,7 +13,7 @@ from mdseries import coefficients, momentlab
 from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
-from mdseries.errors import WorkCapExceeded
+from mdseries.errors import MissingPrimePowerError, WorkCapExceeded
 from mdseries.lattice import negate_system
 from mdseries.momentlab import MomentExperiment, decay_experiment, moment_rhs
 from mdseries.series import EMPTY_VARIETY_WARNING, direct_sum_and_half
@@ -375,10 +375,10 @@ class TestDecayExperiment:
         assert exp.eta_hat > 0
 
     def test_reference_tail_warning(self):
-        # deliberately poor reference truncation floods the measurement
-        exp = decay_experiment(DIAG, TRIV2, (2, 2), [101, 307], 5000,
-                               reference_N=10)
-        assert any("tail" in w for w in exp.warnings)
+        # moduli above N leave only rounding error, far below the tail
+        exp = decay_experiment(DIAG, TRIV2, (2, 2), [211, 223], 200)
+        assert any(w.startswith("reference tail ") and "exceeds a tenth of the smallest error"
+                   in w for w in exp.warnings)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -401,8 +401,6 @@ class TestDecayExperiment:
         direct, half = direct_sum_and_half(S, fams, s, 300)
         assert exp.lhs == direct
         assert exp.lhs_tail == abs(direct - half)
-        ref = decay_experiment(S, fams, s, [11], 400, reference_N=300)
-        assert ref.lhs == direct and ref.lhs_tail == exp.lhs_tail
 
     def test_reference_warnings(self):
         S = make_system([[1, -1], [0, 0]], omega=(1, 2), omega_prime=(1, 3))
@@ -423,8 +421,7 @@ class TestDecayExperiment:
     def test_family_values_once_per_job(self):
         # a family keeps no values, so each pass of the job factors each n it
         # reads once: the class-sum pass every n <= N, once for all three
-        # moduli, and without a reference the direct sum each coordinate its
-        # box reaches
+        # moduli, and the reference direct sum each coordinate its box reaches
         N = 400
         S = make_system([[1, -1]], omega=(2,), omega_prime=(3,))
         fams = (TrivialFamily(), HECKE)
@@ -440,12 +437,8 @@ class TestDecayExperiment:
                                lambda n: seen.append(np.array(n)) or factor_levels(n)):
             direct_sum_and_half(S, fams, (2, 2), N)
             direct = factored()
-            for reference in (1.0, None):
-                decay_experiment(S, fams, (2, 2), [11, 31, 101], N, reference=reference)
-                want = collections.Counter(range(1, N + 1))
-                if reference is None:
-                    want += direct
-                assert factored() == want
+            decay_experiment(S, fams, (2, 2), [11, 31, 101], N)
+            assert factored() == collections.Counter(range(1, N + 1)) + direct
         assert set(direct.values()) == {1} and 0 < len(direct) < N
 
     def test_empirical_error_envelope(self):
@@ -522,6 +515,13 @@ class TestClassSumPass:
             sums = momentlab._class_sums((TrivialFamily(), MIXED), (2 + 0j, 2 + 0j), 250, (11,))
         assert sums[11][0].dtype == np.float64 and sums[11][1].imag.any()
 
+    @pytest.mark.parametrize("m", [1, 0], ids=["class sums", "m = 0"])
+    def test_missing_value_names_its_column(self, m):
+        S = DIAG if m else LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
+        with pytest.raises(MissingPrimePowerError, match=r"^coefficients\[1\]: no lambda\(3\) "
+                                                         r"supplied for hecke_gl2 family$"):
+            moment_rhs(S, (TrivialFamily(), HeckeGL2Family({2: 0.5})), (2, 2), 11, 10)
+
     def test_moment_pass_leaves_the_memo_empty(self):
         # a family keeps no memo: moment_rhs (twisted and m = 0) and the
         # class-sum pass of a decay experiment leave its attributes as they were
@@ -531,7 +531,7 @@ class TestClassSumPass:
         m0 = LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
         for S in (make_system([[1, -2]], omega=(2,), omega_prime=(3,)), m0):
             moment_rhs(S, (tau, hecke), (2.5 + 1j, 2), 7, 300)
-        decay_experiment(DIAG, (tau, hecke), (2, 2), [11, 31], 300, reference=1.0)
+        decay_experiment(DIAG, (tau, hecke), (2, 2), [11, 31], 300)
         assert [pickle.dumps(vars(f)) for f in (hecke, tau)] == before
         assert not any(hasattr(f, "_memo") for f in (hecke, tau))
 

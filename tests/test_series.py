@@ -200,6 +200,11 @@ class TestEulerProduct:
         with pytest.raises(ValueError, match="101"):
             euler_product(S, trivial_tuple(1), (2,), 50, 10)
 
+    def test_prime_bound_past_the_sieve(self):
+        with pytest.raises(ValueError, match=r"^primes_up_to\(10000001\): P is past the "
+                                             r"prime sieve's limit 10000000$"):
+            euler_product(DIAG, TRIV2, (2, 2), 10**7 + 1, 10)
+
     def test_repeat_runs_bitwise(self):
         fams = twisted_families()
         for S, c in ((DIAG, TRIV2), (TWISTED, fams)):
@@ -290,14 +295,16 @@ class TestEulerBlocks:
         assert rep.euler_tail == abs(rep.euler - half) > 0
 
     def test_missing_value_names_the_smallest_prime(self, fams):
-        # tau (column 4) first fails at 1009, lambda (column 3) at 1013; the
-        # kernel meets column 3 first in their block, but the error must name
-        # 1009, where a prime-by-prime ascending product stops
+        # tau (coefficients[3]) first fails at 1009, lambda (coefficients[2])
+        # at 1013; the kernel meets coefficients[2] first in their block, but
+        # the error must name 1009, where a prime-by-prime ascending product
+        # stops, and the column that fails there
         lam = dict(zip(fams[2].primes.tolist(), fams[2].lam.tolist()))
         del lam[1013]
         broken = fams[:2] + (HeckeGL2Family(lam), TauFamily(1000))
         with pytest.raises(MissingPrimePowerError,
-                           match=r"^tau table \(bound 1000\) cannot reach prime 1009$"):
+                           match=r"^coefficients\[3\]: tau table \(bound 1000\) "
+                                 r"cannot reach prime 1009$"):
             euler_product(TWISTED, broken, self.s, self.P, self.B)
 
 
@@ -659,6 +666,7 @@ class TestCompare:
     def test_params_and_report_defaults(self):
         params = EvalParams(N=10, P=20)
         assert params.B is None and params == EvalParams(10, 20, None)
+        assert EvalParams(N=1, P=10**7).P == 10**7     # the prime sieve's limit
         rep = EvalReport(direct=1j, euler=1j, abs_diff=0.0, direct_tail=None,
                          euler_tail=None, wall_time=0.0, params=params)
         assert rep.warnings == () and rep.to_dict()["warnings"] == []
@@ -668,6 +676,7 @@ class TestCompare:
         ((1, 1, None), "P must be >= 2"),
         ((1, 2, 0), "B must be in 1..64"),
         ((1, 2, 65), "B must be in 1..64"),
+        ((1, 10**7 + 1, None), "P must be <= 10000000, the limit of the prime sieve"),
     ])
     def test_params_validate_through_every_constructor(self, fields, message):
         # EvalParams offers no _make or _replace that could skip __init__

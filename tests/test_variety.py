@@ -470,6 +470,23 @@ class TestCartesianCheck:
         with pytest.raises(ValueError):
             cartesian_check(S, 20, 7, 4)
 
+    @pytest.mark.parametrize("edit, side, point", [
+        # without (1, 1) at 3 no recombination reaches v_3 = 1
+        (lambda p, sols: [a for a in sols if (p, a) != (3, (1, 1))], "box-only", (3, 3)),
+        # (1, 0) at 5 recombines to (5, 1), (10, 2), ..., off the diagonal
+        (lambda p, sols: list(sols) + [(1, 0)] * (p == 5), "recombined-only", (5, 1)),
+    ], ids=["dropped", "added"])
+    def test_a_failed_decomposition_names_the_least_point(self, edit, side, point):
+        real = recombination.local_solutions
+
+        def edited(S, p, B):
+            found = real(S, p, B)
+            return found._replace(solutions=tuple(edit(p, found.solutions)))
+
+        with mock.patch.object(recombination, "local_solutions", edited):
+            assert cartesian_check(make_system([[1, -1]]), 30, 30, 5) == \
+                CartesianCheck(equal=False, point=point, side=side)
+
     @pytest.mark.parametrize("S,N,P,B,least", [
         # no mandatory prime: one node per recombined point, i.e. per box
         # point that is 60-smooth with exponents <= 6
