@@ -71,6 +71,7 @@ def primes_up_to(P: int) -> list[int]:
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES_BELOW_100 = _MR_WITNESSES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def is_prime(n: int) -> bool:
@@ -209,7 +210,7 @@ def factorize_twist(n: int) -> Factorization:
     if n > TWIST_LIMIT:
         raise ValueError(f"factorize_twist input {n} exceeds the twist cap {TWIST_LIMIT}")
     counts = {}
-    for p in primes_up_to(100):
+    for p in _PRIMES_BELOW_100:
         while n % p == 0:
             n //= p
             counts[p] = counts.get(p, 0) + 1

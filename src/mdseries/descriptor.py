@@ -178,7 +178,7 @@ def parse_descriptor(doc: dict):
     t = _int_from(doc.get("t"), "t")
     m = _int_from(doc.get("m"), "m")
     if t < 0 or m < 0:
-        raise DescriptorError("t", "t and m must be nonnegative")
+        raise DescriptorError("t" if t < 0 else "m", "t and m must be nonnegative")
     A = doc.get("A")
     if not isinstance(A, list) or len(A) != m:
         raise DescriptorError("A", f"expected {m} rows")

@@ -3,7 +3,8 @@ and the prime-by-prime Cartesian decomposition test.
 
 A variety here is either a LaurentMonomialSystem or a PolynomialVariety,
 the integer-coefficient constraints f_1 = ... = f_m = 0 parsed from the
-constraint language below; variety.box_windows enumerates both.
+constraint language below (its tokens come from one regular-expression
+scan); variety.box_windows enumerates both.
 
 Property (S) asks whether the solution set is closed under per-prime
 recombination: taking, at each prime, the whole exponent column from one
@@ -13,7 +14,10 @@ recombination keeps; check_property_S scans the pairs of box points of a
 polynomial variety for the first recombination that leaves it.
 cartesian_check compares the P-smooth, B-bounded box points of a monomial
 system with the in-box products of the per-prime local solution sets,
-which is the splitting behind the Euler product.
+which is the splitting behind the Euler product.  It grows the products
+one prime at a time: first the primes whose local set lacks the zero
+vector, where every point takes a nonzero exponent tuple, then the others
+in ascending order.
 
 The scan and the Cartesian check factor the box array's coordinates once,
 with arith.factor_levels; recombine factors a tuple with arith.factorize,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -84,59 +89,35 @@ class Pow(NamedTuple):
         return self.base.evaluate(point) ** self.exponent
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self._scan()
+# ASCII digits only, since int() reads any Unicode digit; \s is str.isspace
+_TOKEN = re.compile(r"(\n)|(\s)|([0-9]+)|x([0-9]*)|([-+*^();])|(.)", re.S)
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        line, col = 1, 1
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\n":
-                i += 1
-                line += 1
-                col = 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            start_col = col
-            if "0" <= ch <= "9":     # ASCII only: int() reads any Unicode digit
-                j = i
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                self.tokens.append(("int", int(text[i:j]), line, start_col))
-                col += j - i
-                i = j
-                continue
-            if ch == "x":
-                j = i + 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                if j == i + 1:
-                    raise ConstraintSyntaxError("expected digits after 'x'", line, col)
-                self.tokens.append(("var", int(text[i + 1 : j]), line, start_col))
-                col += j - i
-                i = j
-                continue
-            if ch in "+-*^();":
-                self.tokens.append((ch, None, line, start_col))
-                i += 1
-                col += 1
-                continue
-            raise ConstraintSyntaxError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("end", None, line, col))
+
+def _tokens(text):
+    """The tokens (kind, value, line, column) of `text`, then an "end" one."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        col = m.start() - line_start + 1
+        newline, _, digits, var, punct, other = m.groups()
+        if newline:
+            line, line_start = line + 1, m.end()
+        elif digits:
+            tokens.append(("int", int(digits), line, col))
+        elif var == "":
+            raise ConstraintSyntaxError("expected digits after 'x'", line, col)
+        elif var:
+            tokens.append(("var", int(var), line, col))
+        elif punct:
+            tokens.append((punct, None, line, col))
+        elif other:
+            raise ConstraintSyntaxError(f"unexpected character {other!r}", line, col)
+    tokens.append(("end", None, line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text, t):
-        self.toks = _Tokenizer(text).tokens
+        self.toks = _tokens(text)
         self.pos = 0
         self.t = t
 
@@ -344,59 +325,36 @@ def cartesian_check(S: LaurentMonomialSystem, N: int, P: int, B: int) -> Cartesi
     # Primes in (N, P] cannot contribute a factor inside the box; they only
     # matter through whether their local set admits the zero vector.
     rhs_points = set()
-    feasible = not any(any(rhs) for p, rhs in S.twist_rhs.items() if p > N)
-    if feasible:
-        mandatory = []
-        optional = []
-        for p in primes_up_to(min(P, N)):
-            local = local_solutions(S, p, B).solutions
-            has_zero = any(not any(a) for a in local)
-            if not has_zero:
-                mandatory.append((p, list(local)))
-            else:
-                nz = [a for a in local if any(a)]
-                if nz:
-                    optional.append((p, nz))
-
-        def grow(coords, p, alpha):
-            new = list(coords)
-            for j, e in enumerate(alpha):
-                if e:
-                    new[j] *= p**e
-                    if new[j] > N:
-                        return None
-            return tuple(new)
-
+    if not any(any(rhs) for p, rhs in S.twist_rhs.items() if p > N):
+        zero = (0,) * S.t
+        local = [(p, local_solutions(S, p, B).solutions) for p in primes_up_to(min(P, N))]
         spent = 0
-        seeds = [(1,) * S.t]
-        for p, opts in mandatory:
-            nxt = []
-            for coords in seeds:
-                for alpha in opts:
-                    got = grow(coords, p, alpha)
-                    if got is not None:
-                        nxt.append(got)
-                        spent += 1
-                        if spent > cap:
-                            raise WorkCapExceeded(spent, cap, "Cartesian recombination")
-            seeds = nxt
-        stack = [(coords, 0) for coords in seeds]
-        while stack:
-            coords, idx = stack.pop()
-            rhs_points.add(coords)
-            spent += 1
+
+        def grown(points, p, alphas):
+            # the in-box points x * p^alpha as a list, each charged to the cap
+            nonlocal spent
+            new = (y for x in points for a in alphas
+                   if max(y := tuple(n * p**e for n, e in zip(x, a)), default=0) <= N)
+            new = list(itertools.islice(new, cap - spent + 1))
+            spent += len(new)
             if spent > cap:
                 raise WorkCapExceeded(spent, cap, "Cartesian recombination")
-            for k in range(idx, len(optional)):
-                p, opts = optional[k]
-                # a nonzero alpha multiplies some coordinate by at least p,
-                # and the primes ascend, so no later prime fits either
-                if p * min(coords) > N:
-                    break
-                for alpha in opts:
-                    got = grow(coords, p, alpha)
-                    if got is not None:
-                        stack.append((got, k + 1))
+            return new
+
+        # every point takes a nonzero alpha where the local set lacks zero
+        points = [(1,) * S.t]
+        for p, sols in local:
+            if zero not in sols:
+                points = grown(points, p, sols)
+        points = grown(points, 1, [zero])   # each seed counts once too
+        # then each other prime, ascending, multiplies the points so far by
+        # p^alpha, alpha nonzero, which no x with p * min(x) > N survives; by
+        # unique factorisation each point is made once, at its largest prime
+        for p, sols in local:
+            nonzero = [a for a in sols if any(a)]
+            if zero in sols and nonzero:
+                points += grown([x for x in points if p * min(x) <= N], p, nonzero)
+        rhs_points = set(points)
 
     if lhs == rhs_points:
         return CartesianCheck(equal=True)

@@ -410,9 +410,20 @@ def euler_product_and_half(S: LaurentMonomialSystem, c, s, P: int,
         for key, ps in groups.items():
             factor.update(zip(ps, _local_factors(c, s, ps, sols[key])))
     except (MissingPrimePowerError, OverflowError):
-        # report the smallest prime whose factor fails, as an ascending pass would
-        for p, key in sorted((p, key) for key, ps in groups.items() for p in ps):
-            _local_factors(c, s, [p], sols[key])
+        # report the smallest prime whose factor fails, as an ascending pass
+        # would: halve the ascending list while its lower half still fails
+        todo = sorted((p, key) for key, ps in groups.items() for p in ps)
+        while len(todo) > 1:
+            lower, mid = {}, len(todo) // 2
+            for p, key in todo[:mid]:
+                lower.setdefault(key, []).append(p)
+            try:
+                for key, ps in lower.items():
+                    _local_factors(c, s, ps, sols[key])
+                todo = todo[mid:]
+            except (MissingPrimePowerError, OverflowError):
+                todo = todo[:mid]
+        _local_factors(c, s, [todo[0][0]], sols[todo[0][1]])
         raise
     out, half = 1 + 0j, None
     for p in primes:

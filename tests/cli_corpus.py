@@ -70,6 +70,7 @@ def inputs() -> dict:
     }
     files = {name: json.dumps(doc) for name, doc in docs.items()}
     files["sum.txt"] = "x1 + x2 - 5\n"
+    files["unbalanced.txt"] = "x1 + (x2\n- 5\n"
     return files
 
 
@@ -108,6 +109,8 @@ CASES = [
     ("missing-value-eval", ["eval", "--system", "mixed.json", "--N", "12"], {}),
     ("missing-value-compare", ["compare", "--system", "mixed.json", "--N", "4", "--P", "12"],
      {}),
+    ("constraint-syntax", ["enumerate", "--constraints", "unbalanced.txt", "--t", "2",
+                           "--N", "6"], {}),
 ]
 
 # argparse wraps its usage text to the terminal width it finds

@@ -166,7 +166,7 @@ class TestDescriptor:
          "coefficients[1].values: expected a prime-power -> value map"),
         ([DIAG_DOC], None, "$: descriptor must be a JSON object"),
         (dict(DIAG_DOC, t=-1), None, "t: t and m must be nonnegative"),
-        (dict(DIAG_DOC, m=-1), None, "t: t and m must be nonnegative"),
+        (dict(DIAG_DOC, m=-1), None, "m: t and m must be nonnegative"),
         (dict(DIAG_DOC, A=[[1, -1], [1, 1]]), None, "A: expected 1 rows"),
         (dict(DIAG_DOC, omega=["1", "1"]), None, "omega: expected 1 entries"),
         (dict(DIAG_DOC, omega_prime=[]), None, "omega_prime: expected 1 entries"),

@@ -307,6 +307,21 @@ class TestEulerBlocks:
                                  r"cannot reach prime 1009$"):
             euler_product(TWISTED, broken, self.s, self.P, self.B)
 
+    def test_a_failure_bisects_the_primes(self, fams):
+        # after the failed pass, each halving of the ascending primes runs
+        # at most one kernel call per group, and the last call is the
+        # failing prime's own
+        primes = primes_up_to(self.P)
+        groups = series._local_groups(TWISTED, primes, self.B)
+        broken = fams[:3] + (TauFamily(1000),)
+        with mock.patch.object(series, "_local_factors",
+                               wraps=series._local_factors) as kernel, \
+                pytest.raises(MissingPrimePowerError, match="cannot reach prime 1009$"):
+            euler_product(TWISTED, broken, self.s, self.P, self.B)
+        halvings = math.ceil(math.log2(len(primes)))
+        assert kernel.call_count <= len(groups) * (1 + halvings) + 1 < primes.index(1009)
+        assert kernel.call_args.args[2] == [1009]
+
 
 def old_fsum(z):
     """Oracle: math.fsum of the real parts and of the imaginary parts.  z is

@@ -51,6 +51,8 @@ class TestValidation:
             LaurentMonomialSystem(t=2, m=1, A=((1,),), omega=(1,), omega_prime=(1,))
         with pytest.raises(ValueError):
             LaurentMonomialSystem(t=1, m=2, A=((1,), (2,)), omega=(1,), omega_prime=(1, 1))
+        with pytest.raises(ValueError, match="^t must be given for a system with no constraints$"):
+            make_system([])
 
     def test_twists_positive(self):
         with pytest.raises(ValueError):
@@ -70,6 +72,9 @@ class TestValidation:
         ((1, 1, ((1,),), (0,), (1,)), ValueError, "omega[0] must be a positive integer, got 0"),
         ((1, 1, ((1,),), (1,), (TWIST_LIMIT + 1,)), TwistOverflowError,
          "omega_prime[0] exceeds the twist cap"),
+        ((-1, 0, (), (), ()), ValueError, "t and m must be nonnegative"),
+        ((1, -1, (), (), ()), ValueError, "t and m must be nonnegative"),
+        ((1, 1, (), (1,), (1,)), ValueError, "A has 0 rows, expected m=1"),
     ])
     def test_every_constructor_validates(self, fields, error, message):
         # the class offers no _make or _replace that could skip __init__
@@ -404,6 +409,10 @@ class TestSupportReducible:
         assert res.reducible
         for row in res.basis:
             assert sum(1 for x in row if x) <= 2
+
+    def test_zero_rows_need_no_basis(self):
+        assert support_reducible([[0, 0], [0, 0]], 5) == \
+            SupportSearch(reducible=True, basis=(), coeff_bound=5)
 
     def test_single_row_irreducible(self):
         res = support_reducible([[1, 1, -1]], 10)

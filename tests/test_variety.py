@@ -98,6 +98,11 @@ class TestParser:
         with pytest.raises(ConstraintSyntaxError):
             parse_constraints("x1 - 1)", 1)
 
+    def test_unbalanced_parenthesis(self):
+        with pytest.raises(ConstraintSyntaxError) as exc:
+            parse_constraints("(x1 - 1", 1)
+        assert str(exc.value) == "line 1, col 8: expected ')', found 'end'"
+
 
 class TestEnumerateBox:
     def test_additive(self):
@@ -148,6 +153,12 @@ class TestEnumerateBox:
         with mock.patch.dict(os.environ, {"MDS_WORK_CAP": "100"}), \
                 pytest.raises(WorkCapExceeded):
             enumerate_box(V, 100)
+
+    def test_box_bound_is_checked_at_the_first_next(self):
+        windows = variety.box_windows(make_system([[1, -1]]), 0)
+        with pytest.raises(ValueError) as exc:
+            next(windows)
+        assert str(exc.value) == "box bound N must be >= 1"
 
     @pytest.mark.parametrize("V", [[[1, -1]], "x1 - x2", None])
     def test_unsupported_object_raises_type_error_naming_it(self, V):
@@ -317,6 +328,20 @@ class TestPropertyS:
                 pytest.raises(WorkCapExceeded):
             check_property_S(V, 29)
 
+    def test_scan_work_cap(self):
+        # the 144-point box runs under a large cap of its own, so the scan's
+        # pairs (12 points, no witness) are what exceed 100
+        def box(V, N):
+            with mock.patch.dict(os.environ, {"MDS_WORK_CAP": str(10**8)}):
+                return variety.box_array(V, N)
+
+        with mock.patch.object(recombination, "box_array", box), \
+                mock.patch.dict(os.environ, {"MDS_WORK_CAP": "100"}), \
+                pytest.raises(WorkCapExceeded) as exc:
+            check_property_S(parse_constraints("x1 - x2", 2), 12)
+        assert str(exc.value) == ("Property (S) recombination scan needs ~102 units of "
+                                  "work, cap is 100 (set MDS_WORK_CAP to override)")
+
 
 def dfs_local_solutions(A, t, m, rhs, B):
     """Oracle: the recursive depth-first search that local_solutions once
@@ -464,6 +489,15 @@ class TestCartesianCheck:
             if any(p > 7 for p in S.twist_primes()):
                 continue
             assert cartesian_check(S, 16, 7, 4).equal
+
+    @pytest.mark.parametrize("omega_prime", [
+        None,   # no constraint: the box and the recombination are {()}
+        (2,),   # 1 = 2 fails; 2 <= N has no local solution
+        (7,),   # 1 = 7 fails at a prime in (N, P]
+    ])
+    def test_no_variables(self, omega_prime):
+        S = make_system([[]] if omega_prime else [], omega_prime=omega_prime, t=0)
+        assert cartesian_check(S, 5, 7, 3) == CartesianCheck(equal=True)
 
     def test_twist_prime_beyond_P(self):
         S = make_system([[1]], omega=(1,), omega_prime=(11,))
