@@ -36,12 +36,24 @@ from .errors import MissingPrimePowerError
 from .limits import TAU_DEFAULT_BOUND, TAU_TABLE_LIMIT
 
 
-def _cmul(ar, ai, br, bi) -> tuple:
-    """The complex product a * b on real and imaginary parts, in the
-    operations of Python's complex product.  numpy's complex multiply may
-    fuse them, which would make a value's bits depend on its place in an
-    array."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The elementwise product a * b of two float64 or complex128 arrays of
+    one shape, in the operations of Python's product: a real side multiplies
+    each part of the other, and two complex sides make the four real
+    products of Python's complex product.  numpy's complex multiply may fuse
+    them, which would make a value's bits depend on its place in an array."""
+    if a.dtype.kind != "c":
+        a, b = b, a
+    if a.dtype.kind != "c":
+        return a * b
+    out = np.empty_like(a)
+    if b.dtype.kind != "c":
+        np.multiply(a.real, b, out.real)
+        np.multiply(a.imag, b, out.imag)
+    else:
+        np.subtract(a.real * b.real, a.imag * b.imag, out.real)
+        np.add(a.real * b.imag, a.imag * b.real, out.imag)
+    return out
 
 
 def hecke_prime_power(lambda_p: complex, e: int) -> complex:
@@ -59,22 +71,20 @@ def hecke_prime_power(lambda_p: complex, e: int) -> complex:
 
 def _hecke_table(lam: np.ndarray, exps: Sequence[int]) -> np.ndarray:
     """hecke_prime_power(lam[i], e) for every i and every e in exps, with the
-    recursion run on all of lam at once, its complex products by _cmul."""
+    recursion run on all of lam at once, its complex products by _times."""
     if any(e < 0 for e in exps):
         raise ValueError("exponent must be >= 0")
     out = np.ones((len(lam), len(exps)), dtype=complex)
-    lr, li = lam.real, lam.imag
-    pr, pi = np.ones_like(lr), np.zeros_like(lr)   # lambda(p^(e-1))
-    cr, ci = lr.copy(), li.copy()                  # lambda(p^e), from e = 1
+    lam = np.asarray(lam, dtype=complex)    # as hecke_prime_power's complex(lambda_p)
+    prev, cur = np.ones_like(lam), lam      # lambda(p^(e-1)), lambda(p^e) from e = 1
     e = 1
     for k in sorted(range(len(exps)), key=exps.__getitem__):
         if exps[k] == 0:
             continue
         while e < exps[k]:
-            nr, ni = _cmul(lr, li, cr, ci)
-            pr, pi, cr, ci = cr, ci, nr - pr, ni - pi
+            prev, cur = cur, _times(lam, cur) - prev
             e += 1
-        out.real[:, k], out.imag[:, k] = cr, ci
+        out[:, k] = cur
     return out
 
 
@@ -200,9 +210,7 @@ class CoefficientFamily:
         out = np.ones(len(n), dtype=complex)
         lo = 0
         for rows, _, _ in levels:
-            c = coef[lo:lo + len(rows)]
-            out.real[rows], out.imag[rows] = _cmul(out.real[rows], out.imag[rows],
-                                                   c.real, c.imag)
+            out[rows] = _times(out[rows], coef[lo:lo + len(rows)])
             lo += len(rows)
         return out
 
@@ -395,7 +403,7 @@ def in_column(j: int):
 
 def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
     """a(n) = prod_j c_j(n_j) for each row n of the K x t integer array X,
-    column by column from 1+0j by _cmul; requires t == len(c) and every
+    column by column from 1+0j by _times; requires t == len(c) and every
     n_j >= 1."""
     X = np.asarray(X, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != len(c):
@@ -406,7 +414,7 @@ def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
     for j, fam in enumerate(c):
         with in_column(j):
             v = fam.values(X[:, j])
-        out.real, out.imag = _cmul(out.real, out.imag, v.real, v.imag)
+        out = _times(out, v)
     return out
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import character_table, is_prime, _unit_roots
-from .coefficients import TrivialFamily, _cmul, in_column
+from .coefficients import TrivialFamily, _times, in_column
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
@@ -78,7 +78,7 @@ def _terms(fam, z: complex, n, logn):
     terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
     if not isinstance(fam, TrivialFamily):
         values = fam.values(n)
-        terms = terms * (values if values.imag.any() else values.real)
+        terms = _times(terms, values if values.imag.any() else values.real)
     return terms
 
 
@@ -125,8 +125,7 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
         if np.iscomplexobj(x):
             T.imag[logs] = x.imag[1:]
         # L(K) = sum_a T[a] e^(2 pi i K a / (q-1)): the unscaled inverse DFT
-        Lj = np.fft.ifft(T, norm="forward")
-        L.append((Lj.real, Lj.imag))
+        L.append(np.fft.ifft(T, norm="forward"))
     roots = np.array(_unit_roots(order))
     A = [[a % order for a in row] for row in S.A]
     delta = [(table.log_of(w) - table.log_of(wp)) % order
@@ -141,12 +140,10 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
                 v, k = np.divmod(v, order)
                 ks.append(k)
             phase = sum(k * d for k, d in zip(ks, delta)) % order
-            tr, ti = roots.real[phase], roots.imag[phase]
-            for j, (Lr, Li) in enumerate(L):
+            chunk = roots[phase]
+            for j, Lj in enumerate(L):
                 K = sum(k * row[j] for k, row in zip(ks, A)) % order
-                tr, ti = _cmul(tr, ti, Lr[K], Li[K])
-            chunk = tr.astype(complex)
-            chunk.imag = ti
+                chunk = _times(chunk, Lj[K])
             yield chunk
 
     return _fsum(chunks()) / tuples

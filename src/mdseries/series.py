@@ -16,10 +16,10 @@ twist valuations at p) and local exponent bound: the primes sharing both
 share their local solution set, and one array kernel evaluates their
 factors in blocks, with the coefficients from each family's
 prime_power_table.  Each right-hand side is searched once, at its largest
-bound.  local_factor is the same kernel on one prime.  Complex products in
-the kernel are written out on real and imaginary parts, real data (real
-s_j, a real table) has none, and every operation acts on one prime's row,
-so a factor has the same bits in any block.
+bound.  local_factor is the same kernel on one prime.  Its products are
+coefficients._times, real data (real s_j, a real table) makes no complex
+one, and every operation acts on one prime's row, so a factor has the
+same bits in any block.
 
 The local exponent bound depends on the prime.  Where the local equations
 have a zero right-hand side, the local solutions keep alpha_j <= B_p, the
@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .arith import primes_up_to
-from .coefficients import _cmul, all_trivial, eval_product_coefficient, in_column
+from .coefficients import _times, all_trivial, eval_product_coefficient, in_column
 from .errors import ConvergenceError, MissingPrimePowerError
 from .limits import LPF_SIEVE_LIMIT
 from .system import LaurentMonomialSystem, ValidatedRecord
@@ -220,11 +220,11 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
 
     The box is streamed: for each window of box_windows, the terms
     a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
-    product unless every family is trivial, elementwise, so a term has the
-    same bits in any window.  Each window goes into the full sum, and its
-    terms with max(n) <= N//2 into the half sum; both are exact, so the half
-    sum has the bits of a run at N//2, and reordering the points changes
-    nothing.  The second value is None when N < 2, where the half box is
+    product by _times unless every family is trivial, elementwise, so a term
+    has the same bits in any window.  Each window goes into the full sum,
+    and its terms with max(n) <= N//2 into the half sum; both are exact, so
+    the half sum has the bits of a run at N//2, and reordering the points
+    changes nothing.  The second value is None when N < 2, where the half box is
     empty.  The coefficient product is one eval_product_coefficient call
     per window.
     """
@@ -240,9 +240,7 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
             expo += logX[:, j] * z
         terms = np.exp(-expo)
         if not trivial:
-            # not in place: numpy's in-place complex product on a one-term
-            # array rounds differently from the product on longer ones
-            terms = terms * eval_product_coefficient(c, X)
+            terms = _times(terms, eval_product_coefficient(c, X))
         full.add(terms)
         if half_N is not None:
             half.add(terms[X.max(axis=1, initial=1) <= half_N])
@@ -262,14 +260,6 @@ _BLOCK_TERMS = 1 << 13
 _FSUM_ROWS = 64
 
 
-def _mul(a, b) -> list:
-    """a * b on arrays held as [re], for an exactly-zero imaginary part, or
-    [re, im]: by _cmul when both are complex."""
-    if len(a) == len(b) == 2:
-        return list(_cmul(*a, *b))
-    return [a[0] * b[0]] + [y * b[0] for y in a[1:]] + [a[0] * y for y in b[1:]]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _local_factors(c, s, primes, sols) -> list:
     """The Euler factors at `primes`, which all have the local solution set
@@ -280,13 +270,14 @@ def _local_factors(c, s, primes, sols) -> list:
     uses (so a family need not define the others), from prime_power_table
     and the powers of p^(-s_j) by repeated multiplication up to the largest
     such e; table_j[p, 0] is 1.  The terms at p are prod_j table_j[p, E[:, j]],
-    and the factor is their math.fsum.  _mul keeps real data real (a real
-    s_j, a real table, the terms before the first complex column); that
-    drops only signed zeros, which fsum ignores.  Primes go in blocks of
-    about _BLOCK_TERMS terms, and every operation acts on one prime's row
-    alone, so a factor has the same bits in any block, a block of one
-    included.  A term that overflows float64 raises OverflowError, naming
-    its prime.
+    and the factor is their math.fsum.  A table or a block of terms is one
+    float64 array while its data is real (a real s_j, a real table, the
+    terms before the first complex column) and one complex array after;
+    _times multiplies by real data part by part, which drops only signed
+    zeros, and fsum ignores them.  Primes go in blocks of about
+    _BLOCK_TERMS terms, and every operation acts on one prime's row alone,
+    so a factor has the same bits in any block, a block of one included.
+    A term that overflows float64 raises OverflowError, naming its prime.
     """
     K, t = len(sols), len(s)
     E = np.array(sols, dtype=np.intp).reshape(K, t)
@@ -302,40 +293,36 @@ def _local_factors(c, s, primes, sols) -> list:
         # e^708.39 it differs from math.exp
         xs = {z: np.array([cmath.exp(-z * lp) for lp in logs])
               for z in {s[j] for j, _, _ in columns}}
-        term = [np.ones((len(block), K))]
+        term = np.ones((len(block), K))
         for j, gather, used in columns:
-            x = [xs[s[j]].real, xs[s[j]].imag][:1 + bool(s[j].imag)]
+            x = xs[s[j]] if s[j].imag else xs[s[j]].real
             # table[:, e] = x^e up to the last used e, then times c_j(p^e) there
-            table = [np.full((len(block), used[-1] + 1), v) for v in (1.0, 0.0)[:len(x)]]
-            if len(x) == 1:     # accumulate multiplies in order along e
-                table[0][:, 1:] = np.multiply.accumulate(
-                    np.broadcast_to(x[0][:, None], (len(block), used[-1])), axis=1)
-            else:
+            table = np.ones((len(block), used[-1] + 1), dtype=x.dtype)
+            if s[j].imag:
                 for e in range(1, used[-1] + 1):
-                    table[0][:, e], table[1][:, e] = _cmul(
-                        table[0][:, e - 1], table[1][:, e - 1], *x)
+                    table[:, e] = _times(table[:, e - 1], x)
+            else:               # accumulate multiplies in order along e
+                table[:, 1:] = np.multiply.accumulate(
+                    np.broadcast_to(x[:, None], (len(block), used[-1])), axis=1)
             with in_column(j):
                 coef = c[j].prime_power_table(block, used.tolist())
-            values = _mul([part[:, used] for part in table],
-                          [coef.real, coef.imag][:1 + bool(coef.imag.any())])
-            if len(values) > len(table):
-                table.append(np.zeros_like(table[0]))
-            for part, v in zip(table, values):
-                part[:, used] = v
-            term = _mul(term, [part[:, gather] for part in table])
-        bad = ~np.logical_and.reduce([np.isfinite(part).all(axis=1) for part in term])
+            values = _times(table[:, used], coef if coef.imag.any() else coef.real)
+            table = table.astype(values.dtype, copy=False)
+            table[:, used] = values
+            term = _times(term, table[:, gather])
+        bad = ~np.isfinite(term).all(axis=1)
         if bad.any():
             raise OverflowError(f"the Euler factor at p = {block[bad.argmax()]} "
                                 "overflows float64")
         # rows go to Python floats a few at a time, and a missing or
         # all-zero imaginary part is not summed
         for r0 in range(0, len(block), _FSUM_ROWS):
-            rows = [part[r0:r0 + _FSUM_ROWS] for part in term]
-            if rows[1:] and rows[1].any():
+            rows = term[r0:r0 + _FSUM_ROWS]
+            if rows.imag.any():
                 out += [complex(math.fsum(r), math.fsum(i))
-                        for r, i in zip(*(part.tolist() for part in rows))]
+                        for r, i in zip(rows.real.tolist(), rows.imag.tolist())]
             else:
-                out += [complex(math.fsum(r), 0.0) for r in rows[0].tolist()]
+                out += [complex(math.fsum(r), 0.0) for r in rows.real.tolist()]
     return out
 
 

@@ -209,6 +209,11 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(1, 5)
 
+    @pytest.mark.parametrize("x", [0, -8])
+    def test_rejects_x_below_one(self, x):
+        with pytest.raises(ValueError, match=f"^valuation requires x >= 1, got {x}$"):
+            valuation(2, x)
+
     def test_additivity(self):
         rng = random.Random(55)
         for _ in range(300):

@@ -10,7 +10,8 @@ from mdseries import arith
 from mdseries.arith import (character_table, factorize, factorize_twist, is_prime,
                             primes_up_to)
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
-                                   TauFamily, TrivialFamily, _tau_values,
+                                   TauFamily, TrivialFamily, _hecke_table, _tau_values,
+                                   _times,
                                    eval_product_coefficient, hecke_prime_power,
                                    ramanujan_tau_table, tau_moduli, trivial_tuple)
 from mdseries.errors import MissingPrimePowerError
@@ -75,6 +76,58 @@ class TestHecke:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             hecke_prime_power(1.0, -1)
+
+    def test_table_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+            _hecke_table(np.array([0.5 + 0j]), [1, -1])
+
+    def test_table_keeps_the_scalar_bits(self):
+        # a real lambda goes through the complex product, as in the scalar
+        # recursion, so signed zeros keep their bytes too
+        lam = np.array([0.0, -0.0, -1.5, 1.25, 2.0, -2.0])
+        exps = [3, 0, 1, 7, 2]
+        want = [[hecke_prime_power(x, e) for e in exps] for x in lam.tolist()]
+        assert _hecke_table(lam, exps).tobytes() == np.array(want).tobytes()
+
+
+def random_doubles(rng, k):
+    """k doubles of random sign, 53-bit mantissa and exponent in -300..300,
+    so that no product overflows or underflows to zero."""
+    return np.array([math.ldexp(rng.choice((-1, 1)) * rng.getrandbits(53),
+                                rng.randint(-353, 247)) for _ in range(k)])
+
+
+class TestTimes:
+    def complexes(self, rng, k):
+        """k values, half with parts from random_doubles and half with parts
+        in [-2, 2), where products of like size make numpy's fused complex
+        multiply round differently on some hosts."""
+        z = np.empty(k, dtype=complex)
+        for part in (z.real, z.imag):
+            part[:] = np.concatenate([random_doubles(rng, k // 2),
+                                      [rng.uniform(-2, 2) for _ in range(k - k // 2)]])
+        return z
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_complex_sides_make_the_python_product(self, seed):
+        rng = random.Random(seed)
+        a, b = self.complexes(rng, 5000), self.complexes(rng, 5000)
+        want = np.array([x * y for x, y in zip(a.tolist(), b.tolist())])
+        got = _times(a, b)
+        assert got.tobytes() == want.tobytes()
+        # a value has the same bits at any place in any array
+        for i in range(0, 5000, 499):
+            for at in (slice(i, i + 1), slice(i, i + 3, 2)):
+                assert _times(a[at], b[at]).tobytes() == got[at].tobytes()
+
+    def test_a_real_side_multiplies_each_part(self):
+        rng = random.Random(5)
+        z, x = self.complexes(rng, 1000), random_doubles(rng, 1000)
+        for got in (_times(z, x), _times(x, z)):
+            assert got.dtype == complex
+            assert got.real.tobytes() == (z.real * x).tobytes()
+            assert got.imag.tobytes() == (z.imag * x).tobytes()
+        assert _times(x, x).tobytes() == (x * x).tobytes() and _times(x, x).dtype == np.float64
 
 
 class TestTauTable:
@@ -238,6 +291,10 @@ class TestTauPrimePowers:
         assert got == [table[n] for n in ns]
         assert all(type(x) is int for x in got)
         assert _tau_values(N, np.array([], dtype=np.int64)) == []
+
+    def test_rejects_N_below_one(self):
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            _tau_values(0, [])
 
     def test_one_modulus_at_a_time(self, fresh):
         # the passes reuse one 3 x N int64 buffer, 24 N bytes, across the

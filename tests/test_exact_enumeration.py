@@ -366,14 +366,11 @@ def whole_array_sums(S, fams, s, N):
     terms = np.exp(-expo)
     if not all_trivial(fams):
         # the scalar values' product, column by column from 1+0j
-        coef = np.array([math.prod((f.value(n) for f, n in zip(fams, row)), start=1 + 0j)
-                         for row in X.tolist()], dtype=complex)
-        # the formula multiplied in place; numpy's in-place product rounds
-        # a one-term array differently, so a box of one point is left out
-        in_place = terms.copy()
-        in_place *= coef
-        terms = terms * coef
-        assert len(X) < 2 or in_place.tobytes() == terms.tobytes()
+        coef = [math.prod((f.value(n) for f, n in zip(fams, row)), start=1 + 0j)
+                for row in X.tolist()]
+        # times each term by Python's complex product, which numpy's may not
+        # round alike
+        terms = np.array([z * a for z, a in zip(terms.tolist(), coef)], dtype=complex)
 
     def total(z):
         imag = math.fsum(z.imag.tolist()) if z.imag.any() else 0.0

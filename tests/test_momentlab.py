@@ -55,12 +55,13 @@ def naive_moment_rhs(S, families, s, q, N):
 def oracle_terms(f, s, N):
     """Oracle: lambda(n) n^{-s} for every n <= N at once, n^{-s} by the real
     exp when s is real, as momentlab makes it (the complex exp can differ
-    from it in the last bit)."""
+    from it in the last bit), times lambda(n) by Python's complex product."""
     n = np.arange(1, N + 1)
     s = complex(s)
     terms = np.exp(-s.real * np.log(n)) if s.imag == 0 else np.exp(-s * np.log(n))
     if not isinstance(f, TrivialFamily):
-        terms = terms * np.array([f.value(k) for k in range(1, N + 1)], dtype=complex)
+        terms = np.array([z * f.value(k) for k, z in enumerate(terms.tolist(), 1)],
+                         dtype=complex)
     return terms
 
 

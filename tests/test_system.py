@@ -184,6 +184,10 @@ class TestTwistRhs:
 
 
 class TestRowOps:
+    def test_unknown_operation(self):
+        with pytest.raises(TypeError, match="^unknown row operation 'swap'$"):
+            apply_row_op(make_system([[1, -1]]), "swap")
+
     def test_add_unit_twists(self):
         S = make_system([[1, -1, 0], [0, 1, -1]])
         S2 = apply_row_op(S, AddMultiple(0, 1, 1))
@@ -413,6 +417,10 @@ class TestSupportReducible:
     def test_zero_rows_need_no_basis(self):
         assert support_reducible([[0, 0], [0, 0]], 5) == \
             SupportSearch(reducible=True, basis=(), coeff_bound=5)
+
+    def test_candidate_in_the_span_is_skipped(self):
+        # (0, 2, 2) sorts before (2, 0, 0) and is twice the chosen (0, 1, 1)
+        assert support_reducible([[2, 0, 0], [0, 1, 1]], 2).basis == ((0, 1, 1), (2, 0, 0))
 
     def test_single_row_irreducible(self):
         res = support_reducible([[1, 1, -1]], 10)

@@ -82,6 +82,10 @@ class TestParser:
         with pytest.raises(ConstraintSyntaxError):
             parse_constraints("x3 - 1", 2)
 
+    def test_rejects_t_below_one(self):
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            parse_constraints("1", 0)
+
     def test_bare_x(self):
         with pytest.raises(ConstraintSyntaxError):
             parse_constraints("x + 1", 1)
@@ -102,6 +106,18 @@ class TestParser:
         with pytest.raises(ConstraintSyntaxError) as exc:
             parse_constraints("(x1 - 1", 1)
         assert str(exc.value) == "line 1, col 8: expected ')', found 'end'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1 + (x2\n- 5", "line 2, col 4: expected ')', found 'end'"),
+        ("x1 + (x2\n- 5\n", "line 2, col 4: expected ')', found 'end'"),
+        ("x1 + (x2\n- 5 \n\n", "line 2, col 5: expected ')', found 'end'"),
+        ("", "line 1, col 1: unexpected 'end'"),
+        ("\n\n", "line 1, col 1: unexpected 'end'"),
+    ], ids=["no-newline", "newline", "space-and-newlines", "empty", "newlines-only"])
+    def test_end_is_just_past_the_last_character_not_a_newline(self, text, message):
+        with pytest.raises(ConstraintSyntaxError) as exc:
+            parse_constraints(text, 2)
+        assert str(exc.value) == message
 
 
 class TestEnumerateBox:
@@ -209,6 +225,10 @@ class TestRecombine:
     def test_missing_choice(self):
         with pytest.raises(ValueError):
             recombine((2,), (3,), {2: "x"})
+
+    def test_choice_is_x_or_y(self):
+        with pytest.raises(ValueError, match="^choice\\[3\\] must be 'x' or 'y', got 'z'$"):
+            recombine((2,), (3,), {2: "x", 3: "z"})
 
 
 def scan_property_S(V, N):
