@@ -38,10 +38,11 @@ from .limits import TAU_DEFAULT_BOUND, TAU_TABLE_LIMIT
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The elementwise product a * b of two float64 or complex128 arrays of
-    one shape, in the operations of Python's product: a real side multiplies
-    each part of the other, and two complex sides make the four real
-    products of Python's complex product.  numpy's complex multiply may fuse
-    them, which would make a value's bits depend on its place in an array."""
+    one shape.  Two complex sides make the four real products of Python's
+    complex product; numpy's complex multiply may fuse them, which would
+    make a value's bits depend on its place in an array.  A real side
+    multiplies each part of the other, which matches Python's product up to
+    signed zeros and non-finite parts."""
     if a.dtype.kind != "c":
         a, b = b, a
     if a.dtype.kind != "c":

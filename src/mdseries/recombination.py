@@ -95,7 +95,7 @@ _TOKEN = re.compile(r"(\n)|(\s)|([0-9]+)|x([0-9]*)|([-+*^();])|(.)", re.S)
 
 def _tokens(text):
     """The tokens (kind, value, line, column) of `text`, then an "end" one
-    just past the last character that is not a newline."""
+    just past the last character that is not a line end (\n or \r)."""
     tokens, line, line_start = [], 1, 0
     for m in _TOKEN.finditer(text):
         col = m.start() - line_start + 1
@@ -112,7 +112,7 @@ def _tokens(text):
             tokens.append((punct, None, line, col))
         elif other:
             raise ConstraintSyntaxError(f"unexpected character {other!r}", line, col)
-    body = text.rstrip("\n")
+    body = text.rstrip("\r\n")
     tokens.append(("end", None, body.count("\n") + 1, len(body) - body.rfind("\n")))
     return tokens
 

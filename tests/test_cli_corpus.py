@@ -24,28 +24,3 @@ def test_case_output(tmp_path, monkeypatch, name, argv, env):
 
 def test_every_case_is_recorded():
     assert list(blocks(TEXT)) == [case[0] for case in CASES]
-
-
-def test_check_reports_each_differing_block_and_keeps_the_file(tmp_path, monkeypatch, capsys):
-    import cli_corpus
-    cases = [case for case in CASES if case[0] in ("missing-file", "unknown-flag", "bad-q")]
-    recorded = blocks(TEXT)
-    expected = tmp_path / "cli_corpus.txt"
-    expected.write_text(TEXT.split("=== ", 1)[0] + recorded["missing-file"]
-                        + recorded["unknown-flag"].replace("exit 1", "exit 9")
-                        + recorded["eval-diag"])
-    before = expected.read_text()
-    monkeypatch.setattr(cli_corpus, "EXPECTED", expected)
-    monkeypatch.setattr(cli_corpus, "CASES", cases)
-    monkeypatch.chdir(tmp_path)
-    # main sets these itself; monkeypatch restores them afterwards
-    monkeypatch.delenv("MDS_WORK_CAP", raising=False)
-    for key, value in ENVIRONMENT.items():
-        monkeypatch.setenv(key, value)
-    assert cli_corpus.main(["--check"]) == 1
-    assert capsys.readouterr().err.splitlines()[-3:] == [
-        "gone: eval-diag", "changed: unknown-flag", "new: bad-q"]
-    assert expected.read_text() == before
-    monkeypatch.setattr(cli_corpus, "CASES", cases[:1])
-    expected.write_text(TEXT.split("=== ", 1)[0] + recorded["missing-file"])
-    assert cli_corpus.main(["--check"]) == 0

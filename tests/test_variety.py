@@ -113,7 +113,10 @@ class TestParser:
         ("x1 + (x2\n- 5 \n\n", "line 2, col 5: expected ')', found 'end'"),
         ("", "line 1, col 1: unexpected 'end'"),
         ("\n\n", "line 1, col 1: unexpected 'end'"),
-    ], ids=["no-newline", "newline", "space-and-newlines", "empty", "newlines-only"])
+        ("x1 + (x2\r\n- 5\r\n", "line 2, col 4: expected ')', found 'end'"),
+        ("\r\n\r\n", "line 1, col 1: unexpected 'end'"),
+    ], ids=["no-newline", "newline", "space-and-newlines", "empty", "newlines-only",
+            "crlf", "crlf-only"])
     def test_end_is_just_past_the_last_character_not_a_newline(self, text, message):
         with pytest.raises(ConstraintSyntaxError) as exc:
             parse_constraints(text, 2)
