@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "arith": ("CharacterTable", "character_table", "factorize", "factorize_twist",
-              "iroot", "is_prime", "primes_up_to", "valuation"),
+    "arith": ("CharacterTable", "character_table", "factorize", "iroot", "is_prime",
+              "primes_up_to", "valuation"),
     "coefficients": ("CharacterFamily", "CoefficientFamily", "HeckeGL2Family",
                      "TableFamily", "TauFamily", "TrivialFamily",
                      "eval_product_coefficient", "hecke_prime_power",

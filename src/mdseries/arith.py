@@ -3,11 +3,13 @@
 Primes, factorizations, p-adic valuations, and Dirichlet character tables
 modulo a prime q.  One least-prime-factor sieve, grown on demand up to
 LPF_SIEVE_LIMIT, lists the primes (primes_up_to, so a prime bound P is at
-most that limit) and factors the n within it.  factorize takes any
-1 <= n <= TWIST_LIMIT: an n within the sieve is read off it, and every
-larger one goes to factorize_twist, which also factors the twists: trial
-division by the primes <= 100, then Pollard-Brent rho (R. P. Brent, BIT 20,
-1980), each factor kept proved prime by deterministic Miller-Rabin.
+most that limit) and factors arrays of n within it (factor_levels), one
+walk for all of them.  factorize is the one path for a single n, twists
+included, and reads no sieve: trial division by the primes <= 100, then
+Pollard-Brent rho (R. P. Brent, BIT 20, 1980), each factor kept proved
+prime by deterministic Miller-Rabin.  So it takes any 1 <= n <= TWIST_LIMIT,
+and the scalar references that factor through it check factor_levels from
+outside the sieve.
 
 Characters are kept as exact root-of-unity indices (integers mod q-1) and
 only converted to floating complex at evaluation boundaries, so
@@ -100,45 +102,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization of 1 <= n <= TWIST_LIMIT as ((p, e), ...),
-    p ascending.
-
-    An n within the least-prime-factor sieve is read off it; a larger one
-    goes to factorize_twist.  The sieve is the one primes_up_to reads: an
-    n past it, up to LPF_SIEVE_LIMIT // 4, grows it to the power of two
-    above n.  So it never holds more than twice the largest n or P asked
-    of it (q - 1 for a character table mod q), and ascending requests
-    re-sieve O(that) entries in all.
-    """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return ()
-    if n <= LPF_SIEVE_LIMIT // 4:
-        _grow_lpf(n)
-    if n > _lpf_limit:
-        return factorize_twist(n)
-    out = []
-    lpf = _lpf
-    while n > 1:
-        p = int(lpf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
-
-
 def factor_levels(n: np.ndarray) -> list:
     """The factorizations of a 1-D int64 array of n >= 1, as arrays: a list
     of (rows, p, e), where p[i]^e[i] exactly divides n[rows[i]], and each
     row's primes come in ascending order down the list.
 
-    An n that factorize would sieve is factored with the sieve, one level
-    (prime) at a time for all such n at once; each distinct n past the
-    sieve goes through factorize_twist, as in factorize.
+    This is the one walk of the least-prime-factor sieve: the n up to
+    LPF_SIEVE_LIMIT // 4 grow it to the power of two above the largest of
+    them, so it never holds more than twice that, and ascending requests
+    re-sieve O(that) entries in all.  The n within it are factored one
+    level (prime) at a time for all of them at once; each distinct n past
+    it goes through factorize, once.
     """
     n = np.asarray(n, dtype=np.int64)
     if (n < 1).any():
@@ -161,7 +135,7 @@ def factor_levels(n: np.ndarray) -> list:
     far = np.flatnonzero(n > _lpf_limit)
     for m in sorted(set(n[far].tolist())):
         at = far[n[far] == m]
-        out += [(at, np.full(len(at), p), np.full(len(at), e)) for p, e in factorize_twist(m)]
+        out += [(at, np.full(len(at), p), np.full(len(at), e)) for p, e in factorize(m)]
     return out
 
 
@@ -196,19 +170,20 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-def factorize_twist(n: int) -> Factorization:
-    """Exact prime factorization of 1 <= n <= TWIST_LIMIT, in the format
-    of `factorize`, without the sieve: the factorization of twists, and of
-    any n that factorize's sieve does not reach.
+def factorize(n: int) -> Factorization:
+    """Exact prime factorization of 1 <= n <= TWIST_LIMIT as ((p, e), ...),
+    p ascending, without the sieve: the one path for a single n (a twist,
+    q - 1 for a character table, a scalar reference's n) and for each n
+    past the sieve of factor_levels.
 
     Trial division splits off the primes <= 100, and Pollard-Brent rho the
     rest; every factor it keeps is prime by the deterministic Miller-Rabin
     test `is_prime`.
     """
     if n < 1:
-        raise ValueError(f"factorize_twist requires n >= 1, got {n}")
+        raise ValueError(f"factorize requires n >= 1, got {n}")
     if n > TWIST_LIMIT:
-        raise ValueError(f"factorize_twist input {n} exceeds the twist cap {TWIST_LIMIT}")
+        raise ValueError(f"factorize input {n} exceeds the twist cap {TWIST_LIMIT}")
     counts = {}
     for p in _PRIMES_BELOW_100:
         while n % p == 0:

@@ -61,7 +61,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import is_prime, primes_up_to
 from .coefficients import _times, all_trivial, eval_product_coefficient, in_column
 from .errors import ConvergenceError, MissingPrimePowerError
 from .limits import LPF_SIEVE_LIMIT
@@ -260,6 +260,15 @@ _BLOCK_TERMS = 1 << 13
 _FSUM_ROWS = 64
 
 
+def _exp(w: complex) -> complex:
+    """cmath.exp(w), or inf where it passes float64 (cmath raises there),
+    so that the finiteness check of _local_factors names the prime."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _local_factors(c, s, primes, sols) -> list:
     """The Euler factors at `primes`, which all have the local solution set
@@ -291,7 +300,7 @@ def _local_factors(c, s, primes, sols) -> list:
         logs = [math.log(p) for p in block]
         # p^(-z) once per distinct z; cmath also for real z, since past
         # e^708.39 it differs from math.exp
-        xs = {z: np.array([cmath.exp(-z * lp) for lp in logs])
+        xs = {z: np.array([_exp(-z * lp) for lp in logs])
               for z in {s[j] for j, _, _ in columns}}
         term = np.ones((len(block), K))
         for j, gather, used in columns:
@@ -327,10 +336,12 @@ def _local_factors(c, s, primes, sols) -> list:
 
 
 def prime_exponent_bound(p: int, B: int) -> int:
-    """The smallest b >= 0 with p^b >= 2^B, in exact integers: B at p = 2,
-    at most B everywhere, and 0 when B = 0."""
+    """The smallest b >= 0 with p^b >= 2^B, in exact integers, for p >= 2:
+    B at p = 2, at most B everywhere, and 0 when B = 0."""
     if not 0 <= B <= 64:
         raise ValueError("exponent bound B must be in 0..64")
+    if p < 2:
+        raise ValueError(f"prime_exponent_bound requires p >= 2, got {p}")
     target, b, power = 1 << B, 0, 1
     while power < target:
         b, power = b + 1, power * p
@@ -360,7 +371,10 @@ def local_factor(S: LaurentMonomialSystem, c, p: int, s, B: int) -> complex:
     most the local exponent bound at p (see the module docstring).
 
     This is the one-prime call of the kernel that euler_product runs on
-    blocks of primes, so it has the bits of the factor there."""
+    blocks of primes, so it has the bits of the factor there.  p must be
+    prime."""
+    if not is_prime(p):
+        raise ValueError(f"local_factor requires a prime p, got {p}")
     s = tuple(complex(z) for z in s)
     [(_, bound)] = _local_groups(S, [p], B)
     return _local_factors(c, s, [p], local_solutions(S, p, bound).solutions)[0]

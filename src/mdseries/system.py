@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import factorize_twist
+from .arith import factorize
 from .errors import TwistOverflowError
 from .limits import TWIST_LIMIT
 
@@ -88,11 +88,11 @@ class LaurentMonomialSystem(ValidatedRecord):
     def twist_rhs(self) -> dict:
         """{p: (v_p(omega'_i) - v_p(omega_i))_i} over the primes p dividing
         any twist, ascending: the right-hand sides of membership's per-prime
-        identity sum_j a_ij v_p(n_j) = rhs_i, from one factorization a twist."""
+        identity sum_j a_ij v_p(n_j) = rhs_i, from one factorization per twist."""
         rhs = {}
         for sign, twists in ((-1, self.omega), (1, self.omega_prime)):
             for i, w in enumerate(twists):
-                for p, e in factorize_twist(w):
+                for p, e in factorize(w):
                     rhs.setdefault(p, [0] * self.m)[i] += sign * e
         return {p: tuple(rhs[p]) for p in sorted(rhs)}
 

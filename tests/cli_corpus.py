@@ -11,7 +11,9 @@ the expected file records both, and the test skips where they differ.
 rewrites cli_corpus.txt from this checkout and prints the name of each
 case whose block it changed or added, and of each recorded block no case
 gives any more.  A change that rewrites it lists every changed line in
-CHANGES.md.
+CHANGES.md.  test_cli_corpus.py also runs render() in a child process
+with numpy's AVX-512 dispatch disabled, and pins which blocks that
+changes.
 """
 
 from __future__ import annotations
@@ -153,13 +155,10 @@ def blocks(text: str) -> dict:
             for block in re.split(r"^(?==== )", text, flags=re.M)[1:]}
 
 
-def main() -> None:
+def render() -> str:
+    """The expected file's text as this checkout and process give it: the
+    platform, then every case run in a fresh directory of the inputs."""
     parts = [platform()]
-    before = blocks(EXPECTED.read_text()) if EXPECTED.exists() else {}
-    names = [case[0] for case in CASES]
-    for name in before:
-        if name not in names:
-            print(f"gone: {name}", file=sys.stderr)
     os.environ.update(ENVIRONMENT)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -169,10 +168,21 @@ def main() -> None:
             os.environ.pop("MDS_WORK_CAP", None)
             os.environ.update(env)
             parts.append(run(name, argv))
-            if before.get(name) != parts[-1]:
-                print(f"{'changed' if name in before else 'new'}: {name}", file=sys.stderr)
         os.chdir(here)
-    EXPECTED.write_text("".join(parts))
+    return "".join(parts)
+
+
+def main() -> None:
+    before = blocks(EXPECTED.read_text()) if EXPECTED.exists() else {}
+    text = render()
+    after = blocks(text)
+    for name in before:
+        if name not in after:
+            print(f"gone: {name}", file=sys.stderr)
+    for name, block in after.items():
+        if before.get(name) != block:
+            print(f"{'changed' if name in before else 'new'}: {name}", file=sys.stderr)
+    EXPECTED.write_text(text)
     print(f"wrote {len(CASES)} cases to {EXPECTED}", file=sys.stderr)
 
 

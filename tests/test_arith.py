@@ -2,11 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mdseries import arith
-from mdseries.arith import (character_table, factorize, factorize_twist, iroot,
-                            is_prime, primes_up_to, valuation)
+from mdseries.arith import (character_table, factor_levels, factorize, iroot, is_prime,
+                            primes_up_to, valuation)
+from mdseries.coefficients import HeckeGL2Family, TauFamily
 from mdseries.limits import TWIST_LIMIT
 
 
@@ -25,6 +27,15 @@ def trial_division(n):
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def level_factorizations(ns):
+    """factor_levels(ns) read back as one factorization tuple per n."""
+    out = [[] for _ in ns]
+    for rows, p, e in factor_levels(np.array(ns, dtype=np.int64)):
+        for r, pe in zip(rows.tolist(), zip(p.tolist(), e.tolist())):
+            out[r].append(pe)
+    return [tuple(f) for f in out]
 
 
 def sieve_count(limit):
@@ -98,11 +109,11 @@ class TestLpfSieveGrowth:
     NS = [n for k in range(18) for n in (2**k - 1, 2**k, 2**k + 1) if n >= 1]
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
-    def test_factorize_across_every_growth(self, empty_sieve, order):
+    def test_factor_levels_across_every_growth(self, empty_sieve, order):
         ns = sorted(set(self.NS), reverse=order == "descending")
         for i, n in enumerate(ns):
             before = arith._lpf_limit
-            assert factorize(n) == trial_division(n), n
+            assert level_factorizations([n]) == [trial_division(n)], n
             largest = max(ns[:i + 1])
             if largest > 1:
                 assert largest <= arith._lpf_limit <= 2 * largest
@@ -111,9 +122,40 @@ class TestLpfSieveGrowth:
                 assert arith._lpf_limit >= 2 * before
 
     def test_character_table_sieves_only_what_it_factors(self, empty_sieve):
+        # character_table factors q - 1 by factorize, which reads no sieve
         tb = character_table(101)
         assert tb.g == primitive_root_oracle(101)
-        assert 100 <= arith._lpf_limit <= 2**11
+        assert arith._lpf_limit == 0 and arith._lpf is None
+
+
+class TestFactorizeWithoutTheSieve:
+    """factorize, and so the scalar references that factor through it,
+    read no sieve: they check factor_levels from outside it."""
+
+    NS = list(range(1, 3000)) + [2**16 * 3, 65521 * 65519, 9699690, 2**31 - 1]
+
+    def test_an_empty_sieve_stays_empty(self, monkeypatch):
+        monkeypatch.setattr(arith, "_lpf", None)
+        monkeypatch.setattr(arith, "_lpf_limit", 0)
+        assert [factorize(n) for n in self.NS] == [trial_division(n) for n in self.NS]
+        assert arith._lpf is None and arith._lpf_limit == 0
+
+    def test_a_corrupted_sieve_is_not_read(self, monkeypatch):
+        # a sieve that marks every n prime, so any read of it shows
+        primes_up_to(1 << 12)
+        bad = np.arange(len(arith._lpf), dtype=np.int32)
+        monkeypatch.setattr(arith, "_lpf", bad)
+        assert [factorize(n) for n in self.NS] == [trial_division(n) for n in self.NS]
+        assert arith._lpf is bad and arith._lpf_limit == len(bad) - 1
+        ns = range(2, 200)
+        assert level_factorizations(ns) != [trial_division(n) for n in ns]
+        for fam in (HeckeGL2Family({p: 0.1 * (p % 7) - 0.3 for p in primes_up_to(3000)}),
+                    TauFamily(3000)):
+            for n in ns:
+                want = 1 + 0j
+                for p, e in trial_division(n):
+                    want *= fam.prime_power(p, e)
+                assert fam.value(n) == want, n
 
 
 class TestPrimeSieveGrowth:
@@ -156,14 +198,17 @@ class TestPrimeSieveGrowth:
 
 
 class TestFactorizeTwist:
+    """factorize on twists and on the n past factor_levels' sieve."""
+
     def test_agrees_with_factorize_below_its_cap(self):
-        # factorize hands an n past its sieve to factorize_twist, so both
-        # are checked against an independent oracle
+        # factor_levels, within its sieve and past it, agrees with
+        # factorize, and both with an independent oracle
         sympy = pytest.importorskip("sympy")
         rng = random.Random(12)
-        for n in [1, 2, 97, 2**39, 10**12] + [rng.randint(1, 10**12) for _ in range(300)]:
-            want = tuple(sorted(sympy.factorint(n).items()))
-            assert factorize_twist(n) == factorize(n) == want
+        ns = [1, 2, 97, 2**39, 10**12] + [rng.randint(1, 10**12) for _ in range(300)]
+        ns += [rng.randint(1, 10**6) for _ in range(300)]
+        want = [tuple(sorted(sympy.factorint(n).items())) for n in ns]
+        assert [factorize(n) for n in ns] == level_factorizations(ns) == want
 
     @pytest.mark.parametrize("n", [
         2**20 * 3**13,                       # tiny primes, above 10^12
@@ -175,15 +220,17 @@ class TestFactorizeTwist:
         999999999989 * 7,
     ])
     def test_large_twists(self, n):
-        fact = factorize_twist(n)
+        fact = factorize(n)
         assert math.prod(p**e for p, e in fact) == n
         assert all(is_prime(p) and e >= 1 for p, e in fact)
         assert [p for p, _ in fact] == sorted({p for p, _ in fact})
 
     def test_rejects_out_of_range(self):
-        for n in (0, -5, TWIST_LIMIT + 1):
-            with pytest.raises(ValueError):
-                factorize_twist(n)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match=f"^factorize requires n >= 1, got {n}$"):
+                factorize(n)
+        with pytest.raises(ValueError, match="exceeds the twist cap"):
+            factorize(TWIST_LIMIT + 1)
 
 
 class TestValuation:

@@ -485,6 +485,17 @@ class TestCliEval:
         assert capsys.readouterr() == ("", f"mds: {err}\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_euler_power_names_its_prime(self, tmp_path, capsys, recwarn):
+        # p^60 passes float64 first at p = 137273, in the power p^(-s) itself
+        doc = {"t": 1, "m": 0, "A": [], "omega": [], "omega_prime": [], "s": [[-60, 0]]}
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--system", str(path), "--N", "10", "--P", "140000",
+                     "--B", "1", "--override-convergence"]) == 1
+        assert capsys.readouterr() == (
+            "", "mds: the Euler factor at p = 137273 overflows float64\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestCliCompare:
     def test_product_system(self, tmp_path, capsys):
@@ -505,8 +516,8 @@ class TestCliCompare:
         # 6 n1 n2 = 35 n3 and 7 n1 = 5 n2: (5k, 7k, 6k^2); the Euler product,
         # its tail and the twist checks all read the system's twist_rhs
         calls = []
-        monkeypatch.setattr("mdseries.system.factorize_twist",
-                            lambda n: calls.append(n) or arith.factorize_twist(n))
+        monkeypatch.setattr("mdseries.system.factorize",
+                            lambda n: calls.append(n) or arith.factorize(n))
         doc = {"t": 3, "m": 2, "A": [[1, 1, -1], [1, -1, 0]],
                "omega": ["6", "7"], "omega_prime": ["35", "5"], "s": [[2, 0]] * 3}
         path = tmp_path / "twisted.json"

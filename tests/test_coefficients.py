@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mdseries import arith
-from mdseries.arith import (character_table, factorize, factorize_twist, is_prime,
-                            primes_up_to)
+from mdseries.arith import character_table, factorize, is_prime, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TableFamily,
                                    TauFamily, TrivialFamily, _hecke_table, _tau_values,
                                    _times,
@@ -449,11 +448,11 @@ class TestValues:
         assert len(ns) > 100
         want = np.array([fam.value(n) for n in ns], dtype=complex)
         calls = []
-        monkeypatch.setattr(arith, "factorize_twist",
-                            lambda n: calls.append(n) or factorize_twist(n))
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
         got = fam.values(np.array(ns, dtype=np.int64))
         assert got.dtype == complex and got.tobytes() == want.tobytes()
-        # a family that factors makes one factorize_twist call per distinct
+        # a family that factors makes one factorize call per distinct
         # n past the sieve, and none inside it
         far = {n for n in ns if n > max(arith._lpf_limit, LPF_SIEVE_LIMIT // 4)}
         assert far and len(calls) == len(set(calls))

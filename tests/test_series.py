@@ -176,6 +176,24 @@ class TestLocalFactor:
         v = local_factor(S, trivial_tuple(1), 2, (3,), 3)
         assert v == pytest.approx(2**-3, abs=1e-15)
 
+    def test_overflowing_power_names_its_prime(self):
+        # 137273^60 > 2^1024 > 137251^60: the power p^(-s) overflows
+        S = LaurentMonomialSystem(t=1, m=0, A=(), omega=(), omega_prime=())
+        assert math.isfinite(abs(local_factor(S, trivial_tuple(1), 137251, (-60,), 1)))
+        with pytest.raises(OverflowError,
+                           match="^the Euler factor at p = 137273 overflows float64$"):
+            local_factor(S, trivial_tuple(1), 137273, (-60,), 1)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1])
+    def test_rejects_p_below_two(self, p):
+        with pytest.raises(ValueError, match=f"^local_factor requires a prime p, got {p}$"):
+            local_factor(DIAG, TRIV2, p, (2, 2), 26)
+
+    @pytest.mark.parametrize("p", [4, 9, 91])
+    def test_rejects_a_composite_p(self, p):
+        with pytest.raises(ValueError, match=f"^local_factor requires a prime p, got {p}$"):
+            local_factor(DIAG, TRIV2, p, (2, 2), 26)
+
 
 class TestEulerProduct:
     def test_zeta4(self):
@@ -643,6 +661,12 @@ class TestPrimeExponentBound:
         for B in (-1, 65):
             with pytest.raises(ValueError):
                 prime_exponent_bound(3, B)
+
+    @pytest.mark.parametrize("p", [-2, 0, 1])
+    def test_rejects_p_below_two(self, p):
+        # the power of p = 0 or 1 never reaches 2^B
+        with pytest.raises(ValueError, match=f"^prime_exponent_bound requires p >= 2, got {p}$"):
+            prime_exponent_bound(p, 5)
 
     @pytest.mark.parametrize("S", [
         TWISTED,

@@ -146,7 +146,7 @@ class TestRecords:
 
 class TestTwistRhs:
     # a shared pool, so that twists share primes; two primes past 10^6,
-    # so that a twist past 10^12 leaves factorize_twist a composite for rho
+    # so that a twist past 10^12 leaves factorize a composite for rho
     POOL = (2, 3, 5, 7, 101, 1_000_003, 999_999_937)
 
     def random_twist(self, rng):
