@@ -7,7 +7,7 @@ sums), measures the error against the direct box sum, and fits the
 empirical decay exponent.
 
 The average is computed as arrays, in memory that does not grow with N.
-One pass over n <= N, in chunks of _N_CHUNK, makes the terms
+One pass over n <= N, in chunks of limits.CHUNK, makes the terms
 lambda_j(n) n^(-s_j) of each chunk, real where s_j and the family's values
 are, and adds them (np.add.at) into class sums by n mod q, one per family
 and modulus, for every modulus of the job.  At each q the class sums are
@@ -15,7 +15,7 @@ relabelled by the discrete log of the residue into T_j, and one
 length-(q-1) DFT of T_j gives the twisted L-sums L_j(K) for every
 character index K.  The average over character tuples k is a gather,
 chi_k(w) conj(chi_k(w')) prod_j L_j(K_j) with K_j = sum_i k_i A_ij mod q-1,
-made in fixed-size chunks of tuples and summed in one pass by
+made limits.CHUNK tuples at a time and summed in one pass by
 series._fsum.  With m = 0 there is no average: the value is the product of
 the plain sums, each the _fsum of the same chunk terms, computed once per
 job.
@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import limits
 from .arith import character_table, is_prime, _unit_roots
 from .coefficients import TrivialFamily, _times, in_column
 from .errors import WorkCapExceeded
@@ -40,14 +41,6 @@ from .limits import MOMENT_TUPLE_CAP
 from .series import (EMPTY_VARIETY_WARNING, _checked_point, _fsum,  # noqa: F401
                      compare, direct_sum_and_half, direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
-
-# Integers n whose terms are made at once.  Each term is made on its own,
-# and np.add.at adds in index order, as one bincount over every n would, so
-# any chunk size gives the same bits; this bounds the memory.
-_N_CHUNK = 1 << 12
-# Character tuples whose terms are held at once.  Each tuple's term is made
-# on its own, so any chunk size gives the same bits; this bounds the memory.
-_TUPLE_CHUNK = 1 << 12
 
 
 def _check_modulus(S: LaurentMonomialSystem, q: int) -> None:
@@ -65,9 +58,13 @@ def _check_modulus(S: LaurentMonomialSystem, q: int) -> None:
 
 
 def _n_chunks(N: int):
-    """The integers 1..N in chunks of _N_CHUNK, each with its logarithms."""
-    for lo in range(1, N + 1, _N_CHUNK):
-        n = np.arange(lo, min(lo + _N_CHUNK, N + 1))
+    """The integers 1..N in chunks of limits.CHUNK, each with its
+    logarithms.  Each term is made on its own, and np.add.at adds in index
+    order, as one bincount over every n would, so any chunk size gives the
+    same bits."""
+    chunk = limits.CHUNK
+    for lo in range(1, N + 1, chunk):
+        n = np.arange(lo, min(lo + chunk, N + 1))
         yield n, np.log(n)
 
 
@@ -115,15 +112,13 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
     accepts."""
     table = character_table(q)
     order = q - 1
-    # residues 1..q-1 relabelled by their discrete logs; residue 0 (q | n)
-    # drops out
+    # residues 1..q-1 relabelled by their discrete logs, a permutation of
+    # 0..q-2; residue 0 (q | n) drops out
     logs = np.asarray(table.log[1:])
     L = []
     for x in sums:
         T = np.zeros(order, dtype=complex)
-        T.real[logs] = x.real[1:]
-        if np.iscomplexobj(x):
-            T.imag[logs] = x.imag[1:]
+        T[logs] = x[1:]
         # L(K) = sum_a T[a] e^(2 pi i K a / (q-1)): the unscaled inverse DFT
         L.append(np.fft.ifft(T, norm="forward"))
     roots = np.array(_unit_roots(order))
@@ -131,10 +126,13 @@ def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
     delta = [(table.log_of(w) - table.log_of(wp)) % order
              for w, wp in zip(S.omega, S.omega_prime)]
     tuples = order ** S.m
+    size = limits.CHUNK
 
     def chunks():
-        for lo in range(0, tuples, _TUPLE_CHUNK):
-            v = np.arange(lo, min(lo + _TUPLE_CHUNK, tuples))
+        # each tuple's term is made on its own, so any chunk size gives the
+        # same bits
+        for lo in range(0, tuples, size):
+            v = np.arange(lo, min(lo + size, tuples))
             ks = []
             for _ in range(S.m):
                 v, k = np.divmod(v, order)

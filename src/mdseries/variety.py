@@ -8,7 +8,7 @@ exclude a solution; a float k-th root only proposes the last coordinate.
 
 Box enumeration on a monomial system is one array search (box_windows): it
 takes the whole frontier of prefixes a level at a time, a window of
-_WINDOW nodes at a time, which bounds its memory, solves the last
+limits.CHUNK nodes at a time, which bounds its memory, solves the last
 coordinate for a whole window at once, and yields each window's points
 as an array, in lexicographic order.  Its exact products are int64 when
 no row side can reach 2^63 on the box, and Python ints (object arrays,
@@ -35,12 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import limits
 from .arith import factorize, iroot
 # primes_up_to is not called here; perfbench's layer trace
 # (perfbench/layertrace.py) wraps it by this module's name
 from .arith import primes_up_to  # noqa: F401
 from .errors import WorkCapExceeded
-from .limits import work_cap
 from .system import LaurentMonomialSystem
 
 
@@ -104,17 +104,8 @@ def on_monomial_variety_rational(S: LaurentMonomialSystem, coords) -> bool:
 
 _LOG_SLACK = 1e-6  # relative widening of pruning intervals
 
-# Nodes the box search holds at once in one level: the children of a level
-# are made this many at a time, and each window is searched to the end
-# before the next, and its points are yielded before the next is made.
-# Any window gives the same points in the same order; this bounds the
-# memory of the search and of a caller that folds the points window by
-# window.  On A = [[1, -1]] at N = 10^5,
-# 2^12 is as fast as 2^16 with 2.5 MB less peak memory in `mds moment`.
-_WINDOW = 1 << 12
-
 # int64 boxes keep N below this, so that float interval ends are exact
-# integers and a window's child count (at most _WINDOW * N) fits int64
+# integers and a window's child count (at most limits.CHUNK * N) fits int64
 _INT64_N = 1 << 40
 
 
@@ -184,7 +175,8 @@ def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
     they can only over-admit, never exclude a solution.  The children are
     listed by a flat index (cumsum of the interval lengths, searchsorted
     back to the parent), which keeps lexicographic order, a window of
-    _WINDOW at a time, depth first.
+    limits.CHUNK at a time, depth first: each window is searched to the
+    end, and its points yielded, before the next is made.
 
     The last coordinate is never searched when some row uses it: with
     x_t = 1 in both sides, that row reads lhs * x^k == rhs (or the mirror),
@@ -198,14 +190,15 @@ def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
     overflow: every side is bounded by the dtype rule of _box_dtype.  When
     no row uses x_t, membership does not depend on it, so it is decided
     once per prefix at x_t = 1 and each kept prefix repeats over 1..N; the
-    repeated rows are yielded _WINDOW at a time, so no array yielded has
-    more than _WINDOW rows, whatever N.
+    repeated rows are yielded limits.CHUNK at a time, so no array yielded
+    has more than limits.CHUNK rows, whatever N.
 
     Nodes (prefix coordinates tried plus points emitted) count against the
     work cap, each level before it is made; a window's points count before
     they are yielded.  The windows may be empty.
     """
     t, m, A = S.t, S.m, S.A
+    chunk = limits.CHUNK
     if t == 0:
         yield np.zeros((int(all(w == wp for w, wp in zip(S.omega, S.omega_prime))), 0),
                        dtype=np.int64)
@@ -242,8 +235,8 @@ def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
             spend(len(X) * N)
             # row r of the repeated prefixes is X[r // N] with x_t = r % N + 1
             total = len(X) * N
-            for w0 in range(0, total, _WINDOW):
-                r = np.arange(w0, min(total, w0 + _WINDOW))
+            for w0 in range(0, total, chunk):
+                r = np.arange(w0, min(total, w0 + chunk))
                 yield np.column_stack([X[r // N], (r % N + 1).astype(dt)])
             return
         lhs, rhs = _side_arrays(A[si], S.omega[si], S.omega_prime[si], cols, len(X), dt)
@@ -288,8 +281,8 @@ def _monomial_windows(S: LaurentMonomialSystem, N: int, cap: int):
         spend(total)
         ends = np.cumsum(counts.astype(np.int64))
         col = np.array([row[j] for row in A], dtype=float)
-        for w0 in range(0, total, _WINDOW):
-            idx = np.arange(w0, min(total, w0 + _WINDOW))
+        for w0 in range(0, total, chunk):
+            idx = np.arange(w0, min(total, w0 + chunk))
             par = np.searchsorted(ends, idx, side="right")
             x = lo[par] + (idx - ends[par] + counts[par])
             yield from expand(j + 1, np.column_stack([X[par], x]),
@@ -306,17 +299,18 @@ def box_windows(V, N: int):
     arrays whose rows, taken in turn, are in lexicographic order.
 
     On a monomial system each array is one window of the search, so a
-    caller that folds the points window by window holds at most _WINDOW
-    of them at once (one array for a recombination.PolynomialVariety).
-    The dtype is int64 where every exact product of the search fits it,
-    else object (Python ints), the same for every array; the last array
-    may be empty.  A generator: N is checked and the work cap
-    (limits.work_cap) read at the first next(), and the cap is charged as
-    the search goes, so WorkCapExceeded can come after some windows were
-    yielded, at the count and with the message of box_array."""
+    caller that folds the points window by window holds at most
+    limits.CHUNK of them at once (one array for a
+    recombination.PolynomialVariety).  The dtype is int64 where every
+    exact product of the search fits it, else object (Python ints), the
+    same for every array; the last array may be empty.  A generator: N is
+    checked and the work cap (limits.work_cap) read at the first next(),
+    and the cap is charged as the search goes, so WorkCapExceeded can come
+    after some windows were yielded, at the count and with the message of
+    box_array."""
     if N < 1:
         raise ValueError("box bound N must be >= 1")
-    cap = work_cap()
+    cap = limits.work_cap()
     if isinstance(V, LaurentMonomialSystem):
         yield from _monomial_windows(V, N, cap)
         return

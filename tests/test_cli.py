@@ -7,12 +7,13 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mdseries
-from mdseries import arith, cli, coefficients, descriptor
+from mdseries import arith, cli, coefficients, descriptor, limits
 from mdseries.arith import factorize, primes_up_to
 from mdseries.cli import main
 from mdseries.descriptor import parse_descriptor, parse_record, serialize_descriptor
@@ -720,6 +721,16 @@ class TestCliMoment:
         assert out["eta_hat"] > 0.5
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "q,error" and len(lines) == 4
+
+    def test_chunk_size_keeps_the_document(self, diag_file, capsys):
+        # one job streams the box windows of the reference sum, the n <= N
+        # pass and the character-tuple average, all in limits.CHUNK rows
+        argv = ["moment", "--system", diag_file, "--q", "11,31,101", "--N", "2000"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        with mock.patch.object(limits, "CHUNK", 7):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("q", [",", "", " , ", "11,abc", "11,11"])
     def test_empty_modulus_list_is_an_error(self, diag_file, capsys, q):

@@ -25,7 +25,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from mdseries import series, variety
+from mdseries import limits, series, variety
 from mdseries.arith import character_table, iroot, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, all_trivial)
@@ -141,7 +141,7 @@ def test_box_array_equals_brute_force(case):
     assert X.dtype == expected_dtype(S, N)
     assert X.shape == (len(X), S.t)
     assert rows(X) == scan(S, N, on_monomial_variety_rational)
-    with mock.patch.object(variety, "_WINDOW", 3):
+    with mock.patch.object(limits, "CHUNK", 3):
         assert rows(box_array(S, N)) == rows(X)
 
 
@@ -229,7 +229,7 @@ class TestBoxArray:
         S = make_system([[1, 1, -1]])
         want = scan(S, 20, on_monomial_variety_rational)
         for window in (1, 2, 5, 7):
-            with mock.patch.object(variety, "_WINDOW", window):
+            with mock.patch.object(limits, "CHUNK", window):
                 assert rows(box_array(S, 20)) == want
 
     def test_zero_count_parents(self):
@@ -239,7 +239,7 @@ class TestBoxArray:
         want = [(5 * x, x, x) for x in range(1, 7)]
         assert scan(S, 33, on_monomial_variety_rational) == want
         for window in (1, 3, 4, 1 << 16):
-            with mock.patch.object(variety, "_WINDOW", window):
+            with mock.patch.object(limits, "CHUNK", window):
                 assert rows(box_array(S, 33)) == want
 
     def test_all_zero_last_column(self):
@@ -248,7 +248,7 @@ class TestBoxArray:
         assert rows(X) == [(x, x, z) for x in range(1, 8) for z in range(1, 8)]
         assert rows(box_array(system([[0]], (3,), (3,)), 5)) == [(x,) for x in range(1, 6)]
         assert box_array(system([[0]], (3,), (2,)), 5).shape == (0, 1)
-        with mock.patch.object(variety, "_WINDOW", 2):
+        with mock.patch.object(limits, "CHUNK", 2):
             assert rows(box_array(S, 7)) == rows(X)
 
     def test_enumerate_box_wraps_the_rows(self):
@@ -412,7 +412,7 @@ def test_streamed_direct_sum_is_bitwise_the_whole_array_sum(case, kinds, re, im)
     want = [bits(v) for v in whole_array_sums(S, fams, s, N)]
     assert [bits(v) for v in series.direct_sum_and_half(S, fams, s, N)] == want
     for window in (1, 3, 7):
-        with mock.patch.object(variety, "_WINDOW", window):
+        with mock.patch.object(limits, "CHUNK", window):
             assert [bits(v) for v in series.direct_sum_and_half(S, fams, s, N)] == want
 
 
@@ -434,17 +434,17 @@ class TestStreamedDirectSum:
             for fam_tuple in (fams, (TrivialFamily(),) * S.t):
                 want = [bits(v) for v in whole_array_sums(S, fam_tuple, s, N)]
                 for window in (1, 3, 7, 1 << 12):
-                    with mock.patch.object(variety, "_WINDOW", window):
+                    with mock.patch.object(limits, "CHUNK", window):
                         got = series.direct_sum_and_half(S, fam_tuple, s, N)
                     assert [bits(v) for v in got] == want
 
     def test_free_last_coordinate_windows(self):
         # no row uses x3, so each kept prefix repeats over 1..N; the rows go
-        # out _WINDOW at a time, also when one prefix's N rows are more
+        # out limits.CHUNK at a time, also when one prefix's N rows are more
         S, N = system([[1, -1, 0]]), 10
         want = scan(S, N, on_monomial_variety_rational)
         for window in (1, 7, 25, 100, 1 << 12):
-            with mock.patch.object(variety, "_WINDOW", window):
+            with mock.patch.object(limits, "CHUNK", window):
                 sizes = [len(X) for X in variety.box_windows(S, N)]
                 assert max(sizes) == min(window, len(want))
                 assert sum(sizes) == len(want)
@@ -453,13 +453,13 @@ class TestStreamedDirectSum:
         for w, wp, count in ((2**62, 2**62, 25), (1, 2**62, 0)):
             S = system([[1, -1, 0]], (w,), (wp,))
             want = scan(S, 5, on_monomial_variety_rational)
-            with mock.patch.object(variety, "_WINDOW", 7):
+            with mock.patch.object(limits, "CHUNK", 7):
                 X = box_array(S, 5)
             assert X.dtype == object and rows(X) == want and len(want) == count
 
     def test_box_array_is_the_windows_concatenated(self):
         S = system([[1, 1, -1]])
-        with mock.patch.object(variety, "_WINDOW", 5):
+        with mock.patch.object(limits, "CHUNK", 5):
             windows = list(variety.box_windows(S, 20))
             assert len(windows) > 2
             assert rows(np.concatenate(windows)) == rows(box_array(S, 20))
@@ -518,7 +518,7 @@ def test_direct_sum_trips_the_cap_of_box_array(case):
 def test_direct_sum_cap_at_the_node_total(S, N, total):
     fams, s = (TrivialFamily(),) * S.t, (2.0,) * S.t
     for window in (1, 7, 1 << 12):
-        with mock.patch.object(variety, "_WINDOW", window):
+        with mock.patch.object(limits, "CHUNK", window):
             with capped(total):
                 capped_sum = series.direct_sum(S, fams, s, N)
             assert capped_sum == series.direct_sum(S, fams, s, N)
@@ -534,7 +534,7 @@ def test_free_last_coordinate_charged_before_its_windows():
     # whole count
     S, N, fams, s = system([[1, -1, 0]]), 30, (TrivialFamily(),) * 3, (2.0,) * 3
     for window in (30, 1 << 12):
-        with mock.patch.object(variety, "_WINDOW", window):
+        with mock.patch.object(limits, "CHUNK", window):
             for f in (lambda: box_array(S, N),
                       lambda: series.direct_sum(S, fams, s, N)):
                 assert "needs ~960 units" in cap_outcome(f, 61)

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mdseries import coefficients, momentlab
+from mdseries import coefficients, limits, momentlab
 from mdseries.arith import _unit_roots, character_table
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
                                    TrivialFamily, trivial_tuple)
@@ -295,7 +295,7 @@ class TestMomentRhs:
     def test_chunk_size_keeps_bits(self, chunk):
         S, fams, s, q, N = MOMENT_CASES[2]
         want = moment_rhs(S, fams, s, q, N)
-        with mock.patch.object(momentlab, "_TUPLE_CHUNK", chunk):
+        with mock.patch.object(limits, "CHUNK", chunk):
             assert moment_rhs(S, fams, s, q, N) == want
 
     def test_exact_reconstruction_q997_m2(self):
@@ -478,7 +478,7 @@ class TestClassSumPass:
     def test_chunks_keep_the_oracle_bits(self, case, chunk):
         S, fams, s, qs, N = CHUNK_CASES[case]
         s = tuple(map(complex, s))
-        with mock.patch.object(momentlab, "_N_CHUNK", chunk):
+        with mock.patch.object(limits, "CHUNK", chunk):
             sums = momentlab._class_sums(fams, s, N, qs)
             rhs = moment_rhs(S, fams, s, qs[0], N)
         for q in qs:
@@ -503,7 +503,7 @@ class TestClassSumPass:
         for f, z in zip(fams, s):
             terms = oracle_terms(f, z, N)
             want *= complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-        with mock.patch.object(momentlab, "_N_CHUNK", chunk):
+        with mock.patch.object(limits, "CHUNK", chunk):
             got = moment_rhs(m0, fams, s, 7, N)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
@@ -512,7 +512,7 @@ class TestClassSumPass:
         # complex, so its class sums turn complex part way through the pass
         first = np.array([MIXED.value(n) for n in range(1, 101)])
         assert not first.imag.any()
-        with mock.patch.object(momentlab, "_N_CHUNK", 100):
+        with mock.patch.object(limits, "CHUNK", 100):
             sums = momentlab._class_sums((TrivialFamily(), MIXED), (2 + 0j, 2 + 0j), 250, (11,))
         assert sums[11][0].dtype == np.float64 and sums[11][1].imag.any()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdseries import series, variety
+from mdseries import limits, series, variety
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
@@ -526,7 +526,7 @@ class TestFsumRule:
         else:
             assert not terms.imag.any()
             assert np.signbit(terms.imag).all() == (imag == "negative zeros")
-        with mock.patch.object(variety, "_WINDOW", 16):
+        with mock.patch.object(limits, "CHUNK", 16):
             got = direct_sum_and_half(DIAG, fams, s, N)
         want = old_fsum(terms), old_fsum(terms[X.max(axis=1) <= N // 2])
         assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
