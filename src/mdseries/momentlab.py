@@ -38,7 +38,7 @@ from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
 # module's name
-from .series import (EMPTY_VARIETY_WARNING, _checked_point, _fsum,  # noqa: F401
+from .series import (EMPTY_VARIETY_WARNING, _checked_point, _exp, _fsum,  # noqa: F401
                      compare, direct_sum_and_half, direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
 
@@ -69,16 +69,17 @@ def _n_chunks(N: int):
 
 
 def _terms(fam, z: complex, n, logn):
-    """lambda(n) n^(-z) on a chunk: float64 when z and the family's values
-    there are real, else complex.  A non-trivial family's values come from
-    its values(n)."""
-    terms = np.exp(-z.real * logn) if z.imag == 0 else np.exp(-z * logn)
+    """lambda(n) n^(-z) on a chunk, n^(-z) by series._exp: float64 when z
+    and the family's values there are real, else complex.  A non-trivial
+    family's values come from its values(n)."""
+    terms = _exp(-z * logn)
     if not isinstance(fam, TrivialFamily):
         values = fam.values(n)
         terms = _times(terms, values if values.imag.any() else values.real)
     return terms
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _class_sums(families, s, N: int, qs) -> dict:
     """{q: [T_j]} for every q in qs: T_j[a] is the sum of lambda_j(n) n^(-s_j)
     over n <= N with n = a mod q, from one pass over the chunks of
@@ -96,6 +97,7 @@ def _class_sums(families, s, N: int, qs) -> dict:
     return sums
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _plain_product(families, s, N: int) -> complex:
     """The m = 0 value: the product of the untwisted truncated L-sums, each
     the _fsum of its chunk terms, so any chunk size gives the same bits."""
@@ -106,6 +108,7 @@ def _plain_product(families, s, N: int) -> complex:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _average(S: LaurentMonomialSystem, sums: list, q: int) -> complex:
     """The character-tuple average at q from the class sums by residue
     (see the module docstring), for m >= 1 and a q that _check_modulus

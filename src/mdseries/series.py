@@ -19,7 +19,8 @@ prime_power_table.  Each right-hand side is searched once, at its largest
 bound.  local_factor is the same kernel on one prime.  Its products are
 coefficients._times, real data (real s_j, a real table) makes no complex
 one, and every operation acts on one prime's row, so a factor has the
-same bits in any block.
+same bits in any block.  Every power n^(-s_j), here, in the direct sum
+and in momentlab's class sums, is made by _exp, as float64 at real s_j.
 
 The local exponent bound depends on the prime.  Where the local equations
 have a zero right-hand side, the local solutions keep alpha_j <= B_p, the
@@ -215,20 +216,31 @@ def _fsum(chunks) -> complex:
     return acc.value()
 
 
+def _exp(w: np.ndarray) -> np.ndarray:
+    """e^w of a complex array by numpy's complex exp, as its float64 real
+    part when no imaginary part of w is nonzero: the one rule for every
+    power n^(-s) that a term has.  numpy's real exp follows its SIMD
+    dispatch and misrounds some inputs on AVX-512; the complex one gave
+    cmath.exp's bits at every point checked, at both dispatch levels.  Past
+    float64 it gives inf, and the caller's errstate keeps that quiet."""
+    x = np.exp(w)
+    return x if w.imag.any() else x.real
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
                         *, override_convergence: bool = False) -> tuple:
     """The direct sums over [1,N]^t and [1,N//2]^t from one box enumeration.
 
     The box is streamed: for each window of box_windows, the terms
-    a(n) / prod n_j^{s_j} are exp(-(log n) . s), times the coefficient
-    product by _times unless every family is trivial, elementwise, so a term
-    has the same bits in any window.  Each window goes into the full sum,
-    and its terms with max(n) <= N//2 into the half sum; both are exact, so
-    the half sum has the bits of a run at N//2, and reordering the points
-    changes nothing.  The second value is None when N < 2, where the half box is
-    empty.  The coefficient product is one eval_product_coefficient call
-    per window.
+    a(n) / prod n_j^{s_j} are _exp(-(log n) . s), float64 at real s, times
+    the coefficient product by _times unless every family is trivial,
+    elementwise, so a term has the same bits in any window.  Each window
+    goes into the full sum, and its terms with max(n) <= N//2 into the half
+    sum; both are exact, so the half sum has the bits of a run at N//2, and
+    reordering the points changes nothing.  The second value is None when
+    N < 2, where the half box is empty.  The coefficient product is one
+    eval_product_coefficient call per window.
     """
     s = _checked_point(S, c, s, override_convergence)
     trivial = all_trivial(c)
@@ -240,7 +252,7 @@ def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
         expo = np.zeros(len(X), dtype=complex)
         for j, z in enumerate(s):
             expo += logX[:, j] * z
-        terms = np.exp(-expo)
+        terms = _exp(-expo)
         if not trivial:
             terms = _times(terms, eval_product_coefficient(c, X))
         full.add(terms)
@@ -265,15 +277,6 @@ _BLOCK_TERMS = 1 << 13
 _FSUM_ROWS = 64
 
 
-def _exp(w: complex) -> complex:
-    """cmath.exp(w), or inf where it passes float64 (cmath raises there),
-    so that the finiteness check of _local_factors names the prime."""
-    try:
-        return cmath.exp(w)
-    except OverflowError:
-        return complex(math.inf, math.inf)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _local_factors(c, s, primes, sols) -> list:
     """The Euler factors at `primes`, which all have the local solution set
@@ -282,15 +285,16 @@ def _local_factors(c, s, primes, sols) -> list:
     With E the K x t matrix of `sols`, column j gets the table
     table_j[p, e] = c_j(p^e) * p^(-s_j e) at the exponents e > 0 that E
     uses (so a family need not define the others), from prime_power_table
-    and the powers of p^(-s_j) by repeated multiplication up to the largest
-    such e; table_j[p, 0] is 1.  The terms at p are prod_j table_j[p, E[:, j]],
-    and the factor is their math.fsum.  A table or a block of terms is one
-    float64 array while its data is real (a real s_j, a real table, the
-    terms before the first complex column) and one complex array after;
-    _times multiplies by real data part by part, which drops only signed
-    zeros, and fsum ignores them.  Primes go in blocks of about
-    _BLOCK_TERMS terms, and every operation acts on one prime's row alone,
-    so a factor has the same bits in any block, a block of one included.
+    and the powers of p^(-s_j) = _exp(-s_j math.log(p)) by repeated
+    multiplication up to the largest such e; table_j[p, 0] is 1.  The terms
+    at p are prod_j table_j[p, E[:, j]], and the factor is their math.fsum.
+    A table or a block of terms is one float64 array while its data is real
+    (a real s_j, a real table, the terms before the first complex column)
+    and one complex array after; _times multiplies by real data part by
+    part, which drops only signed zeros, and fsum ignores them.  Primes go
+    in blocks of about _BLOCK_TERMS terms, and every operation acts on one
+    prime's row alone, so a factor has the same bits in any block, a block
+    of one included.
     A term that overflows float64 raises OverflowError, naming its prime.
     """
     K, t = len(sols), len(s)
@@ -302,17 +306,14 @@ def _local_factors(c, s, primes, sols) -> list:
     out = []
     for lo in range(0, len(primes), step):
         block = primes[lo:lo + step]
-        logs = [math.log(p) for p in block]
-        # p^(-z) once per distinct z; cmath also for real z, since past
-        # e^708.39 it differs from math.exp
-        xs = {z: np.array([_exp(-z * lp) for lp in logs])
-              for z in {s[j] for j, _, _ in columns}}
+        logs = np.array([math.log(p) for p in block])
+        xs = {z: _exp(-z * logs) for z in {s[j] for j, _, _ in columns}}
         term = np.ones((len(block), K))
         for j, gather, used in columns:
-            x = xs[s[j]] if s[j].imag else xs[s[j]].real
+            x = xs[s[j]]
             # table[:, e] = x^e up to the last used e, then times c_j(p^e) there
             table = np.ones((len(block), used[-1] + 1), dtype=x.dtype)
-            if s[j].imag:
+            if x.dtype.kind == "c":
                 for e in range(1, used[-1] + 1):
                     table[:, e] = _times(table[:, e - 1], x)
             else:               # accumulate multiplies in order along e

@@ -12,8 +12,8 @@ rewrites cli_corpus.txt from this checkout and prints the name of each
 case whose block it changed or added, and of each recorded block no case
 gives any more.  A change that rewrites it lists every changed line in
 CHANGES.md.  test_cli_corpus.py also runs render() in a child process
-with numpy's AVX-512 dispatch disabled, and pins which blocks that
-changes.
+with numpy's AVX-512 dispatch disabled, and checks that every block stays
+the same.
 """
 
 from __future__ import annotations

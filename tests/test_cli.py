@@ -456,6 +456,19 @@ class TestCliEval:
             assert capsys.readouterr() == ("", "mds: the sum overflows float64\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_moment_is_one_error_line(self, tmp_path, capsys, recwarn):
+        # lambda(25) = lambda(5)^2 - 1 = 1e400 passes float64 in the class
+        # sums (n1 = 25 <= N); the direct sum over n1 = n2^2 stays finite
+        lam = {str(p): 0.5 for p in primes_up_to(97)}
+        lam["5"] = 1e200
+        doc = dict(DIAG_DOC, A=[[1, -2]], coefficients=[
+            {"type": "trivial"}, {"type": "hecke_gl2", "lambda": lam}])
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["moment", "--system", str(path), "--q", "11,13", "--N", "100"]) == 1
+        assert capsys.readouterr() == ("", "mds: the sum overflows float64\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_coordinate_past_1e12_is_factored(self, tmp_path, capsys):
         # n = 10^12 + 39, a prime, is the one point; its table coefficient
         # is read through its factorization

@@ -31,12 +31,11 @@ def test_every_case_is_recorded():
     assert list(blocks(TEXT)) == [case[0] for case in CASES]
 
 
-# the cases whose output moves when numpy dispatches to X86_V3 in place of
-# X86_V4: moment-hecke7 takes a real np.exp in momentlab._terms
-DISPATCH_DEPENDENT = {"moment-hecke7"}
-
-
-def test_dispatch_changes_only_the_pinned_cases(tmp_path):
+# Every power comes from numpy's complex exp (series._exp), which gives the
+# same bits at X86_V3 and X86_V4.  The array np.log of the direct sum and
+# the moment still follows the dispatch, at n = 9170, 19143 and 94869 among
+# n <= 10^5; no case's output shows it.
+def test_dispatch_changes_no_case(tmp_path):
     recorded, here = TEXT.split("=== ", 1)[0], platform()
     if recorded != here or "simd X86_V4" not in here:
         pytest.skip(f"needs the recorded platform at X86_V4; this host has "
@@ -48,6 +47,4 @@ def test_dispatch_changes_only_the_pinned_cases(tmp_path):
         [sys.executable, "-c", "import sys, cli_corpus; sys.stdout.write(cli_corpus.render())"],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     assert child.stdout.split("=== ", 1)[0] != here        # the setting took hold
-    got, want = blocks(child.stdout), blocks(TEXT)
-    assert list(got) == list(want)
-    assert {name for name in want if got[name] != want[name]} == DISPATCH_DEPENDENT
+    assert blocks(child.stdout) == blocks(TEXT)

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import itertools
 import math
@@ -53,12 +54,15 @@ def naive_moment_rhs(S, families, s, q, N):
 
 
 def oracle_terms(f, s, N):
-    """Oracle: lambda(n) n^{-s} for every n <= N at once, n^{-s} by the real
-    exp when s is real, as momentlab makes it (the complex exp can differ
-    from it in the last bit), times lambda(n) by Python's complex product."""
+    """Oracle: lambda(n) n^{-s} for every n <= N at once, n^{-s} by numpy's
+    complex exp, its real part when s is real, as momentlab makes it
+    (numpy's real exp follows its SIMD dispatch), times lambda(n) by
+    Python's complex product."""
     n = np.arange(1, N + 1)
     s = complex(s)
-    terms = np.exp(-s.real * np.log(n)) if s.imag == 0 else np.exp(-s * np.log(n))
+    terms = np.exp(-s * np.log(n))
+    if s.imag == 0:
+        terms = terms.real
     if not isinstance(f, TrivialFamily):
         terms = np.array([z * f.value(k) for k, z in enumerate(terms.tolist(), 1)],
                          dtype=complex)
@@ -188,6 +192,15 @@ class TestMomentRhs:
             got = moment_rhs(S, fams, s, q, N)
             want = naive_moment_rhs(S, fams, s, q, N)
             assert abs(got - want) < 1e-12, (S, q, N)
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_overflow_is_one_error(self, recwarn, m):
+        # n^400 passes float64 from n = 6 on, so the class sums and the plain
+        # sums hold inf, which _fsum reports; no numpy warning escapes
+        S = DIAG if m else LaurentMonomialSystem(t=2, m=0, A=(), omega=(), omega_prime=())
+        with pytest.raises(OverflowError, match="^the sum overflows float64$"):
+            moment_rhs(S, TRIV2, (-400, -400), 7, 100)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_hand_expanded_q3(self):
         v = moment_rhs(DIAG, TRIV2, (2, 2), 3, 2)
@@ -506,6 +519,17 @@ class TestClassSumPass:
         with mock.patch.object(limits, "CHUNK", chunk):
             got = moment_rhs(m0, fams, s, 7, N)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("z", [2, 1.3, 2 + 0.5j])
+    def test_terms_are_libm_powers(self, z):
+        # numpy's real exp misrounds some of these on AVX-512; series._exp
+        # takes its complex one, which gives libm's bits
+        z, n = complex(z), np.arange(1, 5001)
+        got = momentlab._terms(TrivialFamily(), z, n, np.log(n))
+        want = np.array([cmath.exp(-z * math.log(k)) for k in n.tolist()])
+        if not z.imag:
+            want = want.real
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_real_chunks_then_complex(self):
         # at chunk 100 the first chunk of MIXED's terms is real, a later one

@@ -44,11 +44,12 @@ def real_twisted_families():
 
 def scalar_local_factor(S, c, p, s, B):
     """Oracle: the Euler factor at p by a Python loop over the local
-    solutions, with the powers p^(-s_j e) by repeated multiplication."""
+    solutions, with the powers p^(-s_j e) by repeated multiplication of
+    numpy's complex exp of -s_j log p."""
     sols = local_solutions(S, p, B).solutions
     tables = []
     for z, fam, column in zip(s, c, zip(*sols)):
-        x = cmath.exp(-complex(z) * math.log(p))
+        x = complex(np.exp(-complex(z) * math.log(p)))
         row, power = [1 + 0j], 1 + 0j
         for e in range(1, max(column) + 1):
             power *= x
@@ -127,6 +128,30 @@ class TestDirectSum:
             direct_sum(DIAG, TRIV2, (2,), 5)
         with pytest.raises(ValueError):
             direct_sum(DIAG, trivial_tuple(3), (2, 2), 5)
+
+
+class TestOnePowerRule:
+    """Every power n^(-s) comes from series._exp: numpy's complex exp, whose
+    bits are libm's at any SIMD dispatch, and float64 at real s."""
+
+    @pytest.mark.parametrize("z", [2, 1.3, 2 + 0.5j])
+    def test_kernel_powers_are_libm(self, z):
+        # the one local solution alpha = (1,) makes the factor p^(-z) itself
+        z, primes = complex(z), primes_up_to(4999)
+        got = series._local_factors((TrivialFamily(),), (z,), primes, [(1,)])
+        for p, x in zip(primes, got):
+            want = cmath.exp(-z * math.log(p))
+            assert x.real.hex() == want.real.hex(), p
+            if z.imag:
+                assert x.imag.hex() == want.imag.hex(), p
+
+    def test_real_direct_sum_makes_no_complex_product(self):
+        lam = {p: math.cos(p * 1.0) * 1.8 for p in primes_up_to(200)}
+        fams = (TrivialFamily(), HeckeGL2Family(lam))
+        with mock.patch.object(series, "_times", wraps=series._times) as spy:
+            direct_sum_and_half(DIAG, fams, (2.0, 2.5), 200)
+        assert spy.call_count > 0
+        assert not [args for args, _ in spy.call_args_list if all(map(np.iscomplexobj, args))]
 
 
 class TestDirectSumMemory:
@@ -568,7 +593,8 @@ class TestRealKernel:
          primes_up_to(1000)[::7]),
         (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.0), 3, [2, 3, 5, 7]),
         (DIAG, (signed_zero_table(), TrivialFamily()), (2.0, 2.5 + 1j), 4, [2, 3, 5, 7]),
-        # 2^1022.52 is past e^708.39, where math.exp and cmath.exp can differ
+        # 2^1022.52 is e^708.75, in the band (708.39, 709.78) where cmath.exp
+        # takes exp(x - 1) * e and can differ from numpy's complex exp
         (DIAG, TRIV2, (-1022.52, 1000.0), 1, [2]),
     ])
     def test_local_factor_equals_scalar_loop_bitwise(self, S, fams, s, B, primes):

@@ -84,3 +84,42 @@ def test_no_function_takes_a_work_cap():
                 if "work_cap" in {p.arg for p in params if p is not None}:
                     found.add((path.stem, getattr(node, "name", "<lambda>")))
     assert found == set()
+
+
+EXP_MODULES = {"np", "numpy", "cmath", "math"}
+
+
+def exp_uses(path: Path) -> set:
+    """The innermost function around each use of np.exp, cmath.exp or
+    math.exp in a module (None at module level), and "import" where a
+    module imports exp by name."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "exp"
+                    and isinstance(child.value, ast.Name) and child.value.id in EXP_MODULES):
+                found.add(where)
+            if (isinstance(child, ast.ImportFrom) and child.module in EXP_MODULES
+                    and "exp" in {a.name for a in child.names}):
+                found.add("import")
+            visit(child, where)
+
+    visit(parse(path), None)
+    return found
+
+
+def test_one_function_makes_the_powers():
+    # series._exp makes every n^(-s) of the direct sum, the Euler kernel and
+    # the moment, so a term's bits follow one rule.  variety and arith are
+    # not held to it: variety's np.exp widens a float interval that exact
+    # integers then decide, and arith._unit_roots makes roots of unity, not
+    # powers of n.
+    found = {(name, where) for name in ("series", "momentlab")
+             for where in exp_uses(SRC / f"{name}.py")}
+    assert found == {("series", "_exp")}
+    # the check sees a use where there is one
+    assert exp_uses(SRC / "variety.py") == {"_ceil_from_log", "_floor_from_log"}
