@@ -419,9 +419,5 @@ def eval_product_coefficient(c: CoefficientTuple, X) -> np.ndarray:
     return out
 
 
-def all_trivial(c: CoefficientTuple) -> bool:
-    return all(isinstance(f, TrivialFamily) for f in c)
-
-
 def trivial_tuple(t: int) -> tuple:
     return tuple(TrivialFamily() for _ in range(t))

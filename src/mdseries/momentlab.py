@@ -8,8 +8,9 @@ empirical decay exponent.
 
 The average is computed as arrays, in memory that does not grow with N.
 One pass over n <= N, in chunks of limits.CHUNK, makes the terms
-lambda_j(n) n^(-s_j) of each chunk, real where s_j and the family's values
-are, and adds them (np.add.at) into class sums by n mod q, one per family
+lambda_j(n) n^(-s_j) of each chunk by series._terms, as the direct sum
+makes its column terms, real where s_j and the family's values are, and
+adds them (np.add.at) into class sums by n mod q, one per family
 and modulus, for every modulus of the job.  At each q the class sums are
 relabelled by the discrete log of the residue into T_j, and one
 length-(q-1) DFT of T_j gives the twisted L-sums L_j(K) for every
@@ -33,12 +34,12 @@ import numpy as np
 
 from . import limits
 from .arith import character_table, is_prime, _unit_roots
-from .coefficients import TrivialFamily, _times, in_column
+from .coefficients import _times, in_column
 from .errors import WorkCapExceeded
 from .limits import MOMENT_TUPLE_CAP
 # compare is not called here; perfbench's layer trace wraps it by this
 # module's name
-from .series import (EMPTY_VARIETY_WARNING, _checked_point, _exp, _fsum,  # noqa: F401
+from .series import (EMPTY_VARIETY_WARNING, _checked_point, _fsum, _terms,  # noqa: F401
                      compare, direct_sum_and_half, direct_tail_skip_reason)
 from .system import LaurentMonomialSystem
 
@@ -66,17 +67,6 @@ def _n_chunks(N: int):
     for lo in range(1, N + 1, chunk):
         n = np.arange(lo, min(lo + chunk, N + 1))
         yield n, np.log(n)
-
-
-def _terms(fam, z: complex, n, logn):
-    """lambda(n) n^(-z) on a chunk, n^(-z) by series._exp: float64 when z
-    and the family's values there are real, else complex.  A non-trivial
-    family's values come from its values(n)."""
-    terms = _exp(-z * logn)
-    if not isinstance(fam, TrivialFamily):
-        values = fam.values(n)
-        terms = _times(terms, values if values.imag.any() else values.real)
-    return terms
 
 
 @np.errstate(over="ignore", invalid="ignore")

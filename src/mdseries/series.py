@@ -19,8 +19,9 @@ prime_power_table.  Each right-hand side is searched once, at its largest
 bound.  local_factor is the same kernel on one prime.  Its products are
 coefficients._times, real data (real s_j, a real table) makes no complex
 one, and every operation acts on one prime's row, so a factor has the
-same bits in any block.  Every power n^(-s_j), here, in the direct sum
-and in momentlab's class sums, is made by _exp, as float64 at real s_j.
+same bits in any block.  Every power n^(-s_j) is made by _exp, as float64
+at real s_j: here, and in _terms, the one maker of a column's terms
+c_j(n) n^(-s_j) for the direct sum and momentlab's class sums.
 
 The local exponent bound depends on the prime.  Where the local equations
 have a zero right-hand side, the local solutions keep alpha_j <= B_p, the
@@ -63,12 +64,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .arith import is_prime, primes_up_to
-from .coefficients import _times, all_trivial, eval_product_coefficient, in_column
+# eval_product_coefficient and enumerate_box are not called here;
+# perfbench's layer trace wraps them by this module's name
+from .coefficients import (TrivialFamily, _times, eval_product_coefficient,  # noqa: F401
+                           in_column)
 from .errors import ConvergenceError, MissingPrimePowerError
 from .limits import LPF_SIEVE_LIMIT
 from .system import LaurentMonomialSystem, ValidatedRecord
-# enumerate_box is not called here; perfbench's layer trace wraps it by
-# this module's name
 from .variety import box_windows, enumerate_box, local_solutions  # noqa: F401
 
 
@@ -227,34 +229,42 @@ def _exp(w: np.ndarray) -> np.ndarray:
     return x if w.imag.any() else x.real
 
 
+def _terms(fam, z: complex, n, logn):
+    """c(n) n^(-z) on a 1-D array of n >= 1 with logarithms logn, the one
+    rule for a column's terms: _exp(-z logn), float64 at real z, times a
+    non-trivial family's values(n) by _times, as real data when no value
+    has an imaginary part."""
+    terms = _exp(-z * logn)
+    if not isinstance(fam, TrivialFamily):
+        values = fam.values(n)
+        terms = _times(terms, values if values.imag.any() else values.real)
+    return terms
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def direct_sum_and_half(S: LaurentMonomialSystem, c, s, N: int,
                         *, override_convergence: bool = False) -> tuple:
     """The direct sums over [1,N]^t and [1,N//2]^t from one box enumeration.
 
-    The box is streamed: for each window of box_windows, the terms
-    a(n) / prod n_j^{s_j} are _exp(-(log n) . s), float64 at real s, times
-    the coefficient product by _times unless every family is trivial,
-    elementwise, so a term has the same bits in any window.  Each window
-    goes into the full sum, and its terms with max(n) <= N//2 into the half
-    sum; both are exact, so the half sum has the bits of a run at N//2, and
-    reordering the points changes nothing.  The second value is None when
-    N < 2, where the half box is empty.  The coefficient product is one
-    eval_product_coefficient call per window.
+    The box is streamed: for each window of box_windows, the term
+    a(n) / prod n_j^{s_j} is the product, in column order by _times from
+    1.0, of the column terms _terms(c_j, s_j, n_j), elementwise, so a term
+    has the same bits in any window and is float64 while every column's
+    data is real.  Each window goes into the full sum, and its terms with
+    max(n) <= N//2 into the half sum; both are exact, so the half sum has
+    the bits of a run at N//2, and reordering the points changes nothing.
+    The second value is None when N < 2, where the half box is empty.
     """
     s = _checked_point(S, c, s, override_convergence)
-    trivial = all_trivial(c)
     half_N = N // 2 if direct_tail_skip_reason(N) is None else None
     full, half = _ExactSum(), _ExactSum()
     for X in box_windows(S, N):
         X = X.astype(np.int64, copy=False)
         logX = np.log(X)
-        expo = np.zeros(len(X), dtype=complex)
-        for j, z in enumerate(s):
-            expo += logX[:, j] * z
-        terms = _exp(-expo)
-        if not trivial:
-            terms = _times(terms, eval_product_coefficient(c, X))
+        terms = np.ones(len(X))
+        for j, (fam, z) in enumerate(zip(c, s)):
+            with in_column(j):
+                terms = _times(terms, _terms(fam, z, X[:, j], logX[:, j]))
         full.add(terms)
         if half_N is not None:
             half.add(terms[X.max(axis=1, initial=1) <= half_N])
@@ -286,8 +296,10 @@ def _local_factors(c, s, primes, sols) -> list:
     table_j[p, e] = c_j(p^e) * p^(-s_j e) at the exponents e > 0 that E
     uses (so a family need not define the others), from prime_power_table
     and the powers of p^(-s_j) = _exp(-s_j math.log(p)) by repeated
-    multiplication up to the largest such e; table_j[p, 0] is 1.  The terms
-    at p are prod_j table_j[p, E[:, j]], and the factor is their math.fsum.
+    multiplication up to the largest such e; table_j[p, 0] is 1.  Products
+    keep p^(-s_j e) closer than _exp(-s_j e log p), where s_j e amplifies
+    the rounding of e log p.  The terms at p are prod_j table_j[p, E[:, j]],
+    and the factor is their math.fsum.
     A table or a block of terms is one float64 array while its data is real
     (a real s_j, a real table, the terms before the first complex column)
     and one complex array after; _times multiplies by real data part by

@@ -93,6 +93,9 @@ CASES = [
     ("check-s-constraints", ["check-s", "--constraints", "sum.txt", "--t", "2", "--N", "5"], {}),
     ("normalize-mixed", ["normalize", "--system", "mixed.json"], {}),
     ("eval-mixed", ["eval", "--system", "mixed.json", "--N", "4"], {}),
+    # complex s and every record kind through the Euler kernel and the direct sum
+    ("compare-mixed", ["compare", "--system", "mixed.json", "--N", "4", "--P", "3", "--B", "1"],
+     {}),
     ("reduce-support", ["reduce-support", "--system", "hecke7.json", "--bound", "10"], {}),
     # one case of each error exit
     ("missing-file", ["eval", "--system", "missing.json"], {}),

@@ -14,8 +14,10 @@ product by no more than the terms it drops, and those by no more than
 their closed-form bound.
 """
 
+import functools
 import itertools
 import math
+import operator
 import os
 from unittest import mock
 
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from mdseries import limits, series, variety
 from mdseries.arith import character_table, iroot, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family, TauFamily,
-                                   TrivialFamily, all_trivial)
+                                   TrivialFamily)
 from mdseries.errors import WorkCapExceeded
 from mdseries.limits import TWIST_LIMIT
 from mdseries.system import LaurentMonomialSystem, make_system
@@ -356,21 +358,20 @@ def test_per_prime_bound_against_uniform(case, P, B, kinds, re, im, theta):
 def whole_array_sums(S, fams, s, N):
     """Oracle: the direct sum and the half-box sum from the box as one
     K x t array, the terms as one complex array each, and both parts
-    summed by math.fsum (the imaginary part 0.0 when all of it is zero)."""
-    s = tuple(complex(z) for z in s)
+    summed by math.fsum (the imaginary part 0.0 when all of it is zero).
+    A term is made per column, c_j(n_j) times numpy's complex exp of
+    -s_j log n_j (no value for a trivial family), and the columns are
+    multiplied in column order by Python's complex product, which numpy's
+    may not round alike."""
     X = box_array(S, N).astype(np.int64, copy=False)
-    logX = np.log(X)
-    expo = np.zeros(len(X), dtype=complex)
-    for j, z in enumerate(s):
-        expo += logX[:, j] * z
-    terms = np.exp(-expo)
-    if not all_trivial(fams):
-        # the scalar values' product, column by column from 1+0j
-        coef = [math.prod((f.value(n) for f, n in zip(fams, row)), start=1 + 0j)
-                for row in X.tolist()]
-        # times each term by Python's complex product, which numpy's may not
-        # round alike
-        terms = np.array([z * a for z, a in zip(terms.tolist(), coef)], dtype=complex)
+    columns = []
+    for f, z, n in zip(fams, s, X.T):
+        x = np.exp(-complex(z) * np.log(n)).tolist()
+        if not isinstance(f, TrivialFamily):
+            x = [a * f.value(k) for a, k in zip(x, n.tolist())]
+        columns.append(x)
+    terms = np.array([functools.reduce(operator.mul, row) for row in zip(*columns)],
+                     dtype=complex)
 
     def total(z):
         imag = math.fsum(z.imag.tolist()) if z.imag.any() else 0.0

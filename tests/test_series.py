@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import random
 import tracemalloc
 from unittest import mock
@@ -13,7 +15,6 @@ from mdseries import limits, series, variety
 from mdseries.arith import character_table, primes_up_to
 from mdseries.coefficients import (CharacterFamily, HeckeGL2Family,
                                    TableFamily, TauFamily, TrivialFamily,
-                                   all_trivial, eval_product_coefficient,
                                    trivial_tuple)
 from mdseries.errors import ConvergenceError, MissingPrimePowerError
 from mdseries.series import (EvalParams, EvalReport, compare, default_exponent_bound,
@@ -152,6 +153,31 @@ class TestOnePowerRule:
             direct_sum_and_half(DIAG, fams, (2.0, 2.5), 200)
         assert spy.call_count > 0
         assert not [args for args, _ in spy.call_args_list if all(map(np.iscomplexobj, args))]
+
+
+class TestOneTermRule:
+    """A term is the product of its column terms series._terms, in column
+    order by _times, as the direct sum makes it.  One rounding of each
+    log n_j and one _exp per column keep it closer to the exact value than
+    one _exp of the summed exponent sum_j s_j log n_j, whose rounding grows
+    with the sum."""
+
+    @pytest.mark.parametrize("s", [(2 + 1j,) * 3, (2.0,) * 3, (1.3 + 0.5j, 1.6, 1.2 - 2j)])
+    def test_terms_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        X = np.random.default_rng(5).integers(1, 10**5, (2000, 3))
+        logX = np.log(X)
+        got = np.ones(len(X))
+        for j, z in enumerate(s):
+            got = series._times(got, series._terms(TrivialFamily(), complex(z),
+                                                   X[:, j], logX[:, j]))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for row, x in zip(X.tolist(), got.tolist()):
+                want = mpmath.fprod(mpmath.power(n, -mpmath.mpmathify(z))
+                                    for n, z in zip(row, s))
+                worst = max(worst, float(abs(x - want) / abs(want)))
+        assert worst < 8e-15
 
 
 class TestDirectSumMemory:
@@ -375,6 +401,20 @@ def old_fsum(z):
     return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
+def column_terms(fams, s, X):
+    """Oracle: the term of each row of X, made per column as c_j(n_j) times
+    numpy's complex exp of -s_j log n_j (no value for a trivial family), the
+    columns multiplied in column order by Python's complex product."""
+    columns = []
+    for f, z, n in zip(fams, s, X.T):
+        x = np.exp(-complex(z) * np.log(n)).tolist()
+        if not isinstance(f, TrivialFamily):
+            x = [a * f.value(k) for a, k in zip(x, n.tolist())]
+        columns.append(x)
+    return np.array([functools.reduce(operator.mul, row) for row in zip(*columns)],
+                    dtype=complex)
+
+
 class TestFsumRule:
     """_fsum sums exactly into buckets and rounds once; the bits must be
     those of math.fsum on each part (old_fsum), whatever the chunking."""
@@ -514,13 +554,7 @@ class TestFsumRule:
         # and summed by the oracle, against the sums streamed over windows
         s, N = (2.0,) * S.t, 60
         X = box_array(S, N).astype(np.int64)
-        logX = np.log(X)
-        expo = np.zeros(len(X), dtype=complex)
-        for j, z in enumerate(s):
-            expo += logX[:, j] * z
-        terms = np.exp(-expo)
-        if not all_trivial(fams):
-            terms = terms * eval_product_coefficient(fams, X)
+        terms = column_terms(fams, s, X)
         assert not terms.imag.any()
         got = direct_sum_and_half(S, fams, s, N)
         want = old_fsum(terms), old_fsum(terms[X.max(axis=1) <= N // 2])
@@ -539,13 +573,8 @@ class TestFsumRule:
         # the whole box's terms at once, summed by the oracle rule, against
         # the sums streamed over windows of 16 points
         N = 300
-        X = box_array(DIAG, N)
-        terms = np.exp(-(np.log(X) @ np.array(s, dtype=complex)))
-        if imag != "negative zeros":
-            # the scalar values' product, column by column from 1+0j
-            terms = terms * np.array([math.prod((f.value(n) for f, n in zip(fams, row)),
-                                                start=1 + 0j)
-                                      for row in X.tolist()], dtype=complex)
+        X = box_array(DIAG, N).astype(np.int64)
+        terms = column_terms(fams, s, X)
         if imag == "later":
             assert not terms[:16].imag.any() and terms.imag.any()
         else:

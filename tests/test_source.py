@@ -9,8 +9,8 @@ SRC = Path(mdseries.__file__).resolve().parent
 
 # Imports kept only so that perfbench/layertrace.py can wrap the name in
 # this module (ROADMAP item 1 removes them with the next benchmark change).
-TRACE_ONLY = {("series", "enumerate_box"), ("momentlab", "compare"),
-              ("variety", "primes_up_to")}
+TRACE_ONLY = {("series", "enumerate_box"), ("series", "eval_product_coefficient"),
+              ("momentlab", "compare"), ("variety", "primes_up_to")}
 
 
 def parse(path: Path) -> ast.Module:
@@ -89,10 +89,9 @@ def test_no_function_takes_a_work_cap():
 EXP_MODULES = {"np", "numpy", "cmath", "math"}
 
 
-def exp_uses(path: Path) -> set:
-    """The innermost function around each use of np.exp, cmath.exp or
-    math.exp in a module (None at module level), and "import" where a
-    module imports exp by name."""
+def enclosing(path: Path, hit) -> set:
+    """The innermost function around each node of a module for which
+    hit(node) holds (None at module level)."""
     found = set()
 
     def visit(node, where):
@@ -100,16 +99,34 @@ def exp_uses(path: Path) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "exp"
-                    and isinstance(child.value, ast.Name) and child.value.id in EXP_MODULES):
+            if hit(child):
                 found.add(where)
-            if (isinstance(child, ast.ImportFrom) and child.module in EXP_MODULES
-                    and "exp" in {a.name for a in child.names}):
-                found.add("import")
             visit(child, where)
 
     visit(parse(path), None)
     return found
+
+
+def exp_uses(path: Path) -> set:
+    """Where a module uses np.exp, cmath.exp or math.exp, or imports exp by
+    name."""
+    def hit(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module in EXP_MODULES and "exp" in {a.name for a in node.names}
+        return (isinstance(node, ast.Attribute) and node.attr == "exp"
+                and isinstance(node.value, ast.Name) and node.value.id in EXP_MODULES)
+
+    return enclosing(path, hit)
+
+
+def callers(path: Path, name: str) -> set:
+    """Where a module calls `name`, bare or as an attribute."""
+    def hit(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id == name
+                or isinstance(f, ast.Attribute) and f.attr == name)
+
+    return enclosing(path, hit)
 
 
 def test_one_function_makes_the_powers():
@@ -123,3 +140,16 @@ def test_one_function_makes_the_powers():
     assert found == {("series", "_exp")}
     # the check sees a use where there is one
     assert exp_uses(SRC / "variety.py") == {"_ceil_from_log", "_floor_from_log"}
+
+
+def test_one_function_makes_the_terms():
+    # series._terms makes every column's terms c(n) n^(-s) of the direct
+    # sum and the moment, and _local_factors the Euler kernel's powers
+    # p^(-s e); nothing else calls _exp, and the direct sum multiplies the
+    # column terms, not a coefficient product
+    found = {(name, where) for name in ("series", "momentlab")
+             for where in callers(SRC / f"{name}.py", "_exp")}
+    assert found == {("series", "_terms"), ("series", "_local_factors")}
+    assert callers(SRC / "series.py", "eval_product_coefficient") == set()
+    # the check sees a call where there is one
+    assert callers(SRC / "momentlab.py", "_terms") == {"_class_sums", "_plain_product"}
